@@ -32,7 +32,6 @@ type BenchReport struct {
 	GOMAXPROCS     int     `json:"gomaxprocs"`
 	Scale          string  `json:"scale"`
 	CkptShared     bool    `json:"ckpt_shared,omitempty"`
-	Replay         string  `json:"replay,omitempty"`
 	Experiments    int     `json:"experiments"`
 	Cells          int     `json:"cells"`
 	Instrs         uint64  `json:"instructions"`
@@ -49,21 +48,16 @@ type BenchReport struct {
 	FFNSPerInstr  float64 `json:"ff_ns_per_instr"`
 	FFSpeedup     float64 `json:"ff_speedup_vs_detailed"`
 
-	// Execute-once, time-many accounting (populated when -replay=on):
-	// how many cells consumed a recorded stream vs. ran live, and how
-	// compact the recordings were.
-	ReplayCells         int     `json:"replay_cells,omitempty"`
-	LiveCells           int     `json:"live_cells,omitempty"`
+	// Execute-once, time-many accounting: how many recording passes
+	// the grid ran and how compact the recordings were.
 	StreamRecordings    int     `json:"stream_recordings,omitempty"`
 	StreamBytes         int64   `json:"stream_bytes,omitempty"`
 	StreamBytesPerInstr float64 `json:"stream_bytes_per_instr,omitempty"`
 
-	// Decode-once cohort accounting: the cohort policy of the run, how
-	// many lockstep cohorts executed, the cells they covered, their
-	// mean width (cells stepped per shared decoded batch), and the full
-	// width histogram (width → cohorts run at that width), since the
-	// mean hides bimodal mixes.
-	Cohort       string         `json:"cohort,omitempty"`
+	// Decode-once cohort accounting: how many lockstep cohorts
+	// executed, the cells they covered, their mean width (cells stepped
+	// per shared decoded batch), and the full width histogram (width →
+	// cohorts run at that width), since the mean hides bimodal mixes.
 	Cohorts      int            `json:"cohorts,omitempty"`
 	CohortCells  int            `json:"cohort_cells,omitempty"`
 	CohortWidth  float64        `json:"cohort_width,omitempty"`
@@ -91,7 +85,7 @@ func cmdBench(w io.Writer, args []string) error {
 	memF := fs.String("memprofile", "", "write an allocation profile to this file")
 	fullF := fs.Bool("full", false, "paper-scale inputs instead of quick scale")
 	phasesF := fs.Bool("phases", false, "report per-phase wall-time attribution of the grid")
-	g := addGridFlags(fs, "off")
+	g := addGridFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -101,38 +95,23 @@ func cmdBench(w io.Writer, args []string) error {
 		def = sim.DefaultParams()
 		scale = "full"
 	}
-	pp, wls, mode, cohort, err := g.params(def)
+	pp, wls, err := g.params(def)
 	if err != nil {
 		return err
 	}
 	p := sim.ExpParams{Params: pp, Workloads: wls}
-	if mode == sim.ReplayOn && !*g.ckpt {
-		// -replay=on implies the shared-checkpoint composition: the
-		// recording pass starts from the post-fast-forward point, so the
-		// detailed warmup is folded into the (shared, functionally-warmed)
-		// fast-forward exactly as -ckpt does (g.params already folded it
-		// when -ckpt was given explicitly).
-		foldCheckpoint(&p.Params)
-	}
 
 	scheduler() // route the grid through the shared scheduler core
 	prevCache := sim.SetRunCacheEnabled(false)
 	defer sim.SetRunCacheEnabled(prevCache)
-	prevReplay := sim.SetReplayMode(mode)
-	defer sim.SetReplayMode(prevReplay)
-	prevCohort := sim.SetCohortMode(cohort)
-	defer sim.SetCohortMode(prevCohort)
 
-	var cells, replayCells int
+	var cells int
 	var instrs uint64
 	var phaseWall sim.PhaseTimes
 	var cellWall time.Duration
 	sim.SetProgressHook(func(ev sim.CellEvent) {
 		cells++
 		instrs += ev.Instrs
-		if ev.Replayed {
-			replayCells++
-		}
 		phaseWall.AddAll(ev.Phases)
 		cellWall += ev.Wall
 	})
@@ -186,7 +165,7 @@ func cmdBench(w io.Writer, args []string) error {
 		GoVersion:     runtime.Version(),
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		Scale:         scale,
-		CkptShared:    *g.ckpt || mode == sim.ReplayOn,
+		CkptShared:    *g.ckpt,
 		Experiments:   len(exps),
 		Cells:         cells,
 		Instrs:        instrs,
@@ -194,27 +173,21 @@ func cmdBench(w io.Writer, args []string) error {
 		DetNSPerInstr: detNS,
 		FFNSPerInstr:  ffNS,
 	}
-	if mode != sim.ReplayOff {
-		rec := sim.RecordingStats()
-		rep.Replay = mode.String()
-		rep.ReplayCells = replayCells
-		rep.LiveCells = cells - replayCells
-		rep.StreamRecordings = rec.Recordings - rec0.Recordings
-		rep.StreamBytes = rec.Bytes - rec0.Bytes
-		if di := rec.Instrs - rec0.Instrs; di > 0 {
-			rep.StreamBytesPerInstr = float64(rep.StreamBytes) / float64(di)
-		}
-		rep.Cohort = cohort.String()
-		runs, ccells := sim.CohortStats()
-		rep.Cohorts = runs - coh0runs
-		rep.CohortCells = ccells - coh0cells
-		if rep.Cohorts > 0 {
-			rep.CohortWidth = float64(rep.CohortCells) / float64(rep.Cohorts)
-			rep.CohortWidths = make(map[string]int)
-			for wdt, n := range sim.CohortWidthHist() {
-				if d := n - hist0[wdt]; d > 0 {
-					rep.CohortWidths[fmt.Sprintf("%d", wdt)] = d
-				}
+	rec := sim.RecordingStats()
+	rep.StreamRecordings = rec.Recordings - rec0.Recordings
+	rep.StreamBytes = rec.Bytes - rec0.Bytes
+	if di := rec.Instrs - rec0.Instrs; di > 0 {
+		rep.StreamBytesPerInstr = float64(rep.StreamBytes) / float64(di)
+	}
+	runs, ccells := sim.CohortStats()
+	rep.Cohorts = runs - coh0runs
+	rep.CohortCells = ccells - coh0cells
+	if rep.Cohorts > 0 {
+		rep.CohortWidth = float64(rep.CohortCells) / float64(rep.Cohorts)
+		rep.CohortWidths = make(map[string]int)
+		for wdt, n := range sim.CohortWidthHist() {
+			if d := n - hist0[wdt]; d > 0 {
+				rep.CohortWidths[fmt.Sprintf("%d", wdt)] = d
 			}
 		}
 	}
@@ -251,15 +224,9 @@ func cmdBench(w io.Writer, args []string) error {
 		cells, instrs/1e6, wall.Seconds(), rep.CellsPerSec, rep.NSPerInstr, rep.AllocsPerInstr)
 	fmt.Fprintf(w, "fast-forward: %.1f ns/instr vs %.0f ns/instr detailed SVR16 single-cell (%.0fx)\n",
 		ffNS, detNS, rep.FFSpeedup)
-	if mode != sim.ReplayOff {
-		fmt.Fprintf(w, "replay: %d cells replayed, %d live — %d recordings, %.1f MiB (%.2f B/instr)\n",
-			rep.ReplayCells, rep.LiveCells, rep.StreamRecordings,
-			float64(rep.StreamBytes)/(1<<20), rep.StreamBytesPerInstr)
-		if rep.Cohorts > 0 {
-			fmt.Fprintf(w, "cohorts: %d lockstep cohorts covered %d cells (mean width %.1f)\n",
-				rep.Cohorts, rep.CohortCells, rep.CohortWidth)
-		}
-	}
+	fmt.Fprintf(w, "recordings: %d, %.1f MiB (%.2f B/instr); cohorts: %d covered %d cells (mean width %.1f)\n",
+		rep.StreamRecordings, float64(rep.StreamBytes)/(1<<20), rep.StreamBytesPerInstr,
+		rep.Cohorts, rep.CohortCells, rep.CohortWidth)
 
 	if *phasesF {
 		printPhaseTable(w, phaseWall, cellWall)
@@ -364,38 +331,13 @@ func printBenchDelta(w io.Writer, path string, cur BenchReport) error {
 		fmt.Fprintf(w, "  (warmup modes differ: baseline ckpt_shared=%v, current ckpt_shared=%v)\n",
 			base.CkptShared, cur.CkptShared)
 	}
-	if base.Replay != cur.Replay {
-		fmt.Fprintf(w, "  (stream modes differ: baseline replay=%q, current replay=%q)\n",
-			base.Replay, cur.Replay)
-	}
-	if base.Cohort != cur.Cohort {
-		fmt.Fprintf(w, "  (cohort modes differ: baseline cohort=%q, current cohort=%q)\n",
-			base.Cohort, cur.Cohort)
-	}
 	fmt.Fprintf(w, "  wall        %8.1fs -> %8.1fs  (%s)\n", base.WallSeconds, cur.WallSeconds, pct(cur.WallSeconds, base.WallSeconds))
 	fmt.Fprintf(w, "  cells/s     %8.2f -> %8.2f  (%s)\n", base.CellsPerSec, cur.CellsPerSec, pct(cur.CellsPerSec, base.CellsPerSec))
 	fmt.Fprintf(w, "  ns/instr    %8.0f -> %8.0f  (%s)\n", base.NSPerInstr, cur.NSPerInstr, pct(cur.NSPerInstr, base.NSPerInstr))
 	fmt.Fprintf(w, "  allocs/instr%8.3f -> %8.3f  (%s)\n", base.AllocsPerInstr, cur.AllocsPerInstr, pct(cur.AllocsPerInstr, base.AllocsPerInstr))
-	// Throughput deltas are meaningless if the two runs didn't serve the
-	// same cell population the same way, so the replay/cohort shape is
-	// part of the diff: a wall-time "win" that coincides with fewer
-	// replay-served cells (or thinner cohorts) is an eligibility shift,
-	// not a speedup.
-	if base.Replay != "" || cur.Replay != "" {
-		fmt.Fprintf(w, "  replay cells%8d -> %8d  (live %d -> %d)\n",
-			base.ReplayCells, cur.ReplayCells, base.LiveCells, cur.LiveCells)
-		fmt.Fprintf(w, "  cohort width%8.1f -> %8.1f  (cohort cells %d -> %d)\n",
-			base.CohortWidth, cur.CohortWidth, base.CohortCells, cur.CohortCells)
-		share := func(r BenchReport) float64 {
-			if r.Cells == 0 {
-				return 0
-			}
-			return float64(r.ReplayCells) / float64(r.Cells)
-		}
-		if bs, cs := share(base), share(cur); bs-cs > 0.10 || cs-bs > 0.10 {
-			fmt.Fprintf(w, "  WARNING: replay eligibility shifted %.0f%% -> %.0f%% of cells — "+
-				"throughput deltas above compare different execution paths\n", 100*bs, 100*cs)
-		}
-	}
+	// Thinner cohorts cost throughput without any single layer getting
+	// slower, so the cohort shape is part of the diff.
+	fmt.Fprintf(w, "  cohort width%8.1f -> %8.1f  (cohort cells %d -> %d)\n",
+		base.CohortWidth, cur.CohortWidth, base.CohortCells, cur.CohortCells)
 	return nil
 }

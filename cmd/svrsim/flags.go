@@ -33,7 +33,7 @@ func scheduler() *grid.Scheduler {
 
 // gridFlags is the window/grid flag block shared by run, all and bench:
 // one definition of -quick/-scale/-measure/-warmup/-ff/-regions/-ckpt/
-// -replay/-workloads instead of a per-subcommand copy.
+// -workloads instead of a per-subcommand copy.
 type gridFlags struct {
 	quick   *bool
 	scale   *string
@@ -42,15 +42,11 @@ type gridFlags struct {
 	ff      *uint64
 	regions *int
 	ckpt    *bool
-	replay  *string
-	cohort  *string
 	wls     *string
 }
 
-// addGridFlags registers the shared grid flags on fs. replayDefault is
-// the subcommand's -replay default ("auto" for run/all, "off" for bench
-// so its numbers stay comparable to pre-replay baselines).
-func addGridFlags(fs *flag.FlagSet, replayDefault string) *gridFlags {
+// addGridFlags registers the shared grid flags on fs.
+func addGridFlags(fs *flag.FlagSet) *gridFlags {
 	return &gridFlags{
 		quick:   fs.Bool("quick", false, "small inputs, short windows"),
 		scale:   fs.String("scale", "", "window preset: quick, default, or paper (multi-region sampled)"),
@@ -59,17 +55,14 @@ func addGridFlags(fs *flag.FlagSet, replayDefault string) *gridFlags {
 		ff:      fs.Uint64("ff", 0, "functionally fast-forward (with warming) this many instructions before each region"),
 		regions: fs.Int("regions", 0, "detailed regions per cell, stitched by fast-forward"),
 		ckpt:    fs.Bool("ckpt", false, "replace detailed warmup with a shared functionally-warmed fast-forward checkpoint"),
-		replay:  fs.String("replay", replayDefault, "instruction-stream replay: on, off, or auto (replay when eligible)"),
-		cohort:  fs.String("cohort", "auto", "timing cohorts: on, off, or auto (lockstep-step eligible sibling cells over shared decoded batches)"),
 		wls:     fs.String("workloads", "", "comma-separated workload filter"),
 	}
 }
 
-// params folds the parsed flags into simulation parameters, the workload
-// filter, and the replay + cohort modes. def is the subcommand's base
-// window when no scale flag is given (DefaultParams for run/all,
-// QuickParams for bench).
-func (g *gridFlags) params(def sim.Params) (sim.Params, []string, sim.ReplayMode, sim.CohortMode, error) {
+// params folds the parsed flags into simulation parameters and the
+// workload filter. def is the subcommand's base window when no scale
+// flag is given (DefaultParams for run/all, QuickParams for bench).
+func (g *gridFlags) params(def sim.Params) (sim.Params, []string, error) {
 	p := def
 	switch *g.scale {
 	case "":
@@ -83,7 +76,7 @@ func (g *gridFlags) params(def sim.Params) (sim.Params, []string, sim.ReplayMode
 	case "paper":
 		p = sim.PaperParams()
 	default:
-		return sim.Params{}, nil, 0, 0, fmt.Errorf("unknown -scale %q (want quick, default, or paper)", *g.scale)
+		return sim.Params{}, nil, fmt.Errorf("unknown -scale %q (want quick, default, or paper)", *g.scale)
 	}
 	if *g.measure > 0 {
 		p.Measure = *g.measure
@@ -105,15 +98,7 @@ func (g *gridFlags) params(def sim.Params) (sim.Params, []string, sim.ReplayMode
 	if *g.wls != "" {
 		wls = strings.Split(*g.wls, ",")
 	}
-	mode, err := sim.ParseReplayMode(*g.replay)
-	if err != nil {
-		return sim.Params{}, nil, 0, 0, err
-	}
-	cohort, err := sim.ParseCohortMode(*g.cohort)
-	if err != nil {
-		return sim.Params{}, nil, 0, 0, err
-	}
-	return p, wls, mode, cohort, nil
+	return p, wls, nil
 }
 
 // foldCheckpoint trades the detailed warmup for a (shared, checkpointed)

@@ -122,11 +122,6 @@ run/all flags:
   -ff N              warmed functional fast-forward before each region
   -regions N         detailed regions per cell, stitched by fast-forward
   -ckpt              swap detailed warmup for a shared fast-forward checkpoint
-  -replay M          instruction-stream replay: on, off, or auto (default auto:
-                     record each window once, replay into every eligible cell)
-  -cohort M          timing cohorts: on, off, or auto (default auto: decode each
-                     recording once and lockstep-step eligible sibling cells
-                     over the shared batches; results are bit-identical)
   -timeseries F      sample every cell's counters into a per-interval CSV at F
   -sample N          sampling interval in instructions (default 100000)
   -status ADDR       serve live scheduler status on ADDR (/status, expvar, pprof)
@@ -148,8 +143,6 @@ bench flags:
   -baseline F        diff against a previous bench JSON (default BENCH_BASELINE.json,
                      falling back to the legacy BENCH_PR3.json; informational)
   -ckpt              run the grid with shared fast-forward checkpoints
-  -replay M          stream policy: off (default, comparable to old baselines)
-                     or on (record-once/replay-many composed with -ckpt)
   -cpuprofile F      write a CPU profile
   -memprofile F      write an allocation profile
   -full              paper-scale inputs instead of quick scale
@@ -186,7 +179,7 @@ func expFlags(args []string) (sim.ExpParams, []string, error) {
 	jsonF := fs.Bool("json", false, "emit reports as JSON")
 	metricsF := fs.Bool("metrics", false, "emit reports as JSON with per-cell metric snapshots")
 	coldF := fs.Bool("cold", false, "disable the memoized run cache")
-	g := addGridFlags(fs, "auto")
+	g := addGridFlags(fs)
 	tsF := fs.String("timeseries", "", "write per-interval counter samples of every cell to this CSV")
 	sampleF := fs.Uint64("sample", 100_000, "sampling interval in instructions (with -timeseries)")
 	statusF := fs.String("status", "", "serve live scheduler status on this address (e.g. :6060)")
@@ -195,13 +188,11 @@ func expFlags(args []string) (sim.ExpParams, []string, error) {
 	if err := fs.Parse(args); err != nil {
 		return sim.ExpParams{}, nil, err
 	}
-	pp, wls, mode, cohort, err := g.params(sim.DefaultParams())
+	pp, wls, err := g.params(sim.DefaultParams())
 	if err != nil {
 		return sim.ExpParams{}, nil, err
 	}
 	p := sim.ExpParams{Params: pp, Workloads: wls}
-	replayMode = mode
-	cohortMode = cohort
 	csvMode = *csvF
 	jsonMode = *jsonF || *metricsF // -metrics is JSON output with snapshots
 	metricsMode = *metricsF
@@ -219,12 +210,9 @@ func expFlags(args []string) (sim.ExpParams, []string, error) {
 // csvMode / jsonMode switch run/all output format; metricsMode adds
 // per-cell metric snapshots to the JSON; coldMode disables the run cache;
 // timeseriesPath collects per-cell interval samples into a CSV;
-// statusAddr serves the live scheduler status; replayMode selects the
-// instruction-stream policy (all set by expFlags).
+// statusAddr serves the live scheduler status (all set by expFlags).
 var csvMode, jsonMode, metricsMode, coldMode bool
 var timeseriesPath, statusAddr, journalPath, gridtracePath string
-var replayMode sim.ReplayMode
-var cohortMode sim.CohortMode
 
 func printReport(w io.Writer, r *sim.Report) error {
 	if jsonMode {
@@ -331,8 +319,6 @@ func applyRunFlags(curExp *string) func() {
 	if coldMode {
 		prevCache = sim.SetRunCacheEnabled(false)
 	}
-	prevReplay := sim.SetReplayMode(replayMode)
-	prevCohort := sim.SetCohortMode(cohortMode)
 	prevMetrics := sim.SetCellMetrics(metricsMode)
 	prevSeries := sim.SetCellSeries(timeseriesPath != "")
 	sim.SetProgressHook(progressPrinter(curExp))
@@ -362,8 +348,6 @@ func applyRunFlags(curExp *string) func() {
 		sim.SetProgressHook(nil)
 		sim.SetCellSeries(prevSeries)
 		sim.SetCellMetrics(prevMetrics)
-		sim.SetCohortMode(prevCohort)
-		sim.SetReplayMode(prevReplay)
 		if coldMode {
 			sim.SetRunCacheEnabled(prevCache)
 		}

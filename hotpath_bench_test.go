@@ -214,8 +214,8 @@ func TestReplayNextDoesNotAllocate(t *testing.T) {
 }
 
 // TestReplaySourcePoolDoesNotAllocate guards the pooled decode scratch:
-// after a Recycle, opening the next cell's source must reuse the pooled
-// struct instead of allocating a fresh register-file-sized cursor.
+// after a Recycle, opening the next window's source must reuse the
+// pooled struct instead of allocating a fresh register-file-sized cursor.
 func TestReplaySourcePoolDoesNotAllocate(t *testing.T) {
 	rec := benchRecording(t, 1<<10)
 	stream.NewReplay(rec).Recycle() // prime the pool
@@ -264,22 +264,20 @@ func TestCohortStepDoesNotAllocate(t *testing.T) {
 }
 
 // TestArchViewDoesNotAllocate guards the replay-backed architectural
-// state views SVR cells observe through: advancing past one decoded
-// record (register write-back, flags, store apply on warm pages) and the
-// retire-point reads the engine makes — ReadMem on the private clone,
-// Reg, CmpFlags — must all be allocation-free, on both the ArchView
-// (cohort members) and the memory-bearing ReplaySource (solo replay).
+// state view IMP and SVR cells observe through: advancing past one
+// decoded record (register write-back, flags, store apply on warm pages)
+// and the retire-point reads the engine makes — ReadMem on the private
+// image, Reg, CmpFlags — must all be allocation-free.
 func TestArchViewDoesNotAllocate(t *testing.T) {
 	rec := benchRecording(t, 1<<15)
-	viewMem, srcMem := mem.New(), mem.New()
+	viewMem := mem.New()
 	// Fault in every page the bench kernel stores to (r1 wraps at 64 KiB)
 	// so the timed runs never take a first-touch page allocation.
 	for a := uint64(0); a < (1<<16)+128; a += mem.PageSize {
 		viewMem.Write(a, 1, 8)
-		srcMem.Write(a, 1, 8)
 	}
 	view := stream.NewArchView(rec, viewMem)
-	src := stream.NewReplayWithMem(rec, srcMem)
+	src := stream.NewReplay(rec)
 	var r emu.DynInstr
 	for i := 0; i < 1<<10; i++ {
 		src.Next(&r)
@@ -289,11 +287,11 @@ func TestArchViewDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() {
 		src.Next(&r)
 		view.Advance(&r)
-		sink += view.ReadMem(r.Addr, 8) + src.ReadMem(r.Addr, 8)
-		sink += uint64(view.Reg(1) + src.Reg(1))
-		sink += uint64(view.CmpFlags() + src.CmpFlags())
+		sink += view.ReadMem(r.Addr, 8)
+		sink += uint64(view.Reg(1))
+		sink += uint64(view.CmpFlags())
 	}); allocs != 0 {
-		t.Fatalf("ArchState view step allocates %.1f objects per instruction; the view path must be allocation-free", allocs)
+		t.Fatalf("ArchView step allocates %.1f objects per instruction; the view path must be allocation-free", allocs)
 	}
 	_ = sink
 }

@@ -26,12 +26,16 @@ const (
 	Image      Class = "image"      // built workload memory images
 	Checkpoint Class = "checkpoint" // post-fast-forward machine checkpoints
 	Stream     Class = "stream"     // recorded instruction streams
-	Decoded    Class = "decoded"    // decoded SoA batches of stream chunks
 	Result     Class = "result"     // memoized cell results
+
+	// Decoded named store-shared decoded chunks of recordings. Nothing
+	// produces it any more (each cohort decodes into a private buffer);
+	// it stays so callers that purge it keep compiling.
+	Decoded Class = "decoded"
 )
 
 // Classes lists every class in stable display order.
-func Classes() []Class { return []Class{Image, Checkpoint, Stream, Decoded, Result} }
+func Classes() []Class { return []Class{Image, Checkpoint, Stream, Result} }
 
 // Key addresses one artifact: its class plus a content hash (or any
 // canonical encoding of everything the artifact's bytes depend on).

@@ -431,7 +431,7 @@ func (c *Core) RunBatch(b *stream.DecodedBatch, lo, hi int) {
 // architectural state (the SVR engine, the IMP prefetcher): the
 // member's private view advances past each row before the row issues,
 // so the companion observes post-retire values exactly as it would
-// behind a live emulator or a solo ReplaySource.
+// behind a live emulator.
 func (c *Core) RunBatchView(b *stream.DecodedBatch, lo, hi int, v *stream.ArchView) {
 	rec := &c.batchRec
 	for i := lo; i < hi; i++ {

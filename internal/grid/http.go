@@ -14,7 +14,7 @@ import (
 
 // The HTTP/JSON surface of the scheduler: submit grids, stream per-cell
 // results as they finish (NDJSON or SSE), poll and list jobs, cancel and
-// resume. Served results go through exactly the same ExecuteCell path as
+// resume. Served results go through exactly the same ExecuteCohort path as
 // in-process runs, so a streamed cell is bit-identical to what `svrsim
 // run` would print for the same grid.
 
@@ -138,11 +138,21 @@ func (s *Scheduler) Handler() http.Handler {
 	return mux
 }
 
+// maxSubmitBytes bounds a job submission body. Real submissions are a
+// few KiB of config and workload names; decoding an unbounded body would
+// let one request pin arbitrary server memory.
+const maxSubmitBytes = 1 << 20
+
 func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sr SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sr); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit))
+			return
+		}
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}

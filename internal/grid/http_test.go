@@ -201,6 +201,30 @@ func TestHTTPBackpressure(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitBodyBounded: a submission body past the bound is refused
+// with 413 and creates no job.
+func TestHTTPSubmitBodyBounded(t *testing.T) {
+	s := New(Options{Workers: 1, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
+		return stubResult(req), sim.CellOutcome{}
+	}})
+	defer s.Shutdown()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	body := `{"Name":"` + strings.Repeat("x", maxSubmitBytes) + `","Configs":["inorder"],"Workloads":["Randacc"]}`
+	resp, err := http.Post(srv.URL+"/api/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit status %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Errorf("oversized submission created %d jobs", n)
+	}
+}
+
 // TestHTTPCancelResume exercises cancel/resume over the API while cells
 // are in flight.
 func TestHTTPCancelResume(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package grid is the multi-tenant service layer over the simulation
 // scheduler core: jobs (config × workload grids) enter a bounded
 // priority queue, expand into cells, and execute on a shared worker pool
-// through sim.ExecuteCell — so concurrent jobs deduplicate against each
+// through sim.ExecuteCohort — so concurrent jobs deduplicate against each
 // other via the unified artifact store (overlapping tenants share cell
 // results, checkpoints and recorded streams). The same scheduler backs
 // the in-process CLI subcommands (as the installed sim matrix runner)
@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -281,7 +282,7 @@ func (s *Scheduler) submit(name string, pri int, cfgs []sim.Config, specs []work
 		job.queued[i] = struct{}{}
 	}
 	job.mu.Unlock()
-	// Adjacent replay-eligible siblings queue as one lockstep cohort.
+	// Adjacent siblings queue as one lockstep cohort.
 	if err := s.q.push(job, s.plan(job.cells, nil)); err != nil {
 		job.mu.Lock()
 		job.queued = map[int]struct{}{}
@@ -307,11 +308,12 @@ func (s *Scheduler) submit(name string, pri int, cfgs []sim.Config, specs []work
 // RunMatrix is the blocking in-process client: submit and wait. It has
 // the sim.MatrixRunner signature, so the CLI installs it to route every
 // experiment matrix through this scheduler. If the queue cannot take the
-// grid, it falls back to the local pool rather than failing the CLI.
+// grid, it resolves the grid serially on the caller's goroutine rather
+// than failing the CLI.
 func (s *Scheduler) RunMatrix(cfgs []sim.Config, specs []workloads.Spec, p sim.Params) *sim.ResultSet {
 	job, err := s.submit("", 0, cfgs, specs, p)
 	if err != nil {
-		return sim.RunMatrixLocal(cfgs, specs, p)
+		return sim.RunMatrixSerial(cfgs, specs, p)
 	}
 	return job.Wait()
 }
@@ -478,8 +480,40 @@ func (s *Scheduler) SaveState(path string) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
+	return writeFileAtomic(path, append(blob, '\n'))
 }
+
+// writeFileAtomic replaces path with data so that a crash at any point
+// leaves either the previous file or the new one, never a truncated
+// mix: the bytes go to a temporary file in the same directory, are
+// synced to disk, and only then renamed over path.
+func writeFileAtomic(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = renameFile(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
+}
+
+// renameFile is writeFileAtomic's commit point; tests swap it to fail a
+// save just before the rename.
+var renameFile = os.Rename
 
 // LoadState resubmits the jobs persisted at path. A missing file is not
 // an error (nothing to restore). Returns the number of restored jobs.

@@ -1,7 +1,11 @@
 package grid
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -175,7 +179,7 @@ func TestCrossJobDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	prev := sim.SetRunCacheEnabled(false)
-	ref := sim.RunMatrixLocal(cfgs, specs, p)
+	ref := sim.RunMatrixSerial(cfgs, specs, p)
 	sim.SetRunCacheEnabled(prev)
 	defer sim.SetRunCacheEnabled(prev)
 	sim.ResetRunCache()
@@ -292,4 +296,52 @@ func TestSaveLoadState(t *testing.T) {
 	if n, err := s2.LoadState(path + ".missing"); err != nil || n != 0 {
 		t.Errorf("missing state file: n=%d err=%v", n, err)
 	}
+}
+
+// TestSaveStateAtomic: a save that fails before its commit point (the
+// rename over the target) leaves the previous state file byte-for-byte
+// unchanged and loadable, and no temporary file behind.
+func TestSaveStateAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	prev, err := json.MarshalIndent(persistedState{Jobs: []persistedJob{{
+		Name: "keep", Configs: []sim.Config{sim.SVRConfig(16)}, Workloads: []string{"Randacc"},
+		Params: sim.QuickParams(),
+	}}}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, prev, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	done := func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
+		return stubResult(req), sim.CellOutcome{}
+	}
+	s := New(Options{Workers: 1, Execute: done})
+	s.Shutdown()
+	rename := renameFile
+	renameFile = func(string, string) error { return errors.New("crash before rename") }
+	err = s.SaveState(path) // an empty queue: different bytes, had it landed
+	renameFile = rename
+	if err == nil {
+		t.Fatal("save reported success with a failing rename")
+	}
+
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, prev) {
+		t.Errorf("failed save changed the state file:\n%s", got)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Errorf("state dir holds %d entries after a failed save (err %v), want only the state file", len(entries), err)
+	}
+	s2 := New(Options{Workers: 1, Execute: done})
+	defer s2.Shutdown()
+	if n, err := s2.LoadState(path); err != nil || n != 1 {
+		t.Fatalf("previous state: restored %d jobs, err %v; want 1", n, err)
+	}
+	s2.Jobs()[0].Wait()
 }

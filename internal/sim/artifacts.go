@@ -36,20 +36,12 @@ func checkpointKey(name string, sc workloads.Scale, ff uint64, warm string) arti
 }
 
 // streamKey addresses a stream recording: the image key plus the
-// fast-forward length and the recorded window size. Never the warm
-// geometry — the functional stream is the same whatever the caches look
-// like.
-func streamKey(name string, sc workloads.Scale, ff, window uint64) artifact.Key {
+// window's absolute start instruction (the fast-forward length for a
+// first region) and the recorded window size. Never the warm geometry —
+// the functional stream is the same whatever the caches look like.
+func streamKey(name string, sc workloads.Scale, start, window uint64) artifact.Key {
 	return artifact.Key{Class: artifact.Stream,
-		ID: fmt.Sprintf("%s|g%d|e%d|s%d|ff%d|n%d", name, sc.GraphNodes, sc.Elems, sc.Seed, ff, window)}
-}
-
-// decodedKey addresses one decoded SoA chunk of a stream recording: the
-// stream key plus the chunk index and the chunk width (so retuning the
-// width can never alias stale chunk geometry).
-func decodedKey(name string, sc workloads.Scale, ff, window uint64, chunk, width int) artifact.Key {
-	return artifact.Key{Class: artifact.Decoded,
-		ID: fmt.Sprintf("%s|g%d|e%d|s%d|ff%d|n%d|c%d|w%d", name, sc.GraphNodes, sc.Elems, sc.Seed, ff, window, chunk, width)}
+		ID: fmt.Sprintf("%s|g%d|e%d|s%d|ff%d|n%d", name, sc.GraphNodes, sc.Elems, sc.Seed, start, window)}
 }
 
 // resultKey addresses a memoized cell result by the cell's content hash.

@@ -14,10 +14,11 @@ import (
 
 // This file is the cell-execution core of the scheduler: one grid cell
 // (config × workload × window) resolved through the unified artifact
-// store. Every caller — the in-process matrix pool, the grid service's
-// workers, a test — goes through ExecuteCell, so single-shot and served
-// modes cannot drift: there is exactly one code path from a cell request
-// to a Result, and exactly one set of caches behind it.
+// store. Every caller — the serial matrix runner, the grid service's
+// workers, a test — goes through ExecuteCohort (ExecuteCell is a cohort
+// of one), so single-shot and served modes cannot drift: there is
+// exactly one code path from a cell request to a Result, and exactly one
+// set of caches behind it.
 
 // cellKey identifies one simulation by content: the machine configuration
 // (minus its display label), the workload name, and the window.
@@ -54,8 +55,8 @@ type CellOutcome struct {
 	// Shared: the result was joined from another caller's in-flight
 	// execution of the identical cell (cross-job dedup).
 	Shared bool
-	// Replayed: this cell simulated by consuming a recorded instruction
-	// stream instead of a live emulator.
+	// Replayed: this cell was timed from a recorded instruction stream,
+	// as every simulated cell is.
 	Replayed bool
 	// CkptFromStore / StreamFromStore: the cell consumed a checkpoint /
 	// recording it did not produce itself — warm state shared with an
@@ -75,103 +76,11 @@ type CellOutcome struct {
 // store rather than a simulation run by this caller.
 func (o CellOutcome) FromStore() bool { return o.Cached || o.Shared }
 
-// ExecuteCell resolves one cell through the artifact store: a resident
-// result is a hit, an identical in-flight cell is joined, and otherwise
-// this caller simulates (composing the shared image / checkpoint /
-// recording artifacts) and the result is memoized. tr (nil-safe) feeds
-// the live status surfaces. Results are bit-identical however the cell
-// is served.
+// ExecuteCell resolves one cell through the artifact store: a cohort of
+// one (ExecuteCohort). tr (nil-safe) feeds the live status surfaces.
 func ExecuteCell(req CellRequest, tr *Tracker) (Result, CellOutcome) {
-	start := time.Now()
-	var out CellOutcome
-	pc := &phaseCtx{label: req.Cfg.Label, workload: req.Spec.Name, ph: &out.Phases}
-	k := resultKey(req.Cfg, req.Spec.Name, req.P)
-	v, oc := artifacts.GetOrProduce(k, func() (any, int64) {
-		res := simulateCell(req, tr, &out, pc)
-		return res, resultBytes(res)
-	})
-	res := v.(Result)
-	out.Cached = oc.Hit
-	out.Shared = oc.Waited
-	// The stored record may carry another sweep's display label.
-	res.Label = req.Cfg.Label
-	out.Wall = time.Since(start)
-	if oc.Waited {
-		// The whole wall was spent blocked on another caller's run.
-		pc.add(PhaseStoreWait, out.Wall)
-	}
-	pc.artifact(k, oc, out.Wall)
-	return res, out
-}
-
-// simulateCell runs the cell for real, choosing the cheapest eligible
-// composition: replay a recorded stream, resume a shared checkpoint, or
-// run live from a cloned image. Phase attribution: the timing window is
-// measured around Simulate/SimulateFrom, shared productions attribute
-// inside the cached helpers, and whatever wall time remains is banked
-// as build — so the per-cell sum tracks the cell's measured wall.
-func simulateCell(req CellRequest, tr *Tracker, out *CellOutcome, pc *phaseCtx) Result {
-	cfg, spec, p := req.Cfg, req.Spec, req.P
-	var res Result
-	t0 := time.Now()
-	base := pc.total()
-	tr.phase(+1, 0)
-	switch {
-	case replayEligible(cfg, p):
-		// Execute-once, time-many path: the workload window is recorded
-		// once (cachedRecording, composing with the shared checkpoint
-		// when fast-forwarding) and this cell replays the buffer through
-		// its timing models.
-		out.Replayed = true
-		recd, so := cachedRecording(spec, cfg, p, tr, pc)
-		out.StreamFromStore = so.FromStore()
-		var master *workloads.Instance
-		if p.FastForward == 0 {
-			master = cachedBuild(spec, p.Scale, pc)
-		}
-		m, src, err := newReplayMachine(cfg, spec, p, recd, master, out, tr, pc)
-		if err != nil {
-			panic(err)
-		}
-		tr.phase(-1, +1)
-		tt := time.Now()
-		if p.FastForward > 0 {
-			res = SimulateFrom(m, p)
-		} else {
-			res = Simulate(m, p)
-		}
-		pc.add(PhaseTiming, time.Since(tt))
-		src.Recycle() // the machine is done; pool the decode scratch
-	case p.FastForward > 0:
-		// Shared-checkpoint path: the workload's fast-forward runs once
-		// (cachedCheckpoint) and every cell resumes from a clone of its
-		// frozen image.
-		ck, co := cachedCheckpoint(spec, cfg, p, tr, pc)
-		out.CkptFromStore = co.FromStore()
-		m, err := NewMachineFrom(cfg, ck)
-		if err != nil {
-			panic(err)
-		}
-		tr.phase(-1, +1)
-		tt := time.Now()
-		res = SimulateFrom(m, p)
-		pc.add(PhaseTiming, time.Since(tt))
-	default:
-		inst := cloneInstance(cachedBuild(spec, p.Scale, pc))
-		m, err := NewMachine(cfg, inst)
-		if err != nil {
-			panic(err)
-		}
-		tr.phase(-1, +1)
-		tt := time.Now()
-		res = Simulate(m, p)
-		pc.add(PhaseTiming, time.Since(tt))
-	}
-	tr.phase(0, -1)
-	if rest := time.Since(t0) - (pc.total() - base); rest > 0 {
-		pc.add(PhaseBuild, rest)
-	}
-	return res
+	results, outs := ExecuteCohort([]CellRequest{req}, tr)
+	return results[0], outs[0]
 }
 
 // cachedBuild returns the memoized image for (spec, sc), building it at

@@ -7,7 +7,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/stream"
 	"repro/internal/workloads"
 )
 
@@ -78,75 +77,34 @@ func (w *hierWarmer) WarmLoad(pc int, addr uint64)  { w.h.WarmAccess(pc, addr, f
 func (w *hierWarmer) WarmStore(pc int, addr uint64) { w.h.WarmAccess(pc, addr, true) }
 func (w *hierWarmer) WarmBranch(pc int, taken bool) { w.bp.Predict(pc, taken) }
 
-func (m *inOrderMachine) FastForward(n uint64, warm bool) bool {
-	if rs, ok := m.src.(*stream.ReplaySource); ok {
-		// A replay-fed machine fast-forwards by discarding records: the
-		// emulator is not in the loop (warming is likewise unavailable —
-		// the scheduler only attaches replays past the fast-forward point).
-		return rs.Skip(n) == n
-	}
+func (b *machineBase) FastForward(n uint64, warm bool) bool {
 	if !warm {
-		return m.cpu.FastForward(n) == n
+		return b.cpu.FastForward(n) == n
 	}
-	m.warmed = true
-	return m.cpu.FastForwardWarm(n, &hierWarmer{h: m.h, bp: m.core.BP}) == n
+	b.warmed = true
+	return b.cpu.FastForwardWarm(n, &hierWarmer{h: b.h, bp: b.bp}) == n
 }
 
-func (m *inOrderMachine) Checkpoint() *Checkpoint {
+func (b *machineBase) Checkpoint() *Checkpoint {
 	ck := &Checkpoint{
-		Workload: m.inst.Name,
-		prog:     m.inst.Prog,
-		check:    m.inst.Check,
-		mem:      m.cpu.Mem.Clone(),
-		arch:     m.cpu.SaveArch(),
+		Workload: b.inst.Name,
+		prog:     b.inst.Prog,
+		check:    b.inst.Check,
+		mem:      b.cpu.Mem.Clone(),
+		arch:     b.cpu.SaveArch(),
 	}
-	if m.warmed {
-		ck.hier = m.h.WarmState()
-		ck.bp = m.core.BP.Clone()
+	if b.warmed {
+		ck.hier = b.h.WarmState()
+		ck.bp = b.bp.Clone()
 	}
 	return ck
 }
 
-func (m *inOrderMachine) Restore(ck *Checkpoint) {
-	m.cpu.LoadArch(ck.arch)
+func (b *machineBase) Restore(ck *Checkpoint) {
+	b.cpu.LoadArch(ck.arch)
 	if ck.hier != nil {
-		m.h.SetWarmState(ck.hier)
-		m.core.BP.CopyFrom(ck.bp)
-		m.warmed = true
-	}
-}
-
-func (m *oooMachine) FastForward(n uint64, warm bool) bool {
-	if rs, ok := m.src.(*stream.ReplaySource); ok {
-		return rs.Skip(n) == n
-	}
-	if !warm {
-		return m.cpu.FastForward(n) == n
-	}
-	m.warmed = true
-	return m.cpu.FastForwardWarm(n, &hierWarmer{h: m.h, bp: m.core.BP}) == n
-}
-
-func (m *oooMachine) Checkpoint() *Checkpoint {
-	ck := &Checkpoint{
-		Workload: m.inst.Name,
-		prog:     m.inst.Prog,
-		check:    m.inst.Check,
-		mem:      m.cpu.Mem.Clone(),
-		arch:     m.cpu.SaveArch(),
-	}
-	if m.warmed {
-		ck.hier = m.h.WarmState()
-		ck.bp = m.core.BP.Clone()
-	}
-	return ck
-}
-
-func (m *oooMachine) Restore(ck *Checkpoint) {
-	m.cpu.LoadArch(ck.arch)
-	if ck.hier != nil {
-		m.h.SetWarmState(ck.hier)
-		m.core.BP.CopyFrom(ck.bp)
-		m.warmed = true
+		b.h.SetWarmState(ck.hier)
+		b.bp.CopyFrom(ck.bp)
+		b.warmed = true
 	}
 }

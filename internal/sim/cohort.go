@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -10,82 +9,18 @@ import (
 	"repro/internal/workloads"
 )
 
-// Timing cohorts: the decode-once half of execute-once, time-many.
-// Replay-eligible sibling cells (same workload window, any registered
-// core kind) are grouped into cohorts that consume shared decoded SoA
-// batches instead of private ReplaySource cursors, stepped in lockstep
-// one chunk at a time so the batch plus the members' hot state stay
-// cache-resident. Members that read state own private companions
-// advanced row-by-row ahead of issue — IMP a memory clone, SVR a full
-// stream.ArchView — so the shared batch stays immutable. Results are
-// bit-identical to solo replay (and so to live execution): the batch
-// columns are filled by ReplaySource.Next itself and each member's
-// per-instruction issue order is unchanged — only the K-fold re-decode
-// of the same recording disappears.
-
-// CohortMode selects whether the scheduler groups eligible sibling
-// cells into decode-once timing cohorts.
-type CohortMode int
-
-// Cohort modes (the CLI's -cohort=on|off|auto).
-const (
-	// CohortAuto groups replay-eligible siblings into cohorts;
-	// everything else runs solo. Results are bit-identical either way,
-	// so this is the default.
-	CohortAuto CohortMode = iota
-	// CohortOn behaves like CohortAuto (eligibility still applies) but
-	// states the intent explicitly for audited runs.
-	CohortOn
-	// CohortOff disables grouping entirely: every cell runs solo.
-	CohortOff
-)
-
-// String returns the CLI spelling of the mode.
-func (m CohortMode) String() string {
-	switch m {
-	case CohortOn:
-		return "on"
-	case CohortOff:
-		return "off"
-	default:
-		return "auto"
-	}
-}
-
-// ParseCohortMode parses the CLI spelling of a cohort mode.
-func ParseCohortMode(s string) (CohortMode, error) {
-	switch s {
-	case "auto", "":
-		return CohortAuto, nil
-	case "on":
-		return CohortOn, nil
-	case "off":
-		return CohortOff, nil
-	}
-	return CohortAuto, fmt.Errorf("unknown cohort mode %q (want on, off, or auto)", s)
-}
-
-var cohortCtl = struct {
-	sync.Mutex
-	mode CohortMode
-}{}
-
-// SetCohortMode switches the scheduler's cohort policy and returns the
-// previous mode.
-func SetCohortMode(m CohortMode) CohortMode {
-	cohortCtl.Lock()
-	defer cohortCtl.Unlock()
-	prev := cohortCtl.mode
-	cohortCtl.mode = m
-	return prev
-}
-
-// CurrentCohortMode reports the active cohort policy.
-func CurrentCohortMode() CohortMode {
-	cohortCtl.Lock()
-	defer cohortCtl.Unlock()
-	return cohortCtl.mode
-}
+// Timing cohorts: the one way a cell is timed. Sibling cells of one
+// workload window (any registered core kind, up to MaxCohortWidth; a
+// lone cell is a cohort of one) are built at the first region start and
+// walked in lockstep over the region schedule. Each window is recorded
+// once (cachedRecording: shared through the artifact store, keyed by its
+// absolute start instruction), decoded once per cohort into SoA chunks,
+// and every member steps a chunk before the next one is decoded, so the
+// batch plus the members' hot state stay cache-resident. Members whose
+// timing models read architectural state (IMP, SVR) advance a private
+// stream.ArchView over their own memory image row by row ahead of issue;
+// the shared batch stays immutable. Simulate drives the same walk over
+// private recordings.
 
 // cohortTotals is the process-lifetime cohort accounting (the tracker
 // fields reset per grid; bench and status deltas need cumulative
@@ -127,62 +62,15 @@ const MaxCohortWidth = 16
 
 // cohortChunkRows is how many decoded records one SoA chunk holds
 // (~130 KiB of columns): small enough to stay cache-resident under the
-// members' hot state, large enough to amortize the per-chunk store
-// lookup. A variable so the boundary-straddling fuzz test can shrink it.
+// members' hot state, large enough to amortize the per-chunk overhead.
+// A variable so the boundary-straddling fuzz test can shrink it.
 var cohortChunkRows = 2048
 
-// decodedStoreCtl gates whether cohort chunks are published to the
-// artifact store's decoded class for cross-cohort reuse. Off by
-// default: a quick grid decodes ~65 B/instr of SoA columns — an order
-// of magnitude over the ~1.9 B/instr encoded recordings — so resident
-// chunks evict the recordings and checkpoints they were derived from
-// and the grid re-records more than it saves (measured: +42 recording
-// passes, +2.4s on the quick bench). Each cohort then decodes into a
-// private reused buffer: still exactly one decode per cohort.
-var decodedStoreCtl = struct {
-	sync.Mutex
-	on bool
-}{}
-
-// SetDecodedStoreEnabled toggles store-backed decoded-chunk sharing
-// across cohorts and returns the previous setting.
-func SetDecodedStoreEnabled(on bool) bool {
-	decodedStoreCtl.Lock()
-	defer decodedStoreCtl.Unlock()
-	prev := decodedStoreCtl.on
-	decodedStoreCtl.on = on
-	return prev
-}
-
-func decodedStoreEnabled() bool {
-	decodedStoreCtl.Lock()
-	defer decodedStoreCtl.Unlock()
-	return decodedStoreCtl.on
-}
-
-// cohortEligible reports whether a cell can join a decode-once cohort:
-// replay-eligible and an unsampled single window (the chunked lockstep
-// walk implements exactly the warmup → reset → measure sequence).
-// Every replay-eligible kind qualifies — stream-pure members step the
-// shared batch directly, and members that read memory or architectural
-// state (IMP, SVR) reconstruct a private stream.ArchView row by row
-// over the same shared decode.
-func cohortEligible(cfg Config, p Params) bool {
-	if CurrentCohortMode() == CohortOff {
-		return false
-	}
-	if !replayEligible(cfg, p) {
-		return false
-	}
-	return p.SampleEvery == 0
-}
-
 // PlanCohorts groups the given cell indices (nil means all of cells)
-// into schedulable units: runs of cohort-eligible siblings — same
-// workload, identical window — become one group of up to
-// MaxCohortWidth, everything else stays a group of one. Grouping only
-// joins adjacent cells of the workload-major cell order, so scheduling
-// order and peak-memory behavior match the ungrouped plan.
+// into schedulable units: runs of siblings — same workload, identical
+// window — become one group of up to MaxCohortWidth. Grouping only joins
+// adjacent cells of the workload-major cell order, so scheduling order
+// and peak-memory behavior match the ungrouped plan.
 func PlanCohorts(cells []CellRequest, idx []int) [][]int {
 	if idx == nil {
 		idx = make([]int, len(cells))
@@ -192,44 +80,31 @@ func PlanCohorts(cells []CellRequest, idx []int) [][]int {
 	}
 	groups := make([][]int, 0, len(idx))
 	var cur []int
-	flush := func() {
-		if len(cur) > 0 {
-			groups = append(groups, cur)
-			cur = nil
-		}
-	}
 	for _, i := range idx {
-		c := cells[i]
-		if !cohortEligible(c.Cfg, c.P) {
-			flush()
-			groups = append(groups, []int{i})
-			continue
-		}
 		if len(cur) > 0 {
-			prev := cells[cur[0]]
+			prev, c := cells[cur[0]], cells[i]
 			if prev.Spec.Name != c.Spec.Name || prev.P != c.P || len(cur) >= MaxCohortWidth {
-				flush()
+				groups = append(groups, cur)
+				cur = nil
 			}
 		}
 		cur = append(cur, i)
 	}
-	flush()
+	if len(cur) > 0 {
+		groups = append(groups, cur)
+	}
 	return groups
 }
 
 // ExecuteCohort resolves a group of sibling cells as one unit. Each
-// member resolves through the artifact store with the same hit / joined
-// / produced classification ExecuteCell reports; the members this
-// caller must produce run together in lockstep over shared decoded
-// batches. A single-member group degenerates to ExecuteCell.
+// member resolves through the artifact store: a resident result is a
+// hit, an identical in-flight cell is joined, and the members this
+// caller must produce run together in lockstep. Results are
+// bit-identical however a cell is served and whatever cohort it ran in.
 func ExecuteCohort(reqs []CellRequest, tr *Tracker) ([]Result, []CellOutcome) {
 	n := len(reqs)
 	results := make([]Result, n)
 	outs := make([]CellOutcome, n)
-	if n == 1 {
-		results[0], outs[0] = ExecuteCell(reqs[0], tr)
-		return results, outs
-	}
 	start := time.Now()
 
 	// Split-phase store resolution: residents are done, claims are ours
@@ -294,8 +169,7 @@ func ExecuteCohort(reqs []CellRequest, tr *Tracker) ([]Result, []CellOutcome) {
 
 // runCohort simulates the claimed members in lockstep. All claims share
 // one workload window (PlanCohorts grouped them), so they consume the
-// same recording and the same decoded chunks, and hit their warmup →
-// reset boundary at the same row.
+// same recordings and the same decoded chunks.
 func runCohort(reqs []CellRequest, claims []int, results []Result, outs []CellOutcome, tr *Tracker) {
 	first := reqs[claims[0]]
 	spec, p := first.Spec, first.P
@@ -307,101 +181,29 @@ func runCohort(reqs []CellRequest, claims []int, results []Result, outs []CellOu
 	pc := &phaseCtx{label: first.Cfg.Label, workload: spec.Name, ph: &cph}
 	tr.phase(+1, 0)
 
-	rec, so := cachedRecording(spec, first.Cfg, p, tr, pc)
-	machines := make([]Machine, len(claims))
-	steppers := make([]interface {
-		StepBatch(b *stream.DecodedBatch, lo, hi int)
-	}, len(claims))
+	w := &walk{p: p, ms: make([]Machine, len(claims)), tr: tr, pc: pc}
 	for k, ci := range claims {
-		req := reqs[ci]
 		outs[ci].Replayed = true
-		outs[ci].StreamFromStore = so.FromStore() || k > 0
-		m, err := newCohortMachine(req.Cfg, spec, p, rec, &outs[ci], tr, pc)
+		m, err := newCohortMachine(reqs[ci].Cfg, spec, p, &outs[ci], tr, pc)
 		if err != nil {
 			panic(err)
 		}
-		bs, ok := m.(interface {
-			StepBatch(b *stream.DecodedBatch, lo, hi int)
-		})
-		if !ok {
-			panic(fmt.Sprintf("sim: cohort-eligible machine kind %d lacks StepBatch", req.Cfg.Core))
-		}
-		machines[k], steppers[k] = m, bs
+		w.ms[k] = m
 	}
-	tr.phase(-1, +1)
+	recorded, streamFromStore := false, false
+	w.record = func(src *machineBase) *stream.Recording {
+		rec, oc := cachedRecording(spec, p, src, tr, pc)
+		if !recorded {
+			recorded, streamFromStore = true, oc.FromStore()
+		}
+		return rec
+	}
+	for k, res := range w.run(true) {
+		results[claims[k]] = res
+		outs[claims[k]].StreamFromStore = streamFromStore || k > 0
+	}
+	tr.phase(-1, 0)
 
-	// The lockstep walk implements simulateWindow exactly: each member
-	// issues warmup rows, resets its stats, issues measure rows, and
-	// collects — the chunking (and the split at the warmup boundary)
-	// changes where Step calls end, which is timing-invisible.
-	src := stream.NewReplay(rec)
-	defer src.Recycle()
-	useStore := decodedStoreEnabled()
-	var local stream.DecodedBatch // reused across chunks when the store is bypassed
-	warmup, total := p.Warmup, p.Warmup+p.Measure
-	var consumed uint64
-	resetDone := false
-	maybeReset := func() {
-		if !resetDone && consumed >= warmup {
-			for _, m := range machines {
-				m.ResetStats()
-			}
-			resetDone = true
-		}
-	}
-	maybeReset() // folded-checkpoint windows have warmup 0
-	// Decode and timing interleave chunk by chunk; accumulate each side
-	// across the loop and attribute once, so the journal sees one decode
-	// and one timing segment per cohort instead of one per chunk.
-	var decodeWall, timingWall time.Duration
-	for chunk := 0; consumed < total; chunk++ {
-		var b *stream.DecodedBatch
-		td := time.Now()
-		if useStore {
-			b = cohortChunk(spec, p, src, chunk, pc)
-		} else {
-			local.Fill(src, cohortChunkRows)
-			b = &local
-		}
-		decodeWall += time.Since(td)
-		if b.N == 0 {
-			break // recording ended early (program halt)
-		}
-		tt := time.Now()
-		for lo := 0; lo < b.N; {
-			hi := b.N
-			if !resetDone && consumed+uint64(hi-lo) > warmup {
-				hi = lo + int(warmup-consumed)
-			}
-			for _, s := range steppers {
-				s.StepBatch(b, lo, hi)
-			}
-			consumed += uint64(hi - lo)
-			maybeReset()
-			lo = hi
-		}
-		timingWall += time.Since(tt)
-	}
-	pc.add(PhaseDecode, decodeWall)
-	pc.add(PhaseTiming, timingWall)
-	if !resetDone {
-		// The stream ended inside warmup; solo replay still resets and
-		// collects an empty window.
-		for _, m := range machines {
-			m.ResetStats()
-		}
-	}
-
-	for k, ci := range claims {
-		res := machines[k].Collect()
-		if p.FastForward > 0 {
-			// Solo cells route through SimulateFrom → mergeRegions even
-			// for a single region; replicate for bit-identity.
-			res = mergeRegions([]Result{res}, p)
-		}
-		results[ci] = res
-	}
-	tr.phase(0, -1)
 	// Bank the unclaimed remainder as build, then apportion the cohort's
 	// shared cost evenly to each produced cell.
 	if rest := time.Since(t0) - cph.Total(); rest > 0 {
@@ -422,32 +224,26 @@ func runCohort(reqs []CellRequest, claims []int, results []Result, outs []CellOu
 	cohortTotals.Unlock()
 }
 
-// newCohortMachine builds one cohort member positioned at the recording
-// start: newReplayMachine minus the source attachment (the member is
-// stepped over shared batches, never through a source). Stream-pure
-// members share the frozen master/checkpoint memory; members that read
-// memory or architectural state (IMP, SVR) get a private clone wrapped
-// in a stream.ArchView that StepBatch advances row by row.
-func newCohortMachine(cfg Config, spec workloads.Spec, p Params, rec *stream.Recording, out *CellOutcome, tr *Tracker, pc *phaseCtx) (Machine, error) {
-	needs := StreamNeedsOf(cfg.Core)
-	wantView := needs == StreamMemory || needs == StreamArch
+// newCohortMachine builds one cohort member at the first region start:
+// restored from the shared checkpoint when fast-forwarding, else at the
+// program entry of the shared image. Kinds that read architectural
+// state (IMP, SVR) always get a private image for their window views;
+// stream-pure kinds share the frozen image unless later regions need
+// their memory carried across windows and gaps.
+func newCohortMachine(cfg Config, spec workloads.Spec, p Params, out *CellOutcome, tr *Tracker, pc *phaseCtx) (Machine, error) {
 	var inst *workloads.Instance
 	var ck *Checkpoint
 	if p.FastForward > 0 {
 		var co artifact.Outcome
 		ck, co = cachedCheckpoint(spec, cfg, p, tr, pc)
 		out.CkptFromStore = co.FromStore()
-		inst = &workloads.Instance{
-			Name: ck.Workload, Prog: ck.prog, Mem: ck.mem, Check: ck.check,
-		}
-		if wantView {
-			inst.Mem = ck.mem.Clone()
-		}
+		inst = &workloads.Instance{Name: ck.Workload, Prog: ck.prog, Mem: ck.mem, Check: ck.check}
 	} else {
 		inst = cachedBuild(spec, p.Scale, pc)
-		if wantView {
-			inst = cloneInstance(inst)
-		}
+	}
+	private := StreamNeedsOf(cfg.Core) == StreamView || p.Regions > 1
+	if private {
+		inst = cloneInstance(inst)
 	}
 	m, err := NewMachine(cfg, inst)
 	if err != nil {
@@ -456,34 +252,178 @@ func newCohortMachine(cfg Config, spec workloads.Spec, p Params, rec *stream.Rec
 	if ck != nil {
 		m.Restore(ck)
 	}
-	if wantView {
-		av, ok := m.(interface{ AttachArchView(*stream.ArchView) })
-		if !ok {
-			return nil, fmt.Errorf("sim: machine kind %d needs an arch view but cannot attach one", cfg.Core)
-		}
-		av.AttachArchView(stream.NewArchView(rec, inst.Mem))
+	if !private {
+		// Nothing may write the shared image, and no later window needs
+		// this member's memory.
+		m.base().owns = false
 	}
 	return m, nil
 }
 
-// cohortChunk fetches (or decodes) chunk number chunk of the recording
-// behind src. Chunks live in the artifact store's decoded class, so
-// concurrent cohorts over the same window — and later grids — decode
-// each chunk exactly once while it stays resident. On a store hit the
-// batch's embedded decoder end state repositions src past the chunk, so
-// a hit skips the decode entirely.
-func cohortChunk(spec workloads.Spec, p Params, src *stream.ReplaySource, chunk int, pc *phaseCtx) *stream.DecodedBatch {
-	k := decodedKey(spec.Name, p.Scale, p.FastForward, p.Warmup+p.Measure, chunk, cohortChunkRows)
-	t0 := time.Now()
-	v, oc := artifacts.GetOrProduce(k, func() (any, int64) {
-		b := new(stream.DecodedBatch)
-		b.Fill(src, cohortChunkRows)
-		return b, b.Bytes()
-	})
-	pc.artifact(k, oc, time.Since(t0))
-	b := v.(*stream.DecodedBatch)
-	if oc.FromStore() {
-		src.SetState(b.End)
+// walk times machines in lockstep over one Params' region schedule:
+// fast-forward gaps, run by every member itself (warming updates each
+// member's own caches, TLBs and predictor), alternate with recorded
+// windows the members step together. All members sit at the same
+// architectural point throughout; record returns the recording of the
+// window starting at a member's emulator position, without moving it.
+type walk struct {
+	p      Params
+	ms     []Machine
+	record func(src *machineBase) *stream.Recording
+	tr     *Tracker
+	pc     *phaseCtx
+	batch  stream.DecodedBatch // chunk buffer, reused across chunks and windows
+}
+
+// run executes the schedule and returns each member's Result. atFirst
+// marks members already positioned at their first region start
+// (restored from the shared checkpoint), whose first fast-forward must
+// not run again.
+func (w *walk) run(atFirst bool) []Result {
+	p := w.p
+	per := make([][]Result, len(w.ms))
+	for r := 0; r < max(p.Regions, 1); r++ {
+		ffOK := true
+		if p.FastForward > 0 && (r > 0 || !atFirst) {
+			t0 := time.Now()
+			for _, m := range w.ms {
+				ffOK = m.FastForward(p.FastForward, p.Warm)
+			}
+			w.pc.add(PhaseFastForward, time.Since(t0))
+			if !ffOK && r > 0 {
+				break // the program ended inside the gap
+			}
+		}
+		res := w.window(w.record(w.source()))
+		if res[0].Instrs == 0 && r > 0 {
+			break // the program ended inside the previous window
+		}
+		for k := range per {
+			per[k] = append(per[k], res[k])
+		}
+		if !ffOK || res[0].Instrs < p.Measure {
+			break
+		}
 	}
-	return b
+	out := make([]Result, len(w.ms))
+	for k := range out {
+		if p.FastForward == 0 && p.Regions <= 1 {
+			out[k] = per[k][0]
+		} else {
+			out[k] = mergeRegions(per[k], p)
+		}
+	}
+	return out
+}
+
+// source is the member windows are recorded from: one that owns its
+// image when the cohort has one, so the recording runs in place.
+func (w *walk) source() *machineBase {
+	for _, m := range w.ms {
+		if b := m.base(); b.owns {
+			return b
+		}
+	}
+	return w.ms[0].base()
+}
+
+// window times one recorded window: the members issue the warmup rows,
+// reset their statistics, then issue the measured rows, closing a
+// time-series interval every SampleEvery measured rows. Chunks split at
+// those boundaries; where a run of issued rows ends is invisible to
+// timing, so Results do not depend on the chunking. Every member's
+// emulator ends at the window's end state, ready for the next gap.
+func (w *walk) window(rec *stream.Recording) []Result {
+	p := w.p
+	for _, m := range w.ms {
+		m.base().openWindow(rec)
+	}
+	src := stream.NewReplay(rec)
+	defer src.Recycle()
+
+	var series []*seriesSampler
+	reset := func() {
+		for _, m := range w.ms {
+			m.ResetStats()
+		}
+		if p.SampleEvery > 0 {
+			series = make([]*seriesSampler, len(w.ms))
+			for k, m := range w.ms {
+				series[k] = newSeriesSampler(m, p.SampleEvery)
+			}
+		}
+	}
+	warmup, total := p.Warmup, p.Warmup+p.Measure
+	measuring := warmup == 0
+	if measuring {
+		reset()
+	}
+	// Decode and timing interleave chunk by chunk; accumulate each side
+	// and attribute once, so the journal sees one segment of each per
+	// window instead of one per chunk.
+	var consumed uint64
+	var decode, timing time.Duration
+	w.tr.phase(-1, +1)
+	for consumed < total {
+		t0 := time.Now()
+		n := w.batch.Fill(src, cohortChunkRows)
+		t1 := time.Now()
+		decode += t1.Sub(t0)
+		if n == 0 {
+			break // the program halted inside the window
+		}
+		for lo := 0; lo < n; {
+			hi := n
+			if stop := w.nextStop(consumed, measuring); consumed+uint64(hi-lo) > stop {
+				hi = lo + int(stop-consumed)
+			}
+			for _, m := range w.ms {
+				m.StepBatch(&w.batch, lo, hi)
+			}
+			consumed += uint64(hi - lo)
+			lo = hi
+			switch {
+			case !measuring && consumed == warmup:
+				reset()
+				measuring = true
+			case series != nil && (consumed-warmup)%p.SampleEvery == 0:
+				for _, s := range series {
+					s.tick()
+				}
+			}
+		}
+		timing += time.Since(t1)
+	}
+	w.tr.phase(+1, -1)
+	w.pc.add(PhaseDecode, decode)
+	w.pc.add(PhaseTiming, timing)
+	if !measuring {
+		reset() // the program halted inside the warmup: an empty window
+	}
+
+	res := make([]Result, len(w.ms))
+	for k, m := range w.ms {
+		if series != nil {
+			series[k].tick() // the partial last interval, if any
+		}
+		res[k] = m.Collect()
+		if series != nil {
+			res[k].Series = series[k].ts
+		}
+		m.base().closeWindow(rec)
+	}
+	return res
+}
+
+// nextStop is the consumed-row count the walk must stop at next: the
+// warmup boundary, else the next sample boundary, else the window end.
+func (w *walk) nextStop(consumed uint64, measuring bool) uint64 {
+	p := w.p
+	switch {
+	case !measuring:
+		return p.Warmup
+	case p.SampleEvery > 0:
+		return p.Warmup + ((consumed-p.Warmup)/p.SampleEvery+1)*p.SampleEvery
+	}
+	return p.Warmup + p.Measure
 }

@@ -28,23 +28,16 @@ func cohortTestConfigs() []Config {
 	return []Config{a, b, c, d, e, f, g}
 }
 
-// soloReplay runs one cell through the solo replay path (exactly what
-// simulateCell does when replay-eligible), bypassing the result cache.
-func soloReplay(t *testing.T, spec workloads.Spec, cfg Config, p Params) Result {
+// soloCell runs one cell as a cohort of one (ExecuteCell), result
+// memoization off so it really simulates.
+func soloCell(t *testing.T, spec workloads.Spec, cfg Config, p Params) Result {
 	t.Helper()
-	recd, _ := cachedRecording(spec, cfg, p, nil, nil)
-	var master *workloads.Instance
-	if p.FastForward == 0 {
-		master = cachedBuild(spec, p.Scale, nil)
+	defer SetRunCacheEnabled(SetRunCacheEnabled(false))
+	res, out := ExecuteCell(CellRequest{Cfg: cfg, Spec: spec, P: p}, nil)
+	if out.Cached || out.Shared {
+		t.Fatalf("%s: solo cell served from the store", cfg.Label)
 	}
-	m, _, err := newReplayMachine(cfg, spec, p, recd, master, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.FastForward > 0 {
-		return SimulateFrom(m, p)
-	}
-	return Simulate(m, p)
+	return res
 }
 
 // runCohortCells executes the full config set as one cohort (result
@@ -56,9 +49,6 @@ func runCohortCells(t *testing.T, spec workloads.Spec, cfgs []Config, p Params) 
 	defer SetRunCacheEnabled(prevCache)
 	reqs := make([]CellRequest, len(cfgs))
 	for i, cfg := range cfgs {
-		if !cohortEligible(cfg, p) {
-			t.Fatalf("config %s is not cohort-eligible", cfg.Label)
-		}
 		reqs[i] = CellRequest{Cfg: cfg, Spec: spec, P: p}
 	}
 	results, outs := ExecuteCohort(reqs, nil)
@@ -73,76 +63,44 @@ func runCohortCells(t *testing.T, spec workloads.Spec, cfgs []Config, p Params) 
 	return results
 }
 
-// TestCohortMatchesSolo is the fidelity contract of decode-once timing
-// cohorts: for every registered core kind — stream-pure, memory-view,
-// and SVR's arch-view — plain and checkpointed, a cell stepped in
-// lockstep over shared decoded batches must produce a bit-identical
-// Result to the same cell replayed solo — and to the cell running its
-// emulator live.
+// TestCohortMatchesSolo is the fidelity contract of lockstep cohorts:
+// for every registered core kind — stream-pure, IMP's and SVR's views —
+// plain, checkpointed, and as a sampled multi-region schedule, a cell
+// stepped in lockstep over shared decoded batches must produce a Result
+// deeply equal to the same cell run as a cohort of one, and to the cell
+// running its emulator live.
 func TestCohortMatchesSolo(t *testing.T) {
-	spec, err := workloads.Get("PR_KR")
+	spec, err := workloads.Get("CC_ORK")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgs := cohortTestConfigs()
-
-	t.Run("plain", func(t *testing.T) {
-		// Route this variant through the artifact store's decoded class so
-		// both chunk paths (store-shared and cohort-local) stay covered.
-		prevStore := SetDecodedStoreEnabled(true)
-		defer SetDecodedStoreEnabled(prevStore)
-		p := replayTestParams()
-		results := runCohortCells(t, spec, cfgs, p)
-		for i, cfg := range cfgs {
-			solo := soloReplay(t, spec, cfg, p)
-			solo.Label = cfg.Label
-			if !reflect.DeepEqual(results[i], solo) {
-				t.Errorf("%s: cohort Result differs from solo replay:\ncohort %+v\nsolo   %+v",
-					cfg.Label, results[i], solo)
+	for _, c := range []replayCase{
+		{"plain", replayTestParams()},
+		{"checkpointed", Params{Scale: workloads.TinyScale(), FastForward: 20_000, Warm: true, Measure: 60_000}},
+		{"sampled-regions", Params{Scale: workloads.TinyScale(), FastForward: 20_000, Warm: true,
+			Regions: 3, Warmup: 3_000, Measure: 10_000, SampleEvery: 4_000}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			results := runCohortCells(t, spec, cfgs, c.p)
+			for i, cfg := range cfgs {
+				if solo := soloCell(t, spec, cfg, c.p); !reflect.DeepEqual(results[i], solo) {
+					t.Errorf("%s: cohort Result differs from a cohort of one:\ncohort %+v\nsolo   %+v",
+						cfg.Label, results[i], solo)
+				}
+				if live := liveCell(t, spec, cfg, c.p); !reflect.DeepEqual(results[i], live) {
+					t.Errorf("%s: cohort Result differs from live:\ncohort %+v\nlive   %+v",
+						cfg.Label, results[i], live)
+				}
 			}
-			live := Run(spec, cfg, p)
-			live.Label = cfg.Label
-			if !reflect.DeepEqual(results[i], live) {
-				t.Errorf("%s: cohort Result differs from live:\ncohort %+v\nlive   %+v",
-					cfg.Label, results[i], live)
-			}
-		}
-	})
-
-	t.Run("checkpointed", func(t *testing.T) {
-		p := Params{
-			Scale:       workloads.TinyScale(),
-			FastForward: 20_000,
-			Warm:        true,
-			Measure:     60_000,
-		}
-		results := runCohortCells(t, spec, cfgs, p)
-		for i, cfg := range cfgs {
-			solo := soloReplay(t, spec, cfg, p)
-			solo.Label = cfg.Label
-			if !reflect.DeepEqual(results[i], solo) {
-				t.Errorf("%s: cohort Result differs from solo replay:\ncohort %+v\nsolo   %+v",
-					cfg.Label, results[i], solo)
-			}
-			ck, _ := cachedCheckpoint(spec, cfg, p, nil, nil)
-			liveM, err := NewMachineFrom(cfg, ck)
-			if err != nil {
-				t.Fatal(err)
-			}
-			live := SimulateFrom(liveM, p)
-			live.Label = cfg.Label
-			if !reflect.DeepEqual(results[i], live) {
-				t.Errorf("%s: cohort Result differs from live checkpointed:\ncohort %+v\nlive   %+v",
-					cfg.Label, results[i], live)
-			}
-		}
-	})
+		})
+	}
 }
 
 // TestWideCohortMatchesSolo pins the widened cohorts this layer exists
 // for: a single cohort of four SVR geometry variants (each with its own
 // replay-backed ArchState view over the one shared decode) must plan as
-// one width-4 group and produce bit-identical Results to solo replay.
+// one width-4 group and produce bit-identical Results to cohorts of one.
 // Run under -race it also proves the per-member views never share
 // mutable state.
 func TestWideCohortMatchesSolo(t *testing.T) {
@@ -164,18 +122,16 @@ func TestWideCohortMatchesSolo(t *testing.T) {
 
 	results := runCohortCells(t, spec, cfgs, p)
 	for i, cfg := range cfgs {
-		solo := soloReplay(t, spec, cfg, p)
-		solo.Label = cfg.Label
+		solo := soloCell(t, spec, cfg, p)
 		if !reflect.DeepEqual(results[i], solo) {
-			t.Errorf("%s: wide cohort Result differs from solo replay:\ncohort %+v\nsolo   %+v",
+			t.Errorf("%s: wide cohort Result differs from a cohort of one:\ncohort %+v\nsolo   %+v",
 				cfg.Label, results[i], solo)
 		}
 	}
 }
 
-// TestPlanCohorts pins the grouping rules: adjacent eligible siblings
-// merge up to MaxCohortWidth, ineligible cells stay solo and split
-// runs, and differing windows never share a cohort.
+// TestPlanCohorts pins the grouping rules: adjacent siblings merge up
+// to MaxCohortWidth, and differing windows never share a cohort.
 func TestPlanCohorts(t *testing.T) {
 	spec, err := workloads.Get("PR_KR")
 	if err != nil {
@@ -190,12 +146,12 @@ func TestPlanCohorts(t *testing.T) {
 
 	cells := []CellRequest{
 		{Cfg: ino, Spec: spec, P: p},     // 0 ┐
-		{Cfg: ooo, Spec: spec, P: p},     // 1 │ cohort (SVR joins via ArchState)
+		{Cfg: ooo, Spec: spec, P: p},     // 1 │ cohort (SVR joins via ArchView)
 		{Cfg: svr, Spec: spec, P: p},     // 2 ┘
-		{Cfg: svr, Spec: spec, P: pSamp}, // 3 solo (sampled window)
+		{Cfg: svr, Spec: spec, P: pSamp}, // 3 alone (sampled window)
 		{Cfg: ino, Spec: spec, P: p},     // 4 ┐ cohort
 		{Cfg: ooo, Spec: spec, P: p},     // 5 ┘
-		{Cfg: ino, Spec: spec, P: p2},    // 6 solo (different window)
+		{Cfg: ino, Spec: spec, P: p2},    // 6 alone (different window)
 	}
 	got := PlanCohorts(cells, nil)
 	want := [][]int{{0, 1, 2}, {3}, {4, 5}, {6}}
@@ -203,7 +159,7 @@ func TestPlanCohorts(t *testing.T) {
 		t.Errorf("PlanCohorts = %v, want %v", got, want)
 	}
 
-	// Width cap: a long run of eligible siblings splits at MaxCohortWidth.
+	// Width cap: a long run of siblings splits at MaxCohortWidth.
 	var wide []CellRequest
 	for i := 0; i < MaxCohortWidth+3; i++ {
 		wide = append(wide, CellRequest{Cfg: ino, Spec: spec, P: p})
@@ -219,38 +175,32 @@ func TestPlanCohorts(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("PlanCohorts(subset) = %v, want %v", got, want)
 	}
-
-	// Cohort-off mode degrades every group to a singleton.
-	prev := SetCohortMode(CohortOff)
-	defer SetCohortMode(prev)
-	got = PlanCohorts(cells, nil)
-	if len(got) != len(cells) {
-		t.Errorf("CohortOff produced %d groups, want %d singletons", len(got), len(cells))
-	}
 }
 
 // FuzzCohortChunks drives the lockstep walk across arbitrary chunk
-// sizes and warmup boundaries — chunks straddling the warmup → measure
-// reset, tiny chunks, chunks bigger than the window — and requires
-// bit-identical Results against solo replay every time.
+// sizes, warmup boundaries and sample intervals — chunks straddling the
+// warmup → measure reset and interval boundaries, tiny chunks, chunks
+// bigger than the window — and requires Results, time series included,
+// deeply equal to the live reference every time.
 func FuzzCohortChunks(f *testing.F) {
 	spec, err := workloads.Get("Randacc")
 	if err != nil {
 		f.Fatal(err)
 	}
 	cfgs := cohortTestConfigs()[:2]
-	f.Add(uint16(1000), uint16(3000), uint16(512))
-	f.Add(uint16(0), uint16(5000), uint16(1))     // no warmup, single-row chunks
-	f.Add(uint16(4096), uint16(4096), uint16(3))  // boundary not a chunk multiple
-	f.Add(uint16(7), uint16(60000), uint16(4096)) // window inside one chunk
-	f.Fuzz(func(t *testing.T, warmup, measure, chunk uint16) {
+	f.Add(uint16(1000), uint16(3000), uint16(512), uint16(0))
+	f.Add(uint16(0), uint16(5000), uint16(1), uint16(700))      // no warmup, single-row chunks
+	f.Add(uint16(4096), uint16(4096), uint16(3), uint16(1000))  // boundaries not chunk multiples
+	f.Add(uint16(7), uint16(60000), uint16(4096), uint16(7000)) // window inside one chunk
+	f.Fuzz(func(t *testing.T, warmup, measure, chunk, sample uint16) {
 		if measure == 0 {
 			measure = 1
 		}
 		p := Params{
-			Scale:   workloads.TinyScale(),
-			Warmup:  uint64(warmup),
-			Measure: uint64(measure),
+			Scale:       workloads.TinyScale(),
+			Warmup:      uint64(warmup),
+			Measure:     uint64(measure),
+			SampleEvery: uint64(sample),
 		}
 		prevChunk := cohortChunkRows
 		cohortChunkRows = int(chunk%4096) + 1
@@ -258,11 +208,9 @@ func FuzzCohortChunks(f *testing.F) {
 
 		results := runCohortCells(t, spec, cfgs, p)
 		for i, cfg := range cfgs {
-			solo := soloReplay(t, spec, cfg, p)
-			solo.Label = cfg.Label
-			if !reflect.DeepEqual(results[i], solo) {
-				t.Errorf("%s (warmup=%d measure=%d chunk=%d): cohort differs from solo replay",
-					cfg.Label, warmup, measure, cohortChunkRows)
+			if live := liveCell(t, spec, cfg, p); !reflect.DeepEqual(results[i], live) {
+				t.Errorf("%s (warmup=%d measure=%d chunk=%d sample=%d): cohort differs from live",
+					cfg.Label, warmup, measure, cohortChunkRows, sample)
 			}
 		}
 	})

@@ -9,9 +9,13 @@ import (
 
 // TestTimingModelsPreserveArchitecture runs every evaluation workload to
 // completion at tiny scale under each timing model and validates the
-// architectural result with the workload's functional self-check. SVR's
-// transient execution in particular must never leak into architectural
-// state (stores must not be performed, register values must be exact).
+// architectural result with the workload's functional self-check, on
+// the memory image the machine carried through its recorded windows:
+// the image IMP and SVR machines' ArchViews advanced row by row while
+// their companions read it, and the one in-order and out-of-order
+// machines applied each window's stores to. SVR's transient execution
+// in particular must never leak into that image (stores must not be
+// performed, register values must be exact).
 func TestTimingModelsPreserveArchitecture(t *testing.T) {
 	p := Params{Scale: workloads.TinyScale(), Warmup: 0, Measure: 1 << 26}
 	cfgs := []Config{

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/cpu/inorder"
 	"repro/internal/cpu/ooo"
@@ -17,16 +18,21 @@ import (
 	"repro/internal/workloads"
 )
 
-// Machine is one runnable machine organization: a timing model bound to a
-// workload instance, stepped through warmup and measurement windows. The
-// standard lifecycle is construct (NewMachine) → warmup (Step) →
-// ResetStats → measure (Step) → Collect; Simulate drives it. The
-// multi-core driver instead interleaves Step calls on several machines
-// sharing one DRAM channel.
+// Machine is one runnable machine organization: the timing back end of
+// a workload instance. A machine never executes the program to time it:
+// the cohort walk (every grid cell, and Simulate) steps machines over
+// the decoded rows of each window's recording, and Step records
+// privately for drivers that advance a machine in quanta (the
+// multi-core experiment). The machine's own emulator only
+// fast-forwards, captures checkpoints and marks where the next
+// recording starts.
 type Machine interface {
-	// Step executes up to n instructions, returning false if the program
-	// ended before all n issued.
+	// Step times the next n instructions of the program, returning
+	// false if it ended before all n issued.
 	Step(n uint64) bool
+	// StepBatch issues rows [lo, hi) of a decoded window through the
+	// timing models: the cohort walk's lockstep entry point.
+	StepBatch(b *stream.DecodedBatch, lo, hi int)
 	// Instrs returns instructions committed since the last ResetStats.
 	Instrs() uint64
 	// Now returns the current simulated cycle (issue-cursor time), used
@@ -60,40 +66,27 @@ type Machine interface {
 	// must be freshly built over a clone of the checkpointed memory;
 	// NewMachineFrom does both.
 	Restore(ck *Checkpoint)
-	// SetSource replaces the machine's instruction feed with src — the
-	// execute-once, time-many hook: the scheduler attaches a
-	// stream.ReplaySource decoded from a shared recording instead of the
-	// default live emulator. Only valid before any stepping. Machines
-	// whose companion reads architectural state (SVR) require a source
-	// that is also a stream.ArchState with a memory image attached, and
-	// repoint the companion at it; they panic on a bare source.
-	SetSource(src stream.InstrSource)
+	// base exposes the state every kind shares, which the walk positions
+	// between windows.
+	base() *machineBase
 }
 
-// StreamNeeds classifies what a core kind requires of its instruction
-// stream, which decides how (and whether) the scheduler can replay a
-// shared recording into its cells.
+// StreamNeeds says whether a core kind's timing models read more than
+// the DynInstr records, which decides whether its machines time each
+// window through a private architectural view.
 type StreamNeeds int
 
 // Stream requirement classes.
 const (
 	// StreamPure consumers read DynInstr records and nothing else
-	// (in-order and out-of-order cores): replay needs no memory image.
+	// (in-order and out-of-order cores).
 	StreamPure StreamNeeds = iota
-	// StreamMemory consumers dereference data memory ahead of the stream
-	// (the IMP prefetcher chasing indirections): replay needs a private
-	// memory image kept in lockstep by applying decoded stores.
-	StreamMemory
-	// StreamArch consumers read architectural registers, flags and
-	// memory at the retire point (SVR's value scavenging): replay needs
-	// the full stream.ArchState view — the decoder's tracked register
-	// file plus a private lockstep memory image.
-	StreamArch
-	// StreamLive consumers feed timing back into the functional path:
-	// the cell must run live and the scheduler falls back to a
-	// LiveSource transparently. No registered kind needs this anymore;
-	// it remains the safe fallback for unregistered kinds.
-	StreamLive
+	// StreamView consumers read architectural registers, flags or data
+	// memory at the retire point — the IMP prefetcher chasing
+	// indirections, SVR's value scavenging. Each window runs a
+	// stream.ArchView over the machine's own memory image, advanced past
+	// every row before the row issues.
+	StreamView
 )
 
 // MachineFactory builds a machine of one kind over a pre-built hierarchy.
@@ -116,18 +109,12 @@ func RegisterMachine(kind CoreKind, f MachineFactory, needs StreamNeeds) {
 }
 
 // StreamNeedsOf reports the stream requirement of a core kind.
-// Unregistered kinds report StreamLive — the safe fallback.
-func StreamNeedsOf(kind CoreKind) StreamNeeds {
-	if e, ok := machineFactories[kind]; ok {
-		return e.needs
-	}
-	return StreamLive
-}
+func StreamNeedsOf(kind CoreKind) StreamNeeds { return machineFactories[kind].needs }
 
 func init() {
 	RegisterMachine(InO, newInOrderMachine, StreamPure)
-	RegisterMachine(IMP, newInOrderMachine, StreamMemory)
-	RegisterMachine(SVR, newInOrderMachine, StreamArch)
+	RegisterMachine(IMP, newInOrderMachine, StreamView)
+	RegisterMachine(SVR, newInOrderMachine, StreamView)
 	RegisterMachine(OoO, newOoOMachine, StreamPure)
 }
 
@@ -164,112 +151,134 @@ func factoryFor(cfg Config) (MachineFactory, error) {
 // measure → collect sequence shared by every experiment. With
 // Params.SampleEvery set it also records the interval time series; with
 // Params.FastForward or multi-region Params it runs the region schedule
-// (fast-forward → detailed window, repeated) and aggregates.
-func Simulate(m Machine, p Params) Result {
-	if p.FastForward == 0 && p.Regions <= 1 {
-		return simulateWindow(m, p)
-	}
-	return simulateRegions(m, p, false)
-}
+// (fast-forward → detailed window, repeated) and aggregates. It is the
+// walk a cohort of one takes, over private recordings instead of the
+// artifact store's.
+func Simulate(m Machine, p Params) Result { return simulate(m, p, false) }
 
 // SimulateFrom is Simulate for a machine already positioned at its first
 // region start (restored from a post-fast-forward checkpoint): the first
 // fast-forward is skipped, everything else is identical.
-func SimulateFrom(m Machine, p Params) Result {
-	if p.FastForward == 0 && p.Regions <= 1 {
-		return simulateWindow(m, p)
-	}
-	return simulateRegions(m, p, true)
+func SimulateFrom(m Machine, p Params) Result { return simulate(m, p, true) }
+
+func simulate(m Machine, p Params, atFirst bool) Result {
+	w := &walk{p: p, ms: []Machine{m}, record: func(src *machineBase) *stream.Recording {
+		return recordFrom(src, p.Warmup+p.Measure)
+	}}
+	return w.run(atFirst)[0]
 }
 
-// simulateWindow runs one detailed warmup+measure window.
-func simulateWindow(m Machine, p Params) Result {
-	if p.SampleEvery > 0 {
-		return simulateSampled(m, p)
+// machineBase is the state every machine kind shares: the workload
+// instance, the private hierarchy, the functional emulator and the
+// current window's architectural view.
+type machineBase struct {
+	cfg  Config
+	inst *workloads.Instance
+	h    *cache.Hierarchy
+	bp   *bpred.Predictor // the core's predictor, warmed and checkpointed with the caches
+	cpu  *emu.CPU         // fast-forwards, captures checkpoints, marks where recordings start
+	eng  *svr.Engine      // non-nil only for SVR; reads through the window's view
+
+	// owns marks a private image, which the machine carries across
+	// windows: StreamView kinds advance view over inst.Mem, stream-pure
+	// kinds apply each window's stores to it. Cohort members sharing a
+	// frozen image own nothing and write nothing.
+	needsView bool
+	view      *stream.ArchView
+	owns      bool
+
+	warmed bool                // a warmed fast-forward ran; Checkpoint snapshots hierarchy state
+	rows   stream.DecodedBatch // Step's chunk buffer
+}
+
+func newMachineBase(cfg Config, inst *workloads.Instance, h *cache.Hierarchy, bp *bpred.Predictor) machineBase {
+	view := StreamNeedsOf(cfg.Core) == StreamView
+	return machineBase{cfg: cfg, inst: inst, h: h, bp: bp, cpu: emu.New(inst.Prog, inst.Mem),
+		needsView: view, owns: true}
+}
+
+func (b *machineBase) base() *machineBase          { return b }
+func (b *machineBase) Registry() *metrics.Registry { return b.h.Reg }
+func (b *machineBase) ResetStats()                 { b.h.Reg.Reset() }
+
+// openWindow positions the back end at rec's start: StreamView kinds get
+// a fresh view over their own image, seeded with the window's start
+// registers and flags, and the SVR engine reads through it.
+func (b *machineBase) openWindow(rec *stream.Recording) {
+	if !b.needsView {
+		return
 	}
-	m.Step(p.Warmup)
-	m.ResetStats()
-	m.Step(p.Measure)
-	return m.Collect()
+	b.view = stream.NewArchView(rec, b.inst.Mem)
+	if b.eng != nil {
+		b.eng.Arch = b.view
+	}
+}
+
+// closeWindow moves the emulator to rec's end state: registers, flags,
+// PC and instruction count from the recording, the memory image already
+// advanced by the view or the applied stores.
+func (b *machineBase) closeWindow(rec *stream.Recording) { b.cpu.LoadArch(rec.End) }
+
+// carry applies the stores of rows [lo, hi) to a stream-pure machine's
+// private image.
+func (b *machineBase) carry(rows *stream.DecodedBatch, lo, hi int) {
+	if b.owns {
+		rows.ApplyStores(b.inst.Mem, lo, hi)
+	}
+}
+
+// step implements Step for every kind: the next n instructions are
+// recorded privately and issued as one window.
+func (b *machineBase) step(m Machine, n uint64) bool {
+	rec := recordFrom(b, n)
+	b.openWindow(rec)
+	src := stream.NewReplay(rec)
+	for b.rows.Fill(src, cohortChunkRows) > 0 {
+		m.StepBatch(&b.rows, 0, b.rows.N)
+	}
+	src.Recycle()
+	b.closeWindow(rec)
+	return rec.N == n
 }
 
 // inOrderMachine is the in-order family: the bare baseline core, and the
 // same core with the IMP prefetcher or the SVR engine as its companion.
 type inOrderMachine struct {
-	cfg    Config
-	inst   *workloads.Instance
-	h      *cache.Hierarchy
-	cpu    *emu.CPU
-	src    stream.InstrSource // the core's instruction feed: live CPU by default, replay when attached
-	core   *inorder.Core
-	eng    *svr.Engine      // non-nil only for SVR
-	view   *stream.ArchView // cohort-member arch view advanced during StepBatch, else nil
-	warmed bool             // a warmed fast-forward ran; Checkpoint snapshots hierarchy state
+	machineBase
+	core *inorder.Core
 }
 
 func newInOrderMachine(cfg Config, inst *workloads.Instance, h *cache.Hierarchy) Machine {
-	m := &inOrderMachine{
-		cfg:  cfg,
-		inst: inst,
-		h:    h,
-		cpu:  emu.New(inst.Prog, inst.Mem),
-		core: inorder.New(cfg.InO, h),
-	}
-	m.src = stream.NewLive(m.cpu)
+	core := inorder.New(cfg.InO, h)
+	m := &inOrderMachine{machineBase: newMachineBase(cfg, inst, h, core.BP), core: core}
 	switch cfg.Core {
 	case IMP:
-		m.core.Companion = imp.New(cfg.IMP, h, inst.Mem)
+		core.Companion = imp.New(cfg.IMP, h, inst.Mem)
 	case SVR:
-		m.eng = svr.New(cfg.SVR, h, m.cpu)
-		m.core.Companion = m.eng
+		m.eng = svr.New(cfg.SVR, h, nil) // reads through each window's view
+		core.Companion = m.eng
 	}
 	return m
 }
 
-func (m *inOrderMachine) Step(n uint64) bool { return m.core.Run(m.src, n) == n }
+func (m *inOrderMachine) Step(n uint64) bool { return m.step(m, n) }
 
-// StepBatch issues rows [lo, hi) of a shared decoded batch — the cohort
-// driver's lockstep entry point. Members with an attached arch view
-// (SVR, IMP) advance it past each row before the row issues, mirroring
-// the live Step-then-Issue ordering.
+// StepBatch issues rows [lo, hi). With a view (IMP, SVR) each row's
+// architectural effects are applied before the row issues, so the
+// companion observes post-retire state exactly as behind a live
+// emulator.
 func (m *inOrderMachine) StepBatch(b *stream.DecodedBatch, lo, hi int) {
 	if m.view != nil {
 		m.core.RunBatchView(b, lo, hi, m.view)
 		return
 	}
 	m.core.RunBatch(b, lo, hi)
+	m.carry(b, lo, hi)
 }
 
-// AttachArchView installs the member's private architectural view for
-// cohort batch stepping and repoints the companion engine at it. The
-// view's memory image must be the same one any companion reads (the
-// member's private instance clone).
-func (m *inOrderMachine) AttachArchView(v *stream.ArchView) {
-	m.view = v
-	if m.eng != nil {
-		m.eng.Arch = v
-	}
-}
-
-func (m *inOrderMachine) SetSource(src stream.InstrSource) {
-	if m.eng != nil {
-		// The engine scavenges architectural state, so the feed must
-		// also serve as the engine's view (a ReplaySource with a memory
-		// image attached).
-		as, ok := src.(stream.ArchState)
-		if !ok {
-			panic("sim: SVR machines need an ArchState-bearing source")
-		}
-		m.eng.Arch = as
-	}
-	m.src = src
-}
-func (m *inOrderMachine) Instrs() uint64 { return m.core.Instrs }
-func (m *inOrderMachine) Now() int64     { return m.core.Now() }
-
-func (m *inOrderMachine) Registry() *metrics.Registry { return m.h.Reg }
-func (m *inOrderMachine) ResetStats()                 { m.h.Reg.Reset() }
-func (m *inOrderMachine) Stack() stats.CPIStack       { return m.core.Stack }
+func (m *inOrderMachine) Instrs() uint64        { return m.core.Instrs }
+func (m *inOrderMachine) Now() int64            { return m.core.Now() }
+func (m *inOrderMachine) Stack() stats.CPIStack { return m.core.Stack }
 
 func (m *inOrderMachine) Collect() Result {
 	res := Result{Workload: m.inst.Name, Label: m.cfg.Label, Metrics: m.h.Reg.Snapshot()}
@@ -290,40 +299,26 @@ func (m *inOrderMachine) Collect() Result {
 
 // oooMachine is the out-of-order comparison core.
 type oooMachine struct {
-	cfg    Config
-	inst   *workloads.Instance
-	h      *cache.Hierarchy
-	cpu    *emu.CPU
-	src    stream.InstrSource // live CPU by default, replay when attached
-	core   *ooo.Core
-	warmed bool // a warmed fast-forward ran; Checkpoint snapshots hierarchy state
+	machineBase
+	core *ooo.Core
 }
 
 func newOoOMachine(cfg Config, inst *workloads.Instance, h *cache.Hierarchy) Machine {
-	m := &oooMachine{
-		cfg:  cfg,
-		inst: inst,
-		h:    h,
-		cpu:  emu.New(inst.Prog, inst.Mem),
-		core: ooo.New(cfg.OoO, h),
-	}
-	m.src = stream.NewLive(m.cpu)
-	return m
+	core := ooo.New(cfg.OoO, h)
+	return &oooMachine{machineBase: newMachineBase(cfg, inst, h, core.BP), core: core}
 }
 
-func (m *oooMachine) Step(n uint64) bool { return m.core.Run(m.src, n) == n }
+func (m *oooMachine) Step(n uint64) bool { return m.step(m, n) }
 
-// StepBatch issues rows [lo, hi) of a shared decoded batch (see the
-// in-order machine's StepBatch).
-func (m *oooMachine) StepBatch(b *stream.DecodedBatch, lo, hi int) { m.core.RunBatch(b, lo, hi) }
+// StepBatch issues rows [lo, hi) (see the in-order machine's StepBatch).
+func (m *oooMachine) StepBatch(b *stream.DecodedBatch, lo, hi int) {
+	m.core.RunBatch(b, lo, hi)
+	m.carry(b, lo, hi)
+}
 
-func (m *oooMachine) SetSource(src stream.InstrSource) { m.src = src }
-func (m *oooMachine) Instrs() uint64                   { return m.core.Instrs }
-func (m *oooMachine) Now() int64                       { return m.core.Now() }
-
-func (m *oooMachine) Registry() *metrics.Registry { return m.h.Reg }
-func (m *oooMachine) ResetStats()                 { m.h.Reg.Reset() }
-func (m *oooMachine) Stack() stats.CPIStack       { return m.core.Stack }
+func (m *oooMachine) Instrs() uint64        { return m.core.Instrs }
+func (m *oooMachine) Now() int64            { return m.core.Now() }
+func (m *oooMachine) Stack() stats.CPIStack { return m.core.Stack }
 
 func (m *oooMachine) Collect() Result {
 	res := Result{Workload: m.inst.Name, Label: m.cfg.Label, Metrics: m.h.Reg.Snapshot()}

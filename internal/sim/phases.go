@@ -32,14 +32,13 @@ const (
 	// PhaseBuild: constructing workload images, machines, and any wall
 	// time no finer phase claimed (the attribution remainder).
 	PhaseBuild Phase = iota
-	// PhaseFastForward: producing a shared post-fast-forward checkpoint
-	// (the functional warmup run, captured once per workload window).
+	// PhaseFastForward: functional fast-forward — producing a shared
+	// post-fast-forward checkpoint (captured once per workload window)
+	// and the warmed gaps between the regions of a sampled schedule.
 	PhaseFastForward
 	// PhaseRecord: producing a shared instruction-stream recording.
 	PhaseRecord
-	// PhaseDecode: decoding recorded streams into SoA batches on the
-	// cohort path (solo replay decodes inside the timing loop and
-	// reports it as PhaseTiming).
+	// PhaseDecode: decoding recorded streams into SoA batches.
 	PhaseDecode
 	// PhaseTiming: stepping timing models over the measurement window.
 	PhaseTiming

@@ -23,32 +23,6 @@ type RegionSummary struct {
 	CPICI95     float64
 }
 
-// simulateRegions runs the region schedule. atFirstRegion marks a
-// machine already positioned at its first region start (restored from a
-// shared checkpoint), whose first fast-forward must not run again.
-func simulateRegions(m Machine, p Params, atFirstRegion bool) Result {
-	regions := p.Regions
-	if regions < 1 {
-		regions = 1
-	}
-	var per []Result
-	for r := 0; r < regions; r++ {
-		ffOK := true
-		if p.FastForward > 0 && !(r == 0 && atFirstRegion) {
-			ffOK = m.FastForward(p.FastForward, p.Warm)
-		}
-		res := simulateWindow(m, p)
-		if res.Instrs == 0 && len(per) > 0 {
-			break // program ended inside the previous window
-		}
-		per = append(per, res)
-		if !ffOK || res.Instrs < p.Measure {
-			break
-		}
-	}
-	return mergeRegions(per, p)
-}
-
 // mergeRegions folds per-region Results into one aggregate.
 func mergeRegions(per []Result, p Params) Result {
 	agg := per[0]

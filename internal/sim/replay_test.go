@@ -11,126 +11,112 @@ func replayTestParams() Params {
 	return Params{Scale: workloads.TinyScale(), Warmup: 20_000, Measure: 60_000}
 }
 
-// TestReplayMatchesLive is the fidelity contract of execute-once,
-// time-many: for every core kind — including SVR, whose engine reads
-// architectural state through the replay-backed ArchState view — a cell
-// fed by a ReplaySource must produce a bit-identical Result to the same
-// cell running its emulator live.
+// replayCase is one window shape the fidelity tests cover.
+type replayCase struct {
+	name string
+	p    Params
+}
+
+// replayCases are the window shapes every execution path is held to (on
+// CC_ORK, whose ~450 k-instruction tiny run fits several regions): a
+// plain window, a sampled one whose last interval is partial, a
+// three-region schedule with warmed fast-forward gaps, and a sampled
+// schedule that runs on until the program ends.
+func replayCases() []replayCase {
+	plain := replayTestParams()
+	sampled := plain
+	sampled.SampleEvery = 7_000
+	regions := Params{Scale: workloads.TinyScale(), FastForward: 30_000, Warm: true,
+		Regions: 3, Warmup: 5_000, Measure: 20_000}
+	toEnd := Params{Scale: workloads.TinyScale(), FastForward: 60_000, Warm: true,
+		Regions: 1_000, Warmup: 2_000, Measure: 8_000, SampleEvery: 3_000}
+	return []replayCase{{"plain", plain}, {"sampled", sampled}, {"regions", regions}, {"to-end", toEnd}}
+}
+
+// TestReplayMatchesLive is the fidelity contract of the one execution
+// path: for every core kind — including SVR, whose engine reads
+// architectural state through each window's ArchView — Simulate over
+// recorded windows must produce a Result deeply equal (TimeSeries and
+// RegionSummary included) to the same machine executing live, and leave
+// the emulator in the same architectural state. The multi-region cases
+// pin each window's end state: every gap fast-forwards from where the
+// recording left the machine's emulator and memory image.
 func TestReplayMatchesLive(t *testing.T) {
-	spec, err := workloads.Get("PR_KR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := replayTestParams()
+	spec := mustSpec(t, "CC_ORK")
 	for _, kind := range []CoreKind{InO, IMP, OoO, SVR} {
 		t.Run(kind.String(), func(t *testing.T) {
 			cfg := MachineConfig(kind)
-			live := Run(spec, cfg, p)
-
-			if !replayEligible(cfg, p) {
-				t.Fatal("kind not replay-eligible")
-			}
-			recd, _ := cachedRecording(spec, cfg, p, nil, nil)
-			if recd.N != p.Warmup+p.Measure {
-				t.Fatalf("recording has %d records, want %d", recd.N, p.Warmup+p.Measure)
-			}
-			m, _, err := newReplayMachine(cfg, spec, p, recd, cachedBuild(spec, p.Scale, nil), nil, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep := Simulate(m, p)
-			if !reflect.DeepEqual(live, rep) {
-				t.Errorf("replay Result differs from live:\nlive %+v\nreplay %+v", live, rep)
+			for _, c := range replayCases() {
+				liveM := testMachine(t, cfg, spec, c.p.Scale)
+				live := liveSimulate(liveM, c.p, false)
+				m := testMachine(t, cfg, spec, c.p.Scale)
+				got := Simulate(m, c.p)
+				if !reflect.DeepEqual(live, got) {
+					t.Errorf("%s: recorded Result differs from live:\nlive %+v\ngot  %+v", c.name, live, got)
+				}
+				if a, b := liveM.base().cpu.SaveArch(), m.base().cpu.SaveArch(); a != b {
+					t.Errorf("%s: emulator ends at %+v, live at %+v", c.name, b, a)
+				}
 			}
 		})
 	}
 }
 
-// TestReplayMatchesLiveCheckpointed covers the composed path the bench
-// uses: record from the post-fast-forward point of a functionally-warmed
-// shared checkpoint, replay into cells restored from the same
-// checkpoint, and require bit-identical Results against the live
-// checkpointed path.
+// TestReplayMatchesLiveCheckpointed covers the grid's composed path: a
+// cell restored from the shared, functionally-warmed checkpoint and
+// timed as a cohort of one over the shared recordings must equal the
+// same machine run live from the checkpoint — for a single window and
+// for a two-region schedule whose second window is recorded from the
+// member's emulator after its own warmed gap.
 func TestReplayMatchesLiveCheckpointed(t *testing.T) {
-	spec, err := workloads.Get("Randacc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Params{
-		Scale:       workloads.TinyScale(),
-		FastForward: 20_000,
-		Warm:        true,
-		Measure:     60_000,
-	}
+	defer SetRunCacheEnabled(SetRunCacheEnabled(false))
+	spec := mustSpec(t, "CC_ORK")
+	single := Params{Scale: workloads.TinyScale(), FastForward: 20_000, Warm: true, Measure: 60_000}
+	two := single
+	two.Regions, two.Warmup, two.Measure = 2, 5_000, 20_000
 	for _, kind := range []CoreKind{InO, IMP, OoO, SVR} {
 		t.Run(kind.String(), func(t *testing.T) {
 			cfg := MachineConfig(kind)
-
-			ck, _ := cachedCheckpoint(spec, cfg, p, nil, nil)
-			liveM, err := NewMachineFrom(cfg, ck)
-			if err != nil {
-				t.Fatal(err)
-			}
-			live := SimulateFrom(liveM, p)
-
-			recd, _ := cachedRecording(spec, cfg, p, nil, nil)
-			repM, _, err := newReplayMachine(cfg, spec, p, recd, nil, nil, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep := SimulateFrom(repM, p)
-			if !reflect.DeepEqual(live, rep) {
-				t.Errorf("replay Result differs from live:\nlive %+v\nreplay %+v", live, rep)
+			for _, p := range []Params{single, two} {
+				live := liveCell(t, spec, cfg, p)
+				got, out := ExecuteCell(CellRequest{Cfg: cfg, Spec: spec, P: p}, nil)
+				if out.Cached || out.Shared || !out.Replayed {
+					t.Fatalf("regions=%d: cell not simulated from a recording: %+v", p.Regions, out)
+				}
+				if !reflect.DeepEqual(live, got) {
+					t.Errorf("regions=%d: cell Result differs from live:\nlive %+v\ngot  %+v", p.Regions, live, got)
+				}
 			}
 		})
 	}
 }
 
-// TestMatrixReplayMatchesLive runs a small grid cold with replay off and
-// again with replay on, asserting every cell Result is bit-identical and
-// the scheduler accounted the replay/live split correctly (every
-// registered kind, SVR included, is served from the recording).
+// TestMatrixReplayMatchesLive runs a small grid cold through the default
+// matrix runner, holds every cell to the live reference, and asserts the
+// scheduler accounted every cell — every registered kind, SVR included —
+// as timed from a recording.
 func TestMatrixReplayMatchesLive(t *testing.T) {
-	prevCache := SetRunCacheEnabled(false)
-	defer SetRunCacheEnabled(prevCache)
-	prevMode := SetReplayMode(ReplayOff)
-	defer SetReplayMode(prevMode)
-
-	var specs []workloads.Spec
-	for _, name := range []string{"PR_KR", "Randacc"} {
-		spec, err := workloads.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs = append(specs, spec)
-	}
+	defer SetRunCacheEnabled(SetRunCacheEnabled(false))
+	specs := []workloads.Spec{mustSpec(t, "PR_KR"), mustSpec(t, "Randacc")}
 	cfgs := []Config{
 		MachineConfig(InO), MachineConfig(IMP), MachineConfig(OoO), SVRConfig(16),
 	}
 	p := replayTestParams()
 
-	liveRS := runMatrix(cfgs, specs, p)
-	SetReplayMode(ReplayOn)
-	repRS := runMatrix(cfgs, specs, p)
-
-	if want := len(cfgs) * len(specs); repRS.Stats.Replayed != want {
-		t.Errorf("replayed %d cells, want %d", repRS.Stats.Replayed, want)
+	rs := runMatrix(cfgs, specs, p)
+	if want := len(cfgs) * len(specs); rs.Stats.Replayed != want {
+		t.Errorf("replayed %d cells, want %d", rs.Stats.Replayed, want)
 	}
-	if liveRS.Stats.Replayed != 0 {
-		t.Errorf("replay-off run replayed %d cells", liveRS.Stats.Replayed)
-	}
-	for _, c := range repRS.Cells {
+	for _, c := range rs.Cells {
 		if !c.Replayed {
 			t.Errorf("cell %s/%s: Replayed=false, want true", c.Label, c.Workload)
 		}
 	}
 	for _, cfg := range cfgs {
 		for _, spec := range specs {
-			live, _ := liveRS.Get(cfg.Label, spec.Name)
-			rep, _ := repRS.Get(cfg.Label, spec.Name)
-			if !reflect.DeepEqual(live, rep) {
-				t.Errorf("cell %s/%s differs between replay-off and replay-on runs",
-					cfg.Label, spec.Name)
+			got, _ := rs.Get(cfg.Label, spec.Name)
+			if live := liveCell(t, spec, cfg, p); !reflect.DeepEqual(live, got) {
+				t.Errorf("cell %s/%s differs from the live reference", cfg.Label, spec.Name)
 			}
 		}
 	}

@@ -2,20 +2,18 @@ package sim
 
 import (
 	"encoding/json"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/artifact"
 	"repro/internal/workloads"
 )
 
 // This file is the matrix side of the experiment scheduler: a (config ×
 // workload) grid is flattened into independent cells and resolved
-// through the cell-execution core (cell.go). The default runner drives a
-// GOMAXPROCS-bounded local pool; the CLI and the grid service install a
-// shared scheduler through SetMatrixRunner so every subcommand and every
+// through the cell-execution core (cell.go). The default runner resolves
+// the grid serially; the CLI and the grid service install a shared
+// scheduler through SetMatrixRunner so every subcommand and every
 // served job feed one queue and one artifact store. Each simulation is
 // deterministic (fixed seeds, no wall-clock inputs), so a cached cell is
 // bit-identical to a fresh run and `svrsim all` stops re-simulating the
@@ -29,7 +27,7 @@ type CellEvent struct {
 	Workload string        // workload name
 	Cached   bool          // served resident from the artifact store
 	Shared   bool          // joined another caller's in-flight execution
-	Replayed bool          // consumed a recorded stream instead of a live emulator
+	Replayed bool          // timed from a recorded stream (every simulated cell is)
 	Wall     time.Duration // wall time spent on the cell
 	Phases   PhaseTimes    // per-phase decomposition of Wall
 	Instrs   uint64        // instructions the cell simulated (its Result's window)
@@ -279,8 +277,6 @@ type GridStatus struct {
 	CohortCells   int           // cells those cohorts produced (occupancy = CohortCells/Cohorts)
 	Instrs        uint64        // instructions simulated by finished cells
 	StreamBytes   int64         // encoded stream bytes produced so far (process-wide)
-	DecodedHits   int64         // decoded-batch store hits (process-wide)
-	DecodedMade   int64         // decoded batches produced (process-wide)
 	Elapsed       time.Duration // since the earliest open grid started
 	CkptWall      time.Duration // wall time spent producing checkpoints so far
 	RecWall       time.Duration // wall time spent producing recordings so far
@@ -366,8 +362,6 @@ func CurrentStatus() GridStatus {
 // per-tracker and aggregate snapshots.
 func finishStatus(s *GridStatus, win rateWindow, now time.Time) {
 	s.StreamBytes = RecordingStats().Bytes
-	dec := artifacts.Stats()[artifact.Decoded]
-	s.DecodedHits, s.DecodedMade = dec.Hits, dec.Produced
 	s.Queued = s.Cells - s.Done - s.Building - s.Checkpointing - s.Recording - s.Running
 	if s.Queued < 0 {
 		s.Queued = 0
@@ -419,7 +413,7 @@ type CellStat struct {
 	Workload string
 	Cached   bool
 	Shared   bool // joined another job's in-flight execution of the same cell
-	Replayed bool // fed by a recorded stream instead of a live emulator
+	Replayed bool // timed from a recorded stream (every simulated cell is)
 	Wall     time.Duration
 }
 
@@ -452,7 +446,7 @@ type ResultSet struct {
 
 // NewResultSet returns an empty set shaped for the given configuration
 // labels; AddCell fills it and Finish seals it. The matrix runners (the
-// local pool and the grid service) share this assembly so their output
+// serial default and the grid service) share this assembly so their output
 // is structurally identical.
 func NewResultSet(cfgs []Config) *ResultSet {
 	rs := &ResultSet{rows: make(map[string]map[string]Result, len(cfgs))}
@@ -552,7 +546,7 @@ var matrixCtl = struct {
 
 // SetMatrixRunner installs the grid executor every experiment matrix
 // routes through, returning the previous one (nil means the built-in
-// local pool). The CLI installs the shared grid scheduler here so
+// serial runner). The CLI installs the shared grid scheduler here so
 // single-shot subcommands and the serve service are thin clients of the
 // same scheduler core.
 func SetMatrixRunner(r MatrixRunner) MatrixRunner {
@@ -563,8 +557,8 @@ func SetMatrixRunner(r MatrixRunner) MatrixRunner {
 	return prev
 }
 
-// runMatrix routes a grid to the installed matrix runner (the local pool
-// by default).
+// runMatrix routes a grid to the installed matrix runner (the serial
+// runner by default).
 func runMatrix(cfgs []Config, specs []workloads.Spec, p Params) *ResultSet {
 	matrixCtl.Lock()
 	r := matrixCtl.runner
@@ -572,7 +566,7 @@ func runMatrix(cfgs []Config, specs []workloads.Spec, p Params) *ResultSet {
 	if r != nil {
 		return r(cfgs, specs, p)
 	}
-	return RunMatrixLocal(cfgs, specs, p)
+	return RunMatrixSerial(cfgs, specs, p)
 }
 
 // MatrixCells flattens a grid into its cell requests in workload-major
@@ -589,52 +583,35 @@ func MatrixCells(cfgs []Config, specs []workloads.Spec, p Params) []CellRequest 
 	return cells
 }
 
-// RunMatrixLocal simulates every (config, workload) cell of the grid on
-// a GOMAXPROCS-bounded worker pool, front-ended by the artifact store.
-// Results are bit-identical to a serial, uncached sweep.
-func RunMatrixLocal(cfgs []Config, specs []workloads.Spec, p Params) *ResultSet {
+// RunMatrixSerial resolves every cell of the grid on the calling
+// goroutine, cohort by cohort (PlanCohorts, ExecuteCohort), front-ended
+// by the artifact store. It is the default matrix runner and the grid
+// scheduler's fallback when its queue cannot take a grid; parallel
+// execution is the grid scheduler's job.
+func RunMatrixSerial(cfgs []Config, specs []workloads.Spec, p Params) *ResultSet {
 	start := time.Now()
 	cells := MatrixCells(cfgs, specs, p)
 	tr := NewTracker(len(cells))
 	defer tr.Close()
 	rs := NewResultSet(cfgs)
-
-	var (
-		mu   sync.Mutex
-		wg   sync.WaitGroup
-		done int
-	)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for _, group := range PlanCohorts(cells, nil) {
-		group := group
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			reqs := make([]CellRequest, len(group))
-			for k, ci := range group {
-				reqs[k] = cells[ci]
-			}
-			results, outs := ExecuteCohort(reqs, tr)
-			for k, c := range reqs {
-				res, out := results[k], outs[k]
-				mu.Lock()
-				rs.AddCell(res, CellStat{
-					Label: c.Cfg.Label, Workload: c.Spec.Name, Cached: out.Cached,
-					Shared: out.Shared, Replayed: out.Replayed, Wall: out.Wall,
-				})
-				done++
-				ev := CellEvent{Label: c.Cfg.Label, Workload: c.Spec.Name, Cached: out.Cached,
-					Shared: out.Shared, Replayed: out.Replayed,
-					Wall: out.Wall, Phases: out.Phases, Instrs: res.Instrs, Done: done, Cells: len(cells)}
-				mu.Unlock()
-				tr.CellDone(out, res.Instrs)
-				emitProgress(ev)
-			}
-		}()
+		reqs := make([]CellRequest, len(group))
+		for k, ci := range group {
+			reqs[k] = cells[ci]
+		}
+		results, outs := ExecuteCohort(reqs, tr)
+		for k, c := range reqs {
+			res, out := results[k], outs[k]
+			rs.AddCell(res, CellStat{
+				Label: c.Cfg.Label, Workload: c.Spec.Name, Cached: out.Cached,
+				Shared: out.Shared, Replayed: out.Replayed, Wall: out.Wall,
+			})
+			tr.CellDone(out, res.Instrs)
+			emitProgress(CellEvent{Label: c.Cfg.Label, Workload: c.Spec.Name, Cached: out.Cached,
+				Shared: out.Shared, Replayed: out.Replayed, Wall: out.Wall, Phases: out.Phases,
+				Instrs: res.Instrs, Done: len(rs.Cells), Cells: len(cells)})
+		}
 	}
-	wg.Wait()
 	rs.Stats.Wall = time.Since(start)
 	rs.Finish()
 	return rs

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -11,94 +10,11 @@ import (
 	"repro/internal/workloads"
 )
 
-// This file is the scheduler side of execute-once, time-many: one
-// functional recording pass per workload window (cachedRecording, under
-// the same build-cache/singleflight machinery as the shared
-// checkpoints), fanned out to every replay-eligible sibling cell
-// (newReplayMachine). Core kinds declare their stream requirement at
-// registration (StreamNeeds); SVR cells consume the recording through a
-// replay-backed architectural-state view (stream.ArchState).
-
-// ReplayMode selects how the scheduler feeds instruction streams to
-// grid cells.
-type ReplayMode int
-
-// Replay modes (the CLI's -replay=on|off|auto).
-const (
-	// ReplayAuto records once per workload and replays into every
-	// eligible cell; ineligible cells (multi-region windows) run live.
-	// Results are bit-identical either way, so this is the default.
-	ReplayAuto ReplayMode = iota
-	// ReplayOn behaves like ReplayAuto (eligibility still applies) but
-	// states the intent explicitly; surfaces report the replay/live
-	// split so a forced run can be audited.
-	ReplayOn
-	// ReplayOff disables recording and replay entirely: every cell runs
-	// the emulator in lockstep, as before this layer existed.
-	ReplayOff
-)
-
-// String returns the CLI spelling of the mode.
-func (m ReplayMode) String() string {
-	switch m {
-	case ReplayOn:
-		return "on"
-	case ReplayOff:
-		return "off"
-	default:
-		return "auto"
-	}
-}
-
-// ParseReplayMode parses the CLI spelling of a replay mode.
-func ParseReplayMode(s string) (ReplayMode, error) {
-	switch s {
-	case "auto", "":
-		return ReplayAuto, nil
-	case "on":
-		return ReplayOn, nil
-	case "off":
-		return ReplayOff, nil
-	}
-	return ReplayAuto, fmt.Errorf("unknown replay mode %q (want on, off, or auto)", s)
-}
-
-var replayCtl = struct {
-	sync.Mutex
-	mode ReplayMode
-}{}
-
-// SetReplayMode switches the scheduler's stream policy and returns the
-// previous mode.
-func SetReplayMode(m ReplayMode) ReplayMode {
-	replayCtl.Lock()
-	defer replayCtl.Unlock()
-	prev := replayCtl.mode
-	replayCtl.mode = m
-	return prev
-}
-
-// CurrentReplayMode reports the active stream policy.
-func CurrentReplayMode() ReplayMode {
-	replayCtl.Lock()
-	defer replayCtl.Unlock()
-	return replayCtl.mode
-}
-
-// replayEligible reports whether a cell of this configuration and window
-// can consume a recorded stream instead of running the emulator live.
-// Multi-region windows are excluded: their streams would have to span
-// every fast-forward gap, which defeats the compact single-window
-// recording (and PaperParams regions are exactly the huge case).
-func replayEligible(cfg Config, p Params) bool {
-	if CurrentReplayMode() == ReplayOff {
-		return false
-	}
-	if StreamNeedsOf(cfg.Core) == StreamLive {
-		return false
-	}
-	return p.Regions <= 1
-}
+// This file is the functional front end of the one execution path: each
+// workload window is executed once into a compact recording
+// (cachedRecording, under the same store/singleflight machinery as the
+// shared checkpoints), and every cell that reaches the window — in any
+// cohort, any job — times that recording.
 
 // streamStats aggregates recording-pass production counters for the
 // bench and status surfaces.
@@ -135,39 +51,23 @@ func RecordingStats() StreamCacheStats {
 	}
 }
 
-// cachedRecording returns the shared recording of one workload window —
-// warmup+measure instructions starting at the post-fast-forward point —
-// producing it at most once across concurrent callers via the artifact
-// store. The pass is purely functional: a bare emulator steps into the
-// encoder, composing with the checkpoint class (the fast-forward itself
-// is cachedCheckpoint's, never repeated here). The outcome reports
-// whether this caller got the buffer from the store (hit or joined
-// flight) rather than recording it.
-func cachedRecording(spec workloads.Spec, cfg Config, p Params, tr *Tracker, pc *phaseCtx) (*stream.Recording, artifact.Outcome) {
+// cachedRecording returns the shared recording of the warmup+measure
+// window starting at src's emulator position, producing it at most once
+// across concurrent callers via the artifact store. Windows are keyed by
+// their absolute start instruction, so every region of a multi-region
+// schedule is recorded once for all cells that reach it, and a
+// single-window cell's key is its fast-forward length. The pass is
+// purely functional and leaves src where it was (recordFrom). The
+// outcome reports whether this caller got the buffer from the store
+// (hit or joined flight) rather than recording it.
+func cachedRecording(spec workloads.Spec, p Params, src *machineBase, tr *Tracker, pc *phaseCtx) (*stream.Recording, artifact.Outcome) {
 	n := p.Warmup + p.Measure
-	k := streamKey(spec.Name, p.Scale, p.FastForward, n)
+	k := streamKey(spec.Name, p.Scale, src.cpu.InstrCount(), n)
 	callStart := time.Now()
 	v, oc := artifacts.GetOrProduce(k, func() (any, int64) {
-		// Resolve the start-point image before entering the recording
-		// phase: cachedCheckpoint manages the building/checkpointing
-		// counters itself, so it must run while this worker still counts
-		// as "building".
-		var cpu *emu.CPU
-		if p.FastForward > 0 {
-			ck, _ := cachedCheckpoint(spec, cfg, p, tr, pc)
-			cpu = emu.New(ck.prog, ck.mem.Clone())
-			cpu.LoadArch(ck.arch)
-		} else {
-			inst := cloneInstance(cachedBuild(spec, p.Scale, pc))
-			cpu = emu.New(inst.Prog, inst.Mem)
-		}
-
 		tr.recBegin()
 		t0 := time.Now()
-		rec, err := stream.Record(cpu, n)
-		if err != nil {
-			panic(err) // the emulator broke the stream contract: a bug, not an input error
-		}
+		rec := recordFrom(src, n)
 		d := time.Since(t0)
 		tr.recEnd(d)
 		pc.add(PhaseRecord, d)
@@ -186,55 +86,26 @@ func cachedRecording(spec workloads.Spec, cfg Config, p Params, tr *Tracker, pc 
 	return v.(*stream.Recording), oc
 }
 
-// newReplayMachine builds a machine of cfg fed by the shared recording
-// instead of a live emulator. Stream-pure kinds (InO, OoO) share the
-// frozen master/checkpoint memory without cloning — nothing in the cell
-// reads or writes data memory. StreamMemory (IMP) and StreamArch (SVR)
-// kinds get a private clone that the replay source keeps in lockstep by
-// applying decoded stores, so ahead-of-stream dereferences — and the
-// SVR engine's retire-point reads through the source's ArchState view —
-// see exactly the bytes a live run would have shown. out (nil-safe) is
-// annotated with whether the checkpoint came from the store. The
-// attached source is also returned so the caller can Recycle its decode
-// scratch once the cell finishes.
-func newReplayMachine(cfg Config, spec workloads.Spec, p Params,
-	rec *stream.Recording, master *workloads.Instance,
-	out *CellOutcome, tr *Tracker, pc *phaseCtx) (Machine, *stream.ReplaySource, error) {
-	needs := StreamNeedsOf(cfg.Core)
-	wantMem := needs == StreamMemory || needs == StreamArch
-	var inst *workloads.Instance
-	var ck *Checkpoint
-	if p.FastForward > 0 {
-		var co artifact.Outcome
-		ck, co = cachedCheckpoint(spec, cfg, p, tr, pc)
-		if out != nil {
-			out.CkptFromStore = co.FromStore()
-		}
-		inst = &workloads.Instance{
-			Name: ck.Workload, Prog: ck.prog, Mem: ck.mem, Check: ck.check,
-		}
-		if wantMem {
-			inst.Mem = ck.mem.Clone()
-		}
+// recordFrom records the next n instructions from b's emulator position
+// on a private front-end emulator, leaving b's architectural state and
+// memory image as they were. A machine that owns its image lends it to
+// the front end, which rolls its stores back (stream.RecordAhead); one
+// sharing a frozen image, which nothing may write, records on a
+// copy-on-write clone.
+func recordFrom(b *machineBase, n uint64) *stream.Recording {
+	var rec *stream.Recording
+	var err error
+	if b.owns {
+		fe := emu.New(b.cpu.Prog, b.cpu.Mem)
+		fe.LoadArch(b.cpu.SaveArch())
+		rec, err = stream.RecordAhead(fe, n)
 	} else {
-		inst = master
-		if wantMem {
-			inst = cloneInstance(master)
-		}
+		fe := emu.New(b.cpu.Prog, b.cpu.Mem.Clone())
+		fe.LoadArch(b.cpu.SaveArch())
+		rec, err = stream.Record(fe, n)
 	}
-	m, err := NewMachine(cfg, inst)
 	if err != nil {
-		return nil, nil, err
+		panic(err) // the emulator broke the stream contract: a bug, not an input error
 	}
-	if ck != nil {
-		m.Restore(ck)
-	}
-	var src *stream.ReplaySource
-	if wantMem {
-		src = stream.NewReplayWithMem(rec, inst.Mem)
-	} else {
-		src = stream.NewReplay(rec)
-	}
-	m.SetSource(src)
-	return m, src, nil
+	return rec
 }

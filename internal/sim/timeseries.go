@@ -94,40 +94,37 @@ func stackDelta(cur, prev stats.CPIStack) stats.CPIStack {
 	return d
 }
 
-// simulateSampled is Simulate with interval sampling: the measurement
-// window is stepped in SampleEvery-instruction chunks and the registry
-// delta of each chunk becomes one TimeSeries row. Chunked stepping is
-// timing-identical to one full Step — the cores advance per instruction —
-// so the aggregate Result matches an unsampled run exactly.
-func simulateSampled(m Machine, p Params) Result {
-	m.Step(p.Warmup)
-	m.ResetStats()
-	base := m.Now()
-	sampler := metrics.NewSampler(m.Registry())
-	ts := &TimeSeries{Interval: p.SampleEvery, Columns: seriesColumns()}
-	prevStack := m.Stack()
-	var prevInstr uint64
-	var prevCyc int64
-	alive := true
-	for alive && prevInstr < p.Measure {
-		n := p.SampleEvery
-		if rem := p.Measure - prevInstr; rem < n {
-			n = rem
-		}
-		alive = m.Step(n)
-		instr, cyc := m.Instrs(), m.Now()-base
-		if instr == prevInstr {
-			break // program ended inside the chunk with nothing issued
-		}
-		sample := sampler.Tick(instr, cyc)
-		stack := m.Stack()
-		ts.Rows = append(ts.Rows, seriesRow(sample.Delta, stackDelta(stack, prevStack),
-			instr-prevInstr, cyc-prevCyc, instr, cyc))
-		prevStack, prevInstr, prevCyc = stack, instr, cyc
+// seriesSampler builds one machine's TimeSeries: each tick closes the
+// interval since the previous one from registry and CPI-stack deltas.
+// Sampling only reads state, so it never perturbs the simulated timing.
+// Create it right after the warmup reset.
+type seriesSampler struct {
+	m         Machine
+	s         *metrics.Sampler
+	ts        *TimeSeries
+	base      int64
+	prevStack stats.CPIStack
+	prevInstr uint64
+	prevCyc   int64
+}
+
+func newSeriesSampler(m Machine, every uint64) *seriesSampler {
+	return &seriesSampler{m: m, s: metrics.NewSampler(m.Registry()), base: m.Now(),
+		ts: &TimeSeries{Interval: every, Columns: seriesColumns()}, prevStack: m.Stack()}
+}
+
+// tick closes the interval ending at the machine's current position; it
+// is a no-op when nothing issued since the previous tick.
+func (s *seriesSampler) tick() {
+	instr, cyc := s.m.Instrs(), s.m.Now()-s.base
+	if instr == s.prevInstr {
+		return
 	}
-	res := m.Collect()
-	res.Series = ts
-	return res
+	sample := s.s.Tick(instr, cyc)
+	stack := s.m.Stack()
+	s.ts.Rows = append(s.ts.Rows, seriesRow(sample.Delta, stackDelta(stack, s.prevStack),
+		instr-s.prevInstr, cyc-s.prevCyc, instr, cyc))
+	s.prevStack, s.prevInstr, s.prevCyc = stack, instr, cyc
 }
 
 // WriteCSVHeader writes the column-name line, with optional fixed columns

@@ -6,15 +6,15 @@ import (
 	"repro/internal/mem"
 )
 
-// ArchView is the replay-backed ArchState of one decode-once cohort
-// member: a private register file, compare flags and memory image. A
-// solo replayed cell observes architectural state through its own
-// ReplaySource, but cohort members share one decoder — so each member
+// ArchView is the replay-backed ArchState of one timed machine: a
+// private register file, compare flags and memory image. Cohort members
+// share one decoder, so each member that reads architectural state
 // reconstructs its view row by row from the shared batch columns
 // (Advance, called before the row issues), applying exactly the
-// write-back, flag and store rules the decoder itself runs. The view is
-// therefore bit-identical to a lockstep emulator's post-Step state at
-// every observation point.
+// write-back, flag and store rules of execution. The view is therefore
+// bit-identical to a lockstep emulator's post-Step state at every
+// observation point, and its image ends a window in the window's end
+// state.
 type ArchView struct {
 	regs  [isa.NumRegs]int64
 	flags int

@@ -8,13 +8,12 @@ import (
 )
 
 // FuzzArchStateMatchesLive is the fidelity contract of the replay-backed
-// architectural-state views: over a synthesized program window, a
-// ReplaySource with a private memory clone and an ArchView advanced
-// record-by-record must expose exactly the same architectural
-// observations — every register, the compare flags, and memory probes —
-// as a live CPU at every retire boundary. This is the property that
-// makes SVR cells replay-eligible: the engine's only functional reads
-// (loadValue, PredictCV) go through this interface.
+// architectural-state view: over a synthesized program window, an
+// ArchView advanced record by record over the decoded stream must
+// expose exactly the same architectural observations — every register,
+// the compare flags, and memory probes — as a live CPU at every retire
+// boundary. This is the property that lets SVR and IMP cells time from
+// recordings: their only functional reads go through this interface.
 func FuzzArchStateMatchesLive(f *testing.F) {
 	// Seed: compare/branch mix so flags tracking is exercised, plus
 	// stores so the private memory clones diverge from the pristine image.
@@ -47,23 +46,24 @@ func FuzzArchStateMatchesLive(f *testing.F) {
 			t.Fatalf("Record: %v", err)
 		}
 
-		// ...then walk a live CPU, a ReplaySource, and an ArchView in
-		// lockstep, comparing architectural observations at every boundary.
+		// ...then walk a live CPU and an ArchView over the decoded stream
+		// in lockstep, comparing architectural observations at every
+		// boundary.
 		live := emu.New(prog, newTestMem())
 		seedRegs(live, data)
-		rs := NewReplayWithMem(recd, newTestMem())
+		rs := NewReplay(recd)
 		view := NewArchView(recd, newTestMem())
 
 		probes := []uint64{dataBase, dataBase + 8, dataBase + 128}
 		check := func(i uint64, rec *emu.DynInstr) {
 			t.Helper()
 			for r := isa.Reg(0); r < isa.NumRegs; r++ {
-				if lv, rv, vv := live.Reg(r), rs.Reg(r), view.Reg(r); lv != rv || lv != vv {
-					t.Fatalf("record %d: r%d live=%d replay=%d view=%d", i, r, lv, rv, vv)
+				if lv, vv := live.Reg(r), view.Reg(r); lv != vv {
+					t.Fatalf("record %d: r%d live=%d view=%d", i, r, lv, vv)
 				}
 			}
-			if lf, rf, vf := live.CmpFlags(), rs.CmpFlags(), view.CmpFlags(); lf != rf || lf != vf {
-				t.Fatalf("record %d: flags live=%d replay=%d view=%d", i, lf, rf, vf)
+			if lf, vf := live.CmpFlags(), view.CmpFlags(); lf != vf {
+				t.Fatalf("record %d: flags live=%d view=%d", i, lf, vf)
 			}
 			addrs := probes
 			if rec != nil && (rec.Instr.Op == isa.OpLoad || rec.Instr.Op == isa.OpStore) {
@@ -71,8 +71,8 @@ func FuzzArchStateMatchesLive(f *testing.F) {
 			}
 			for _, a := range addrs {
 				for _, sz := range fuzzSizes {
-					if lm, rm, vm := live.ReadMem(a, sz), rs.ReadMem(a, sz), view.ReadMem(a, sz); lm != rm || lm != vm {
-						t.Fatalf("record %d: mem[%#x]/%d live=%#x replay=%#x view=%#x", i, a, sz, lm, rm, vm)
+					if lm, vm := live.ReadMem(a, sz), view.ReadMem(a, sz); lm != vm {
+						t.Fatalf("record %d: mem[%#x]/%d live=%#x view=%#x", i, a, sz, lm, vm)
 					}
 				}
 			}

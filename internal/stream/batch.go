@@ -5,53 +5,20 @@ import (
 
 	"repro/internal/emu"
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
-// The decode-once half of execute-once, time-many: a Recording is
-// decoded into flat struct-of-arrays chunks (DecodedBatch) exactly once
-// per cohort of sibling timing cells, and every member steps over the
-// shared columns instead of running a private ReplaySource cursor. The
-// columns are filled BY ReplaySource.Next itself, so a batch consumer
-// sees bit-identical records by construction — there is no second
-// decoder to drift.
-
-// DecoderState snapshots a ReplaySource position: everything Next
-// mutates. A batch carries the state at its end, so a consumer that got
-// the batch from a cache can adopt the state and skip the decode
-// entirely, and the next chunk can be produced from where this one
-// stopped.
-type DecoderState struct {
-	Pos      int
-	Done     uint64
-	Seq      uint64
-	ExpPC    int
-	PrevAddr uint64
-	Regs     [isa.NumRegs]int64
-	Flags    int
-}
-
-// State snapshots the source's decode position.
-func (s *ReplaySource) State() DecoderState {
-	return DecoderState{
-		Pos: s.pos, Done: s.done, Seq: s.seq,
-		ExpPC: s.expPC, PrevAddr: s.prevAddr, Regs: s.regs, Flags: s.flags,
-	}
-}
-
-// SetState repositions the source. st must be a state previously
-// captured from a source over the same recording content (the stream is
-// deterministic, so content-equal recordings interchange).
-func (s *ReplaySource) SetState(st DecoderState) {
-	s.pos, s.done, s.seq = st.Pos, st.Done, st.Seq
-	s.expPC, s.prevAddr, s.regs = st.ExpPC, st.PrevAddr, st.Regs
-	s.flags = st.Flags
-}
+// The decode-once half of the execution path: a Recording is decoded
+// into flat struct-of-arrays chunks (DecodedBatch) exactly once per
+// cohort of sibling timing cells, and every member steps over the
+// shared columns. The columns are filled BY ReplaySource.Next itself,
+// so a batch consumer sees bit-identical records by construction —
+// there is no second decoder to drift.
 
 // DecodedBatch is one chunk of a Recording decoded into SoA columns:
 // the static instruction plus the dynamic operand/address/outcome
-// values of each record, indexable without any decoder state. Batches
-// are immutable once filled (they are shared across cohort members and
-// may be retained by the artifact store).
+// values of each record, indexable without any decoder state. A filled
+// batch is only read while the members of a cohort step it.
 type DecodedBatch struct {
 	StartSeq uint64 // Seq of row 0
 	N        int    // rows filled
@@ -64,19 +31,7 @@ type DecodedBatch struct {
 	SrcB    []int64
 	LoadVal []int64
 	Taken   []bool
-
-	// End is the decoder state after the last row: where the next chunk
-	// of the same recording starts.
-	End DecoderState
 }
-
-// batchRowBytes is the per-row retained size of a batch's columns, for
-// the artifact store's byte budget: the padded Instr struct (Op + three
-// regs + Imm + Size) plus the seven dynamic columns.
-const batchRowBytes = int64(24 + 4 + 4 + 8 + 8 + 8 + 8 + 1)
-
-// Bytes returns the batch's retained size.
-func (b *DecodedBatch) Bytes() int64 { return int64(cap(b.Instr))*batchRowBytes + 128 }
 
 // grow makes the columns hold at least n rows, reusing prior storage.
 func (b *DecodedBatch) grow(n int) {
@@ -101,9 +56,9 @@ func (b *DecodedBatch) grow(n int) {
 }
 
 // Fill decodes up to max records from src into b, reusing b's column
-// storage, and captures the decoder end state. Returns the rows decoded
-// (0 at end of stream). The decode is ReplaySource.Next verbatim, so
-// the columns hold exactly the records a solo replay would have seen.
+// storage. Returns the rows decoded (0 at end of stream). The decode is
+// ReplaySource.Next verbatim, so the columns hold exactly the records
+// the recording pass produced.
 func (b *DecodedBatch) Fill(src *ReplaySource, max int) int {
 	b.grow(max)
 	b.StartSeq = src.seq
@@ -122,7 +77,6 @@ func (b *DecodedBatch) Fill(src *ReplaySource, max int) int {
 	}
 	b.grow(n)
 	b.N = n
-	b.End = src.State()
 	return n
 }
 
@@ -141,36 +95,24 @@ func (b *DecodedBatch) Row(i int, rec *emu.DynInstr) {
 	rec.NextPC = int(b.NextPC[i])
 }
 
-// Cursor adapts a window of a DecodedBatch to the InstrSource
-// interface, for consumers that cannot take the batch-stepping fast
-// path. Each cohort member owns a private cursor; the batch behind it
-// is shared.
-type Cursor struct {
-	b      *DecodedBatch
-	i, end int
-}
-
-// SetWindow points the cursor at rows [lo, hi) of b.
-func (c *Cursor) SetWindow(b *DecodedBatch, lo, hi int) { c.b, c.i, c.end = b, lo, hi }
-
-// Next yields the cursor's next row, false past the window end.
-func (c *Cursor) Next(rec *emu.DynInstr) bool {
-	if c.i >= c.end {
-		return false
+// ApplyStores performs the stores among rows [lo, hi) on m exactly as
+// execution wrote them. A timing model that reads no architectural
+// state carries its private memory image across windows this way.
+func (b *DecodedBatch) ApplyStores(m *mem.Memory, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if in := b.Instr[i]; in.Op == isa.OpStore {
+			m.Write(b.Addr[i], uint64(b.SrcB[i]), in.Size)
+		}
 	}
-	c.b.Row(c.i, rec)
-	c.i++
-	return true
 }
 
 // replayPool recycles ReplaySource decode state (the tracked register
-// file is the bulk) so per-cell replay attachment stops allocating: the
-// grid churns through one source per replayed cell.
+// file is the bulk) so opening a window's decoder stops allocating: the
+// grid churns through one source per timed window.
 var replayPool = sync.Pool{New: func() any { return new(ReplaySource) }}
 
 // Recycle returns a source to the decode-scratch pool. The caller must
-// be the last user: the machine that consumed the source is being
-// discarded (sources are never shared between cells).
+// be the last user: sources are never shared between walks.
 func (s *ReplaySource) Recycle() {
 	*s = ReplaySource{}
 	replayPool.Put(s)

@@ -65,6 +65,12 @@ type Recording struct {
 	// for registers live across the start point.
 	StartRegs  [isa.NumRegs]int64
 	StartFlags int
+
+	// End is the recording emulator's architectural state after the
+	// last record: where a machine that timed this window resumes, e.g.
+	// for the next fast-forward gap of a multi-region schedule. Set by
+	// Record.
+	End emu.ArchState
 }
 
 // Bytes returns the encoded size of the stream.
@@ -235,9 +241,36 @@ func (e *Encoder) Finish() *Recording {
 
 // Record executes up to n instructions on cpu, encoding the stream. The
 // CPU's memory image is mutated exactly as a normal run would mutate it;
-// callers that need the pre-run image must pass a clone. A stream
-// shorter than n means the program halted (Recording.Halted).
-func Record(cpu *emu.CPU, n uint64) (*Recording, error) {
+// callers that need the pre-run image use RecordAhead or pass a clone. A
+// stream shorter than n means the program halted (Recording.Halted).
+func Record(cpu *emu.CPU, n uint64) (*Recording, error) { return record(cpu, n, nil) }
+
+// RecordAhead is Record for a front end that runs ahead of a timing back
+// end sharing its memory image: the bytes each store overwrites are
+// logged as the window executes and written back afterwards, so the
+// image ends as it started while cpu's architectural state ends at the
+// window's end. Unlike recording on a copy-on-write clone, it copies no
+// page the back end would not copy anyway when it replays the same
+// stores.
+func RecordAhead(cpu *emu.CPU, n uint64) (*Recording, error) {
+	var undo []overwrite
+	r, err := record(cpu, n, &undo)
+	for i := len(undo) - 1; i >= 0; i-- {
+		cpu.Mem.Write(undo[i].addr, undo[i].old, undo[i].size)
+	}
+	return r, err
+}
+
+// overwrite is the memory a store is about to replace.
+type overwrite struct {
+	addr uint64
+	old  uint64
+	size uint8
+}
+
+// record is Record, logging what each store overwrites into undo when
+// undo is non-nil.
+func record(cpu *emu.CPU, n uint64, undo *[]overwrite) (*Recording, error) {
 	e := NewEncoder(cpu.Prog)
 	// Seed the tracked register file (and record the seed) from the
 	// CPU's architectural state at the start point, so decoders
@@ -252,7 +285,16 @@ func Record(cpu *emu.CPU, n uint64) (*Recording, error) {
 	}
 	var rec emu.DynInstr
 	var done uint64
-	for done < n && cpu.Step(&rec) {
+	for done < n {
+		if undo != nil && !cpu.Halted() {
+			if in := cpu.Prog.Code[cpu.PC]; in.Op == isa.OpStore {
+				addr := uint64(cpu.R[in.Ra] + in.Imm)
+				*undo = append(*undo, overwrite{addr, cpu.Mem.Read(addr, in.Size), in.Size})
+			}
+		}
+		if !cpu.Step(&rec) {
+			break
+		}
 		if err := e.Append(&rec); err != nil {
 			return nil, err
 		}
@@ -260,5 +302,6 @@ func Record(cpu *emu.CPU, n uint64) (*Recording, error) {
 	}
 	r := e.Finish()
 	r.Halted = done < n
+	r.End = cpu.SaveArch()
 	return r, nil
 }

@@ -144,7 +144,7 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("recorded %d records, want %d", recd.N, len(want))
 		}
 
-		rs := NewReplayWithMem(recd, newTestMem())
+		rs := NewReplay(recd)
 		var got emu.DynInstr
 		for i, w := range want {
 			if !rs.Next(&got) {

@@ -5,24 +5,17 @@ import (
 
 	"repro/internal/emu"
 	"repro/internal/isa"
-	"repro/internal/mem"
 )
 
 // ReplaySource decodes a Recording back into the exact DynInstr sequence
 // the recording pass produced, without touching the emulator. Decoding
 // runs the encoder's derivation rules in reverse, so the hot path is a
 // flags-byte dispatch plus the few varints the record actually carries.
-//
-// When a memory image is attached (NewReplayWithMem), stores are applied
-// to it as they are decoded, keeping the image in lockstep with the
-// stream position. Timing models that dereference memory ahead of the
-// stream (the IMP prefetcher) see exactly the bytes a live run would
-// have shown them; pure consumers (in-order, out-of-order cores) replay
-// with no memory at all.
+// It needs no memory image: timing models that read architectural state
+// observe it through an ArchView advanced over the decoded rows.
 type ReplaySource struct {
 	rec  *Recording
 	code []isa.Instr
-	mem  *mem.Memory
 
 	pos      int
 	done     uint64
@@ -30,57 +23,27 @@ type ReplaySource struct {
 	expPC    int
 	prevAddr uint64
 	regs     [isa.NumRegs]int64 // tracked register file, mirrors the encoder's
-	flags    int                // sign of the last decoded compare, mirrors emu.CPU.Flags
 	err      error
 }
 
-// NewReplay returns a source replaying r with no memory image (for
-// timing models that never dereference data memory).
-func NewReplay(r *Recording) *ReplaySource { return NewReplayWithMem(r, nil) }
-
-// NewReplayWithMem returns a source replaying r that applies decoded
-// stores to m. The image must be in the state the recording pass started
-// from (e.g. a fresh clone of the workload image, or a checkpoint
-// restored to the recording's start point). The source comes from the
-// decode-scratch pool; callers that know the cell is finished hand it
-// back with Recycle.
-func NewReplayWithMem(r *Recording, m *mem.Memory) *ReplaySource {
+// NewReplay returns a source replaying r from its start. The source
+// comes from the decode-scratch pool; callers that know the stream is
+// finished hand it back with Recycle.
+func NewReplay(r *Recording) *ReplaySource {
 	s := replayPool.Get().(*ReplaySource)
 	*s = ReplaySource{
 		rec:   r,
 		code:  r.Prog.Code,
-		mem:   m,
 		seq:   r.StartSeq,
 		expPC: r.StartPC,
 		regs:  r.StartRegs,
-		flags: r.StartFlags,
 	}
 	return s
 }
 
-// The decoder's tracked register file is seeded from the recording's
-// architectural start state and advanced by the same write-back rules
-// as execution, so a source with a memory image attached is a complete
-// replay-backed ArchState: consumers (the SVR engine) observe exactly
-// the values a lockstep emulator would show after the most recent Next.
-
-// Reg returns the architectural value of register r at the stream
-// position.
-func (s *ReplaySource) Reg(r isa.Reg) int64 { return s.regs[r] }
-
-// ReadMem reads data memory at the stream position. Requires an
-// attached memory image (NewReplayWithMem).
-func (s *ReplaySource) ReadMem(addr uint64, size uint8) uint64 { return s.mem.Read(addr, size) }
-
-// CmpFlags returns the sign of the last compare at the stream position.
-func (s *ReplaySource) CmpFlags() int { return s.flags }
-
 // Err returns the first decode error, if any. A nil error with Next
 // having returned false means the stream ended cleanly.
 func (s *ReplaySource) Err() error { return s.err }
-
-// Remaining returns how many records are left to decode.
-func (s *ReplaySource) Remaining() uint64 { return s.rec.N - s.done }
 
 func (s *ReplaySource) fail(format string, args ...any) bool {
 	if s.err == nil {
@@ -205,15 +168,6 @@ func (s *ReplaySource) Next(rec *emu.DynInstr) bool {
 
 	writeBack(&s.regs, in, srcA, srcB, loadVal)
 
-	if in.Op == isa.OpCmp || in.Op == isa.OpCmpI {
-		// srcB is already the immediate for cmpi (decode rule above), so
-		// this mirrors Step's flag update for both compare forms.
-		s.flags = emu.CmpSign(srcA, srcB)
-	}
-	if s.mem != nil && in.Op == isa.OpStore {
-		s.mem.Write(addr, uint64(srcB), in.Size)
-	}
-
 	rec.Seq = s.seq
 	rec.PC = pc
 	rec.Instr = in
@@ -229,16 +183,4 @@ func (s *ReplaySource) Next(rec *emu.DynInstr) bool {
 	s.pos = pos
 	s.done++
 	return true
-}
-
-// Skip discards up to n records, returning how many were discarded.
-// Stores are still applied when a memory image is attached, so the image
-// stays consistent with the stream position.
-func (s *ReplaySource) Skip(n uint64) uint64 {
-	var rec emu.DynInstr
-	var done uint64
-	for done < n && s.Next(&rec) {
-		done++
-	}
-	return done
 }

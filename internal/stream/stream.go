@@ -1,21 +1,21 @@
 // Package stream decouples the functional instruction stream from the
-// timing models: the "execute once, time many" layer.
+// timing models: the simulator's functional front end.
 //
 // Every timing cell of a (config × workload) grid consumes the same
 // dynamic instruction stream — the functional execution is a pure
 // function of the workload, not of the timing configuration. Following
-// the RAVE/Vehave split (arxiv 2111.01949), this package abstracts the
-// stream behind InstrSource so a workload can be emulated once
-// (LiveSource feeding an Encoder) and replayed into N timing models
-// (ReplaySource decoding the compact recording), instead of re-running
-// the emulator in lockstep inside every cell.
+// the RAVE/Vehave split (arxiv 2111.01949), a workload window is
+// emulated once into a compact Recording (Record) and decoded
+// (ReplaySource, DecodedBatch) into the rows N timing models step,
+// instead of re-running the emulator in lockstep inside every cell.
+// InstrSource and LiveSource remain for the core-level tools that drive
+// a bare core straight from an emulator.
 //
 // Timing models that read architectural state (the SVR engine
 // scavenges register values and dereferences memory at the retire
-// point) consume it through the ArchState interface: live machines
-// expose the emulator, replayed machines expose the decoder's tracked
-// register file plus a private memory clone kept in lockstep by decoded
-// stores — so even those cells replay from recordings.
+// point) consume it through the ArchState interface: an ArchView
+// advanced over the decoded rows, or a live emu.CPU in the core-level
+// tools.
 package stream
 
 import (
@@ -33,8 +33,8 @@ type InstrSource interface {
 // ArchState is the architectural state a timing model may read at the
 // retire point of the instruction it was just handed: register values,
 // data memory, and the compare flags. The live emulator (emu.CPU)
-// implements it directly; replayed cells observe the same values
-// through the decoder's tracked register file (ReplaySource, ArchView).
+// implements it directly; timed cells observe the same values through
+// an ArchView.
 // By contract the state reflects execution up to and including the most
 // recent DynInstr the consumer received — exactly what a lockstep
 // emulator would show after Step.

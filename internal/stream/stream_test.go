@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/emu"
@@ -44,7 +45,8 @@ func TestRoundTripWorkloads(t *testing.T) {
 			}
 
 			replayInst := spec.Build(sc)
-			rs := NewReplayWithMem(recd, replayInst.Mem)
+			rs := NewReplay(recd)
+			view := NewArchView(recd, replayInst.Mem)
 			var got emu.DynInstr
 			for i, w := range want {
 				if !rs.Next(&got) {
@@ -53,6 +55,7 @@ func TestRoundTripWorkloads(t *testing.T) {
 				if got != w {
 					t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, got, w)
 				}
+				view.Advance(&got)
 			}
 			if rs.Next(&got) {
 				t.Fatalf("stream yielded a record past its end")
@@ -61,8 +64,8 @@ func TestRoundTripWorkloads(t *testing.T) {
 				t.Fatalf("decode error: %v", rs.Err())
 			}
 
-			// Store application must leave the replay image bit-identical
-			// to the live image at every stored address.
+			// The view's store application must leave its image
+			// bit-identical to the live image at every stored address.
 			for _, w := range want {
 				if w.Instr.Op == isa.OpStore {
 					lv := live.Mem.Read(w.Addr, w.Instr.Size)
@@ -82,9 +85,53 @@ func TestRoundTripWorkloads(t *testing.T) {
 	}
 }
 
+// TestRecordAheadRestoresImage: recording a store-heavy window with
+// RecordAhead must yield the same recording as Record on a copy and
+// leave the shared image byte-identical to the untouched build, with the
+// CPU at the window's end.
+func TestRecordAheadRestoresImage(t *testing.T) {
+	spec, err := workloads.Get("Randacc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := workloads.TinyScale()
+	const n = 5_000
+	ref := spec.Build(sc)
+	want, err := Record(emu.New(ref.Prog, spec.Build(sc).Mem), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := spec.Build(sc)
+	cpu := emu.New(inst.Prog, inst.Mem)
+	got, err := RecordAhead(cpu, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("RecordAhead recording differs from Record's")
+	}
+	if cpu.SaveArch() != want.End {
+		t.Errorf("cpu at %+v, want the window end %+v", cpu.SaveArch(), want.End)
+	}
+	stores := 0
+	rs := NewReplay(got)
+	var rec emu.DynInstr
+	for rs.Next(&rec) {
+		if rec.Instr.Op == isa.OpStore {
+			stores++
+			if a, b := inst.Mem.Read(rec.Addr, 8), ref.Mem.Read(rec.Addr, 8); a != b {
+				t.Fatalf("image at %#x is %#x after RecordAhead, %#x before", rec.Addr, a, b)
+			}
+		}
+	}
+	if stores == 0 {
+		t.Fatal("window has no stores; the test checks nothing")
+	}
+}
+
 // TestRecordHalt checks a window that runs past program end: the stream
-// carries exactly the executed instructions (halt included) and reports
-// the truncation.
+// carries exactly the executed instructions (halt included), reports the
+// truncation, and ends in the halted emulator's state.
 func TestRecordHalt(t *testing.T) {
 	prog, err := isa.Parse("tiny", `
 		li r1, 5
@@ -101,9 +148,17 @@ func TestRecordHalt(t *testing.T) {
 	if recd.N != 3 || !recd.Halted {
 		t.Fatalf("got N=%d Halted=%v, want N=3 Halted=true", recd.N, recd.Halted)
 	}
+	if e := recd.End; !e.Halted || e.Seq != 3 || e.R[1] != 6 {
+		t.Fatalf("end state %+v, want halted at seq 3 with r1=6", e)
+	}
 	rs := NewReplay(recd)
-	if n := rs.Skip(100); n != 3 {
-		t.Fatalf("Skip consumed %d records, want 3", n)
+	var rec emu.DynInstr
+	n := 0
+	for rs.Next(&rec) {
+		n++
+	}
+	if n != 3 {
+		t.Fatalf("replay yielded %d records, want 3", n)
 	}
 	if rs.Err() != nil {
 		t.Fatal(rs.Err())
@@ -167,9 +222,11 @@ func TestReplayRejectsCorruptBuffer(t *testing.T) {
 		}
 		rs := NewReplay(trunc)
 		var rec emu.DynInstr
+		var n uint64
 		for rs.Next(&rec) {
+			n++
 		}
-		if rs.Remaining() > 0 && rs.Err() == nil {
+		if n < recd.N && rs.Err() == nil {
 			t.Fatalf("cut at %d: stream stopped early with no error", cut)
 		}
 	}

@@ -53,9 +53,9 @@ type Engine struct {
 	Opt Options
 	H   *cache.Hierarchy
 	// Arch is the architectural state the engine scavenges values from:
-	// the live emulator in lockstep cells, or a replay-backed view
-	// (stream.ReplaySource, stream.ArchView) in replayed cells. Both
-	// expose identical post-retire values, so the engine is agnostic.
+	// each window's stream.ArchView in simulated cells, or a live
+	// emulator in the core-level tools. Both expose identical
+	// post-retire values, so the engine is agnostic.
 	Arch   stream.ArchState
 	Tracer trace.Tracer // optional runahead event tracing
 
