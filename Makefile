@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench results evaluate metrics fuzz vet fmt cover
+.PHONY: all test race bench results metrics fuzz vet fmt cover
 
 all: vet test
 
@@ -23,9 +23,6 @@ results:
 	$(GO) run ./cmd/svrsim all | tee results_full.txt
 	$(GO) run ./cmd/svrsim all -metrics > results_metrics.json
 
-# Back-compat alias for the pre-rename target name.
-evaluate: results
-
 # Quick-scale headline figure with the full per-cell metric snapshots
 # (counters + latency histograms) as JSON on stdout.
 metrics:
@@ -36,6 +33,9 @@ fuzz:
 	$(GO) test -fuzz FuzzInstrString -fuzztime 15s ./internal/isa/
 	$(GO) test -fuzz FuzzReadWrite -fuzztime 15s ./internal/mem/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s ./internal/stream/
+	$(GO) test -run '^$$' -fuzz FuzzCacheMatchesReference -fuzztime 30s ./internal/cache/
+	$(GO) test -run '^$$' -fuzz FuzzTLBMatchesReference -fuzztime 30s ./internal/cache/
+	$(GO) test -run '^$$' -fuzz FuzzSubmitJob -fuzztime 30s ./internal/grid/
 
 fmt:
 	gofmt -w .

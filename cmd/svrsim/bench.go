@@ -14,13 +14,8 @@ import (
 	"repro/internal/workloads"
 )
 
-// benchBaselineFile is the committed bench baseline; benchBaselineLegacy
-// is its pre-rename path, still read as a fallback so older checkouts
-// and scripts keep working.
-const (
-	benchBaselineFile   = "BENCH_BASELINE.json"
-	benchBaselineLegacy = "BENCH_PR3.json"
-)
+// benchBaselineFile is the committed bench baseline.
+const benchBaselineFile = "BENCH_BASELINE.json"
 
 // BenchReport is the machine-readable output of `svrsim bench`: the
 // throughput of the simulator itself on the experiment grid, used by CI as
@@ -233,8 +228,7 @@ func cmdBench(w io.Writer, args []string) error {
 	}
 
 	if *baseF != "" {
-		basePath := resolveBaseline(*baseF)
-		if err := printBenchDelta(w, basePath, rep); err != nil {
+		if err := printBenchDelta(w, *baseF, rep); err != nil {
 			// The diff is informational; a missing or stale baseline must
 			// not fail the bench (CI treats this step as non-blocking).
 			fmt.Fprintf(w, "bench: baseline diff skipped: %v\n", err)
@@ -260,20 +254,6 @@ func printPhaseTable(w io.Writer, phases sim.PhaseTimes, cellWall time.Duration)
 		fmt.Fprintf(w, "  %-13s %8.2fs  %5.1f%% of wall attributed\n",
 			"total", phases.Total().Seconds(), 100*phases.Total().Seconds()/cellWall.Seconds())
 	}
-}
-
-// resolveBaseline falls back to the legacy baseline name when the caller
-// left the default and only the pre-rename file exists.
-func resolveBaseline(path string) string {
-	if path != benchBaselineFile {
-		return path
-	}
-	if _, err := os.Stat(path); os.IsNotExist(err) {
-		if _, err := os.Stat(benchBaselineLegacy); err == nil {
-			return benchBaselineLegacy
-		}
-	}
-	return path
 }
 
 // measureRates times one BFS_KR cell the way a paper-scale region run

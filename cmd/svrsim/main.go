@@ -140,8 +140,8 @@ journal flags:
 bench flags:
   -phases            report per-phase wall-time attribution (where grid time goes)
   -out F             bench report JSON path (default BENCH_BASELINE.json)
-  -baseline F        diff against a previous bench JSON (default BENCH_BASELINE.json,
-                     falling back to the legacy BENCH_PR3.json; informational)
+  -baseline F        diff against a previous bench JSON (default BENCH_BASELINE.json;
+                     informational)
   -ckpt              run the grid with shared fast-forward checkpoints
   -cpuprofile F      write a CPU profile
   -memprofile F      write an allocation profile

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/grid"
+	"repro/internal/sim"
 )
 
 // TestServeAndStatusMuxesCoexist: `svrsim serve` and the run-mode
@@ -61,5 +65,46 @@ func TestServeAndStatusMuxesCoexist(t *testing.T) {
 	}
 	if code, _ := get("http://" + statusAddr + "/healthz"); code == http.StatusOK {
 		t.Error("-status server serves /healthz; serve-only routes leaked onto it")
+	}
+}
+
+// TestServeRejectsUnbuildableConfig: a Grid config no constructor can
+// build (a zero-valued hierarchy divides by zero ways; a zero issue
+// width divides the in-order slot clock) is refused with 400 at submit
+// instead of panicking a worker and killing the server with every
+// queued job. The server keeps answering afterwards.
+func TestServeRejectsUnbuildableConfig(t *testing.T) {
+	s := grid.New(grid.Options{Workers: 1})
+	defer s.Shutdown()
+	srv := httptest.NewServer(newServeMux(s))
+	defer srv.Close()
+
+	widthZero := sim.MachineConfig(sim.InO)
+	widthZero.InO.Width = 0
+	blob, err := json.Marshal(grid.SubmitRequest{Grid: []sim.Config{widthZero}, Workloads: []string{"NAS-IS"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{`{"Grid":[{"Label":"x"}],"Workloads":["NAS-IS"]}`, string(blob)} {
+		resp, err := http.Post(srv.URL+"/api/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d, want 400\n%s", body, resp.StatusCode, msg)
+		}
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Errorf("rejected submissions created %d jobs", n)
+	}
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz after the rejected submissions = %d", resp.StatusCode)
 	}
 }

@@ -67,27 +67,13 @@ type Cache struct {
 
 	// Single-entry last-line cache: fastLine is the line index
 	// (addr>>LineBits) of the most recently hit or filled line plus one
-	// (zero = invalid) and fastWay points at its way. Lookup and Peek
-	// consult it before scanning the set; Fill repoints it. The fast
-	// path replays exactly the state updates of a scan hit, so cache
-	// contents, LRU order and counters are bit-identical either way.
+	// (zero = invalid) and fastWay points at its way. Lookup, Refresh
+	// and Peek consult it before scanning the set; Fill repoints it. The
+	// fast path replays exactly the state updates of a scan hit, so
+	// cache contents, LRU order and counters are bit-identical either
+	// way.
 	fastLine uint64
 	fastWay  *line
-
-	// Direct-mapped line→way hints: lineHint[(addr>>LineBits)&lineHintMask]
-	// holds the flat sets index of the way last seen holding that line,
-	// plus one (zero = no hint). Hints are advisory: a hit must verify
-	// both that the index lies inside addr's own set — the tag excludes
-	// set bits, so a tag match alone could alias a same-tag line in
-	// another set — and that tagp still carries the line's tag. Refresh
-	// consults them after a fastLine miss, turning the prefetch path's
-	// residency re-touch of a non-MRU line into one verified probe instead
-	// of a set scan; Fill and scan hits teach them. Same discipline as the
-	// TLB's slotIdx table. nil unless EnableLineHints was called — only
-	// the L1-D has a Refresh-heavy caller (Hierarchy.Prefetch), and on
-	// hint-blind caches the teaching stores would be pure cost.
-	lineHint     []uint32
-	lineHintMask uint64
 
 	// MSHRs: outstanding fills, as (line address, ready cycle) pairs.
 	// mshrMaxReady is the latest fill completion ever recorded: a probe
@@ -147,19 +133,6 @@ func NewCache(name string, sizeBytes, ways, mshrs int) *Cache {
 	return c
 }
 
-// EnableLineHints allocates the line→way hint table (4 slots per line,
-// power of two, min 64). Call it on caches whose Refresh path is hot —
-// the hierarchy enables it for the L1-D, which Prefetch re-touches on
-// every resident-line SVR/stride request.
-func (c *Cache) EnableLineHints() {
-	hintSlots := 64
-	for hintSlots < 4*len(c.sets) {
-		hintSlots *= 2
-	}
-	c.lineHint = make([]uint32, hintSlots)
-	c.lineHintMask = uint64(hintSlots - 1)
-}
-
 // setBase returns the flat index of addr's set's first way. The tag
 // match scans run over tagp[base:base+ways] — a dense uint64 run (one
 // cache line for 8 ways) instead of striding through the line structs;
@@ -214,9 +187,6 @@ func (c *Cache) Lookup(addr uint64, write, markTouched bool) (hit bool, wasPrefe
 				l.dirty = true
 			}
 			c.fastLine, c.fastWay = addr>>LineBits+1, l
-			if c.lineHint != nil {
-				c.lineHint[(addr>>LineBits)&c.lineHintMask] = uint32(base+uint64(i)) + 1
-			}
 			pf := l.prefetch
 			if markTouched {
 				l.touched = true
@@ -243,22 +213,6 @@ func (c *Cache) Refresh(addr uint64) bool {
 	}
 	tag := c.tag(addr)
 	base := c.setBase(addr)
-	// Verified line→way hint: one probe instead of the set scan when the
-	// line was seen recently but is not the MRU line (SVR prefetch bursts
-	// cycling over a few hot lines). The state updates are exactly the
-	// scan hit's below.
-	if c.lineHint != nil {
-		if hi := uint64(c.lineHint[(addr>>LineBits)&c.lineHintMask]); hi != 0 {
-			if idx := hi - 1; idx >= base && idx < base+uint64(c.ways) && c.tagp[idx] == tag+1 {
-				l := &c.sets[idx]
-				c.Accesses++
-				c.lruClock++
-				l.lastUse = c.lruClock
-				c.fastLine, c.fastWay = addr>>LineBits+1, l
-				return true
-			}
-		}
-	}
 	for i, t := range c.tagp[base : base+uint64(c.ways)] {
 		if t == tag+1 {
 			l := &c.sets[base+uint64(i)]
@@ -266,9 +220,6 @@ func (c *Cache) Refresh(addr uint64) bool {
 			c.lruClock++
 			l.lastUse = c.lruClock
 			c.fastLine, c.fastWay = addr>>LineBits+1, l
-			if c.lineHint != nil {
-				c.lineHint[(addr>>LineBits)&c.lineHintMask] = uint32(base+uint64(i)) + 1
-			}
 			return true
 		}
 	}
@@ -319,9 +270,6 @@ func (c *Cache) Fill(addr uint64, dirty bool, prefetchOrigin Origin) Victim {
 				l.dirty = true
 			}
 			c.fastLine, c.fastWay = addr>>LineBits+1, l
-			if c.lineHint != nil {
-				c.lineHint[(addr>>LineBits)&c.lineHintMask] = uint32(base+uint64(i)) + 1
-			}
 			return Victim{}
 		}
 		if t == 0 {
@@ -352,12 +300,8 @@ func (c *Cache) Fill(addr uint64, dirty bool, prefetchOrigin Origin) Victim {
 	tp[vi] = tag + 1
 	// Repoint the last-line cache at the filled line. This also heals the
 	// one way the mapping can go stale: a fill is the only operation that
-	// changes which line a way holds. (Hints left behind for other lines
-	// need no healing: every consult re-verifies against tagp.)
+	// changes which line a way holds.
 	c.fastLine, c.fastWay = addr>>LineBits+1, v
-	if c.lineHint != nil {
-		c.lineHint[(addr>>LineBits)&c.lineHintMask] = uint32(base+uint64(vi)) + 1
-	}
 	return victim
 }
 
@@ -432,12 +376,4 @@ func (c *Cache) MSHROccupancy(at int64) int {
 		}
 	}
 	return n
-}
-
-// MissRate returns misses/accesses.
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
 }

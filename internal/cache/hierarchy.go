@@ -130,9 +130,6 @@ func NewHierarchyShared(cfg Config, ch *dram.Channel) *Hierarchy {
 	if cfg.StrideDegree > 0 {
 		h.Stride = NewStridePrefetcher(64, cfg.StrideDegree)
 	}
-	// Only the L1-D has a Refresh-heavy caller (Prefetch); hint-table
-	// teaching on the other caches would be stores nothing ever reads.
-	h.L1D.EnableLineHints()
 
 	r := metrics.New()
 	h.Reg = r
@@ -164,16 +161,7 @@ func NewHierarchyShared(cfg Config, ch *dram.Channel) *Hierarchy {
 // translate runs the TLB/PTW path and returns the cycle at which the
 // physical address is known.
 func (h *Hierarchy) translate(addr uint64, at int64) int64 {
-	// Inlined D-TLB MRU hit — the exact state updates of TLB.Lookup's
-	// fast path without the call.
-	d := h.DTLB
-	if vpn := addr >> PageBits; d.fastVPN == vpn+1 {
-		d.Accesses++
-		d.clock++
-		d.lastUse[d.fastIdx] = d.clock
-		return at // D-TLB hit is pipelined with the L1 access
-	}
-	if d.Lookup(addr) {
+	if h.DTLB.Lookup(addr) {
 		return at // D-TLB hit is pipelined with the L1 access
 	}
 	if h.STLB.Lookup(addr) {
@@ -288,23 +276,6 @@ func (h *Hierarchy) demandAccess(addr uint64, write bool, t int64) Result {
 // values) is available. Lines already present or in flight cost only the
 // L1 latency or the remaining fill time.
 func (h *Hierarchy) Prefetch(addr uint64, at int64, origin Origin) Result {
-	// Combined resident-line fast path: MRU D-TLB entry, quiesced MSHRs,
-	// and MRU L1-D line — SVR's steady state, where vectorized lanes
-	// hammer the same handful of lines. Replays exactly the state updates
-	// of the call chain below (D-TLB fast hit in translate, the
-	// MSHRQuiesced skip, and a Refresh fast hit), so counters, clocks and
-	// LRU order are bit-identical; anything else falls through.
-	if d := h.DTLB; d.fastVPN == addr>>PageBits+1 {
-		if c := h.L1D; c.fastLine == addr>>LineBits+1 && at >= c.mshrMaxReady {
-			d.Accesses++
-			d.clock++
-			d.lastUse[d.fastIdx] = d.clock
-			c.Accesses++
-			c.lruClock++
-			c.fastWay.lastUse = c.lruClock
-			return Result{CompleteAt: at + h.Cfg.L1Latency, Level: LevelL1}
-		}
-	}
 	t := h.translate(addr, at)
 	var ready int64
 	var inflight bool
@@ -330,26 +301,6 @@ func (h *Hierarchy) Prefetch(addr uint64, at int64, origin Origin) Result {
 // in the L1-I, so the common case is free (hit latency is hidden by
 // fetch-ahead); a miss stalls the front end for the fill.
 func (h *Hierarchy) FetchInstr(addr uint64, at int64) (bubble int64) {
-	// Combined I-side fast path: MRU ITLB entry and MRU L1I line, the
-	// loop-execution steady state. Replays exactly the state updates of
-	// the call chain below (ITLB fast hit, then an L1I Lookup fast hit
-	// with markTouched), so counters, clocks and line state are
-	// bit-identical; anything else falls through to the full path.
-	if it := h.ITLB; it.fastVPN == addr>>PageBits+1 {
-		if c := h.L1I; c.fastLine == addr>>LineBits+1 {
-			it.Accesses++
-			it.clock++
-			it.lastUse[it.fastIdx] = it.clock
-			c.Accesses++
-			c.lruClock++
-			l := c.fastWay
-			l.lastUse = c.lruClock
-			l.touched = true
-			l.prefetch = -1
-			h.lastILine = addr &^ (LineSize - 1)
-			return 0
-		}
-	}
 	if !h.ITLB.Lookup(addr) {
 		if h.STLB.Lookup(addr) {
 			bubble += h.Cfg.STLBLatency

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-// TestCacheInclusionInvariant: after any access sequence, a line reported
+// TestCacheLookupPeekAgree: after any access sequence, a line reported
 // hit by Peek must be found again by Peek (probing is side-effect-free on
 // presence), and Lookup hits must agree with Peek.
 func TestCacheLookupPeekAgree(t *testing.T) {

@@ -30,24 +30,6 @@ type TLB struct {
 	fastVPN uint64
 	fastIdx uint64
 
-	// Miss-to-Insert victim stash: a Lookup miss has already scanned the
-	// whole set, so it records the victim Insert's own scan would pick
-	// (same selection rule). missVPN is the missed vpn plus one (zero =
-	// invalid); Insert consumes the stash once. Valid because every set
-	// mutation goes through Insert, which consumes or clobbers the stash,
-	// so a stash always describes the set's current state.
-	missVPN    uint64
-	missVictim int
-
-	// slotIdx is a direct-mapped vpn→slot hint table: slotIdx[vpn&mask]
-	// holds flat slot index+1 of the slot that last held vpn. Purely an
-	// accelerator for the hit scan — every hint is verified against vpns
-	// before use (a stale or colliding hint just falls back to the scan),
-	// and the hit it shortcuts replays exactly the scan hit's state
-	// updates, so LRU order, counters, and victims are bit-identical.
-	slotIdx     []uint32
-	slotIdxMask uint64
-
 	Accesses int64
 	Misses   int64
 }
@@ -65,20 +47,12 @@ func NewTLB(name string, entries, ways int) *TLB {
 	if numSets == 0 || numSets&(numSets-1) != 0 {
 		panic("tlb: bad geometry")
 	}
-	// Hint table sized ~8x the slot count (min 64, power of two): sparse
-	// enough that distinct resident pages rarely collide on a bucket.
-	hintN := 64
-	for hintN < numSets*ways*8 {
-		hintN <<= 1
-	}
 	return &TLB{
-		Name:        name,
-		vpns:        make([]uint64, numSets*ways),
-		lastUse:     make([]uint64, numSets*ways),
-		ways:        ways,
-		setMask:     uint64(numSets - 1),
-		slotIdx:     make([]uint32, hintN),
-		slotIdxMask: uint64(hintN - 1),
+		Name:    name,
+		vpns:    make([]uint64, numSets*ways),
+		lastUse: make([]uint64, numSets*ways),
+		ways:    ways,
+		setMask: uint64(numSets - 1),
 	}
 }
 
@@ -94,79 +68,35 @@ func (t *TLB) Lookup(addr uint64) bool {
 		t.lastUse[t.fastIdx] = t.clock
 		return true
 	}
-	// Hint probe: a verified hint is exactly a scan hit (a slot can only
-	// ever hold vpns of its own set, so vpns[idx] matching proves set
-	// membership too), minus the walk to find it.
-	if hi := t.slotIdx[vpn&t.slotIdxMask]; hi != 0 && t.vpns[hi-1] == vpn+1 {
-		idx := uint64(hi - 1)
-		t.clock++
-		t.lastUse[idx] = t.clock
-		t.fastVPN, t.fastIdx = vpn+1, idx
-		return true
-	}
 	base := t.setBase(vpn)
-	keys := t.vpns[base : base+uint64(t.ways)]
-	for i, k := range keys {
+	for i, k := range t.vpns[base : base+uint64(t.ways)] {
 		if k == vpn+1 {
 			idx := base + uint64(i)
 			t.clock++
 			t.lastUse[idx] = t.clock
 			t.fastVPN, t.fastIdx = vpn+1, idx
-			t.slotIdx[vpn&t.slotIdxMask] = uint32(idx + 1)
 			return true
 		}
 	}
 	t.Misses++
-	// Miss: pick the victim the Insert that follows will need (same
-	// selection rule as Insert's scan — on a miss no entry matches, so
-	// the interleaved match checks are vacuous) while the set is hot.
-	// Kept off the hit path: hits pay nothing for the stash. One fused
-	// pass over keys+lastUse implementing "last invalid slot, else first
-	// minimum lastUse": once vi points at an invalid slot the min branch
-	// is dead, so a filling set degrades to the pure zero-scan and a full
-	// set to the pure min-scan.
-	use := t.lastUse[base : base+uint64(t.ways)]
-	vi := 0
-	for i, k := range keys {
-		if k == 0 {
-			vi = i
-		} else if keys[vi] != 0 && use[i] < use[vi] {
-			vi = i
-		}
-	}
-	t.missVPN, t.missVictim = vpn+1, vi
 	return false
 }
 
-// Insert installs a translation, evicting LRU.
+// Insert installs a translation, evicting LRU. A page already present
+// keeps its slot and LRU position.
 func (t *TLB) Insert(addr uint64) {
 	vpn := addr >> PageBits
-	// Already the MRU entry: the scan below would find it and return
-	// without touching any state, so skip the scan outright.
-	if t.fastVPN == vpn+1 {
-		return
-	}
 	base := t.setBase(vpn)
 	keys := t.vpns[base : base+uint64(t.ways)]
-	if t.missVPN == vpn+1 {
-		// The preceding Lookup miss already picked this set's victim.
-		t.missVPN = 0
-		idx := base + uint64(t.missVictim)
-		t.clock++
-		t.vpns[idx] = vpn + 1
-		t.lastUse[idx] = t.clock
-		t.fastVPN, t.fastIdx = vpn+1, idx
-		t.slotIdx[vpn&t.slotIdxMask] = uint32(idx + 1)
-		return
-	}
-	t.missVPN = 0
 	use := t.lastUse[base : base+uint64(t.ways)]
+	// One fused pass over keys+lastUse: the match check, and the victim
+	// rule "last invalid slot, else first minimum lastUse". Once vi
+	// points at an invalid slot the min branch is dead, so a filling set
+	// degrades to the pure zero-scan and a full set to the pure min-scan.
 	vi := 0
 	for i, k := range keys {
 		if k == vpn+1 {
-			idx := base + uint64(i)
-			t.fastVPN, t.fastIdx = vpn+1, idx
-			t.slotIdx[vpn&t.slotIdxMask] = uint32(idx + 1)
+			t.fastVPN, t.fastIdx = vpn+1, base+uint64(i)
 			return
 		}
 		if k == 0 {
@@ -180,7 +110,6 @@ func (t *TLB) Insert(addr uint64) {
 	t.vpns[idx] = vpn + 1
 	t.lastUse[idx] = t.clock
 	t.fastVPN, t.fastIdx = vpn+1, idx
-	t.slotIdx[vpn&t.slotIdxMask] = uint32(idx + 1)
 }
 
 // WalkerPool models the page-table walkers (4 in Table III) as a resource

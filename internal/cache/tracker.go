@@ -35,12 +35,6 @@ type Tracker struct {
 	mask    uint64   // len(keys)-1
 	shift   uint     // 64 - log2(len(keys)), for Fibonacci hashing
 
-	// lastMiss is a line address known to carry no tag, plus one (zero =
-	// invalid). Demand streams touch the same line many times in a row,
-	// so this single-entry cache removes the table probe from most Touch
-	// calls. Only Mark adds tags, and it invalidates a matching lastMiss.
-	lastMiss uint64
-
 	Stats [NumOrigins]PFStats
 }
 
@@ -131,7 +125,6 @@ func (t *Tracker) grow() {
 func (t *Tracker) Clear() {
 	clear(t.keys)
 	t.n = 0
-	t.lastMiss = 0
 	t.Stats = [NumOrigins]PFStats{}
 }
 
@@ -141,9 +134,6 @@ func (t *Tracker) Mark(addr uint64, origin Origin) {
 	i, dup := t.find(lineAddr + 1)
 	if dup {
 		return
-	}
-	if t.lastMiss == lineAddr+1 {
-		t.lastMiss = 0
 	}
 	t.keys[i] = lineAddr + 1
 	t.origins[i] = origin
@@ -162,15 +152,10 @@ func (t *Tracker) Touch(addr uint64) {
 		return
 	}
 	lineAddr := addr &^ (LineSize - 1)
-	if t.lastMiss == lineAddr+1 {
-		return
-	}
 	if i, ok := t.find(lineAddr + 1); ok {
 		t.Stats[t.origins[i]].Used++
 		t.del(i)
 	}
-	// Tagged or not, the line carries no tag now.
-	t.lastMiss = lineAddr + 1
 }
 
 // Evict records an LLC eviction: an untouched prefetched line counts
@@ -217,7 +202,6 @@ func (t *Tracker) setTag(lineAddr uint64, o Origin) {
 func (t *Tracker) resetTags() {
 	clear(t.keys)
 	t.n = 0
-	t.lastMiss = 0
 }
 
 // Register publishes per-origin prefetch-accuracy counters

@@ -155,8 +155,8 @@ func (h *Hierarchy) WarmState() *HierarchyState {
 }
 
 // SetWarmState restores a WarmState snapshot in place. Geometry must
-// match the snapshot's; MRU shortcuts and miss stashes are dropped (they
-// point into pre-restore contents and are semantically transparent).
+// match the snapshot's; the MRU entries are dropped (they point into
+// pre-restore contents and are semantically transparent).
 func (h *Hierarchy) SetWarmState(s *HierarchyState) {
 	restoreCache(h.L1D, s.l1d)
 	restoreCache(h.L1I, s.l1i)
@@ -220,7 +220,6 @@ func restoreTLB(t *TLB, s tlbState) {
 	copy(t.lastUse, s.lastUse)
 	t.clock = s.clock
 	t.fastVPN, t.fastIdx = 0, 0
-	t.missVPN = 0
 }
 
 // LineInfo describes one valid cache line for state-comparison tests.

@@ -239,9 +239,9 @@ func ParseConfig(name string) (sim.Config, error) {
 	return sim.Config{}, fmt.Errorf("grid: unknown config %q (want inorder, imp, ooo, or svrN)", name)
 }
 
-// Submit validates a request, expands it into cells and enqueues them.
-// It returns *ErrQueueFull (nothing enqueued) when the queue cannot take
-// the whole job.
+// Submit validates a request (every config must pass sim.Config.Validate),
+// expands it into cells and enqueues them. It returns *ErrQueueFull
+// (nothing enqueued) when the queue cannot take the whole job.
 func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 	if len(req.Configs) == 0 {
 		return nil, fmt.Errorf("grid: job has no configs")
@@ -259,6 +259,11 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 			return nil, fmt.Errorf("grid: duplicate config label %q", c.Label)
 		}
 		seen[c.Label] = true
+		// A config a constructor cannot build would panic a worker and
+		// take every queued job down with the process.
+		if err := c.Validate(); err != nil {
+			return nil, fmt.Errorf("grid: %w", err)
+		}
 	}
 	return s.submit(req.Name, req.Priority, req.Configs, specs, req.Params)
 }
