@@ -38,10 +38,12 @@ type BenchReport struct {
 
 	// Single-cell reference rates, measured apart from the grid so
 	// parallelism and build time don't blur them: detailed simulation vs
-	// the functional fast-forward loop on the same workload.
-	DetNSPerInstr float64 `json:"detailed_ns_per_instr_single_cell"`
-	FFNSPerInstr  float64 `json:"ff_ns_per_instr"`
-	FFSpeedup     float64 `json:"ff_speedup_vs_detailed"`
+	// the functional fast-forward loop on the same workload, plain and
+	// with functional warming (the skip every paper-scale gap runs).
+	DetNSPerInstr    float64 `json:"detailed_ns_per_instr_single_cell"`
+	FFNSPerInstr     float64 `json:"ff_ns_per_instr"`
+	FFWarmNSPerInstr float64 `json:"ff_warm_ns_per_instr"`
+	FFSpeedup        float64 `json:"ff_speedup_vs_detailed"`
 
 	// Execute-once, time-many accounting: how many recording passes
 	// the grid ran and how compact the recordings were.
@@ -117,7 +119,7 @@ func cmdBench(w io.Writer, args []string) error {
 
 	// Reference rates first, single-threaded and outside the profiled
 	// grid window.
-	detNS, ffNS, err := measureRates(p.Params)
+	rates, err := measureRates(p.Params)
 	if err != nil {
 		return err
 	}
@@ -156,17 +158,18 @@ func cmdBench(w io.Writer, args []string) error {
 	}
 
 	rep := BenchReport{
-		Generated:     start.UTC().Format(time.RFC3339),
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Scale:         scale,
-		CkptShared:    *g.ckpt,
-		Experiments:   len(exps),
-		Cells:         cells,
-		Instrs:        instrs,
-		WallSeconds:   wall.Seconds(),
-		DetNSPerInstr: detNS,
-		FFNSPerInstr:  ffNS,
+		Generated:        start.UTC().Format(time.RFC3339),
+		GoVersion:        runtime.Version(),
+		GOMAXPROCS:       runtime.GOMAXPROCS(0),
+		Scale:            scale,
+		CkptShared:       *g.ckpt,
+		Experiments:      len(exps),
+		Cells:            cells,
+		Instrs:           instrs,
+		WallSeconds:      wall.Seconds(),
+		DetNSPerInstr:    rates.det,
+		FFNSPerInstr:     rates.ff,
+		FFWarmNSPerInstr: rates.ffWarm,
 	}
 	rec := sim.RecordingStats()
 	rep.StreamRecordings = rec.Recordings - rec0.Recordings
@@ -186,8 +189,8 @@ func cmdBench(w io.Writer, args []string) error {
 			}
 		}
 	}
-	if ffNS > 0 {
-		rep.FFSpeedup = detNS / ffNS
+	if rates.ff > 0 {
+		rep.FFSpeedup = rates.det / rates.ff
 	}
 	if s := wall.Seconds(); s > 0 {
 		rep.CellsPerSec = float64(cells) / s
@@ -217,8 +220,8 @@ func cmdBench(w io.Writer, args []string) error {
 
 	fmt.Fprintf(w, "bench: %d cells, %d Minstr in %.1fs — %.2f cells/s, %.0f ns/instr, %.3f allocs/instr\n",
 		cells, instrs/1e6, wall.Seconds(), rep.CellsPerSec, rep.NSPerInstr, rep.AllocsPerInstr)
-	fmt.Fprintf(w, "fast-forward: %.1f ns/instr vs %.0f ns/instr detailed SVR16 single-cell (%.0fx)\n",
-		ffNS, detNS, rep.FFSpeedup)
+	fmt.Fprintf(w, "fast-forward: %.1f ns/instr plain, %.1f ns/instr warmed, vs %.0f ns/instr detailed SVR16 single-cell (%.0fx plain)\n",
+		rates.ff, rates.ffWarm, rates.det, rep.FFSpeedup)
 	fmt.Fprintf(w, "recordings: %d, %.1f MiB (%.2f B/instr); cohorts: %d covered %d cells (mean width %.1f)\n",
 		rep.StreamRecordings, float64(rep.StreamBytes)/(1<<20), rep.StreamBytesPerInstr,
 		rep.Cohorts, rep.CohortCells, rep.CohortWidth)
@@ -256,35 +259,50 @@ func printPhaseTable(w io.Writer, phases sim.PhaseTimes, cellWall time.Duration)
 	}
 }
 
+// singleCellRates are the single-thread ns/instr of one BFS_KR cell's
+// phases.
+type singleCellRates struct {
+	ff, ffWarm, det float64
+}
+
 // measureRates times one BFS_KR cell the way a paper-scale region run
-// uses it, on one thread: the functional fast-forward skips ahead, then
-// a detailed window runs on the paper's subject machine (SVR16, the
-// modal grid configuration) from where the skip landed. Grid-level
-// ns/instr conflates build time and parallelism; this is the
-// apples-to-apples rate pair behind ff_speedup_vs_detailed.
-func measureRates(p sim.Params) (detNS, ffNS float64, err error) {
+// uses it, on one thread: a plain functional fast-forward skips ahead, a
+// detailed window runs on the paper's subject machine (SVR16, the modal
+// grid configuration) from where the skip landed, and a warmed
+// fast-forward follows it, as the gap after every paper-scale region
+// does (PaperParams().Warm). Grid-level ns/instr conflates build time
+// and parallelism; this is the apples-to-apples rate set behind
+// ff_speedup_vs_detailed.
+func measureRates(p sim.Params) (singleCellRates, error) {
+	var r singleCellRates
 	spec, err := workloads.Get("BFS_KR")
 	if err != nil {
-		return 0, 0, err
+		return r, err
 	}
 	inst := spec.Build(p.Scale)
 	m, err := sim.NewMachine(sim.SVRConfig(16), inst)
 	if err != nil {
-		return 0, 0, err
+		return r, err
 	}
 
 	const skip = 2_000_000
 	t0 := time.Now()
 	if !m.FastForward(skip, false) {
-		return 0, 0, fmt.Errorf("bench: BFS_KR ended inside the %d-instruction fast-forward", skip)
+		return r, fmt.Errorf("bench: BFS_KR ended inside the %d-instruction fast-forward", skip)
 	}
-	ffNS = float64(time.Since(t0).Nanoseconds()) / float64(skip)
+	r.ff = float64(time.Since(t0).Nanoseconds()) / float64(skip)
 
 	dp := sim.Params{Scale: p.Scale, Warmup: 60_000, Measure: 200_000}
 	t1 := time.Now()
 	sim.SimulateFrom(m, dp)
-	detNS = float64(time.Since(t1).Nanoseconds()) / float64(dp.Warmup+dp.Measure)
-	return detNS, ffNS, nil
+	r.det = float64(time.Since(t1).Nanoseconds()) / float64(dp.Warmup+dp.Measure)
+
+	t2 := time.Now()
+	if !m.FastForward(skip, true) {
+		return r, fmt.Errorf("bench: BFS_KR ended inside the %d-instruction warmed fast-forward", skip)
+	}
+	r.ffWarm = float64(time.Since(t2).Nanoseconds()) / float64(skip)
+	return r, nil
 }
 
 // printBenchDelta prints the relative change against a previous report.

@@ -68,6 +68,46 @@ func TestServeAndStatusMuxesCoexist(t *testing.T) {
 	}
 }
 
+// TestServeRejectsUnrunnableParams: a window whose image no builder can
+// finish (negative sizes sent one running away until the kernel killed
+// the server) or whose lengths exceed the caps is refused with 400 at
+// submit, before any worker builds anything. The server keeps answering
+// afterwards.
+func TestServeRejectsUnrunnableParams(t *testing.T) {
+	s := grid.New(grid.Options{Workers: 1})
+	defer s.Shutdown()
+	srv := httptest.NewServer(newServeMux(s))
+	defer srv.Close()
+
+	for _, body := range []string{
+		`{"Configs":["inorder"],"Workloads":["NAS-IS"],"Params":{"Scale":{"GraphNodes":-5,"Elems":-5,"Seed":1},"Warmup":10,"Measure":10}}`,
+		`{"Configs":["inorder"],"Workloads":["NAS-IS"],"Params":{"Scale":{"GraphNodes":1073741824,"Elems":1024,"Seed":1},"Measure":10}}`,
+		`{"Configs":["inorder"],"Workloads":["NAS-IS"],"Params":{"Scale":{"GraphNodes":512,"Elems":1024,"Seed":1},"Measure":100000,"SampleEvery":1}}`,
+		`{"Configs":["inorder"],"Workloads":["NAS-IS"],"Params":{"Scale":{"GraphNodes":512,"Elems":1024,"Seed":1},"Measure":10,"Regions":1000000}}`,
+	} {
+		resp, err := http.Post(srv.URL+"/api/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d, want 400\n%s", body, resp.StatusCode, msg)
+		}
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Errorf("rejected submissions created %d jobs", n)
+	}
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz after the rejected submissions = %d", resp.StatusCode)
+	}
+}
+
 // TestServeRejectsUnbuildableConfig: a Grid config no constructor can
 // build (a zero-valued hierarchy divides by zero ways; a zero issue
 // width divides the in-order slot clock) is refused with 400 at submit

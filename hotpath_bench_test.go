@@ -1,7 +1,8 @@
 package repro
 
 // Micro-benchmarks and allocation guards for the simulator's hot path:
-// the emulator step loop, the radix-table memory, and the L1 fast path.
+// the emulator step loop, the warmed fast-forward, the radix-table
+// memory, and the L1 fast path.
 // The AllocsPerRun tests are regression guards — the step and L1-hit
 // paths are allocation-free by construction, and any future allocation
 // there costs throughput on every simulated instruction.
@@ -14,7 +15,9 @@ import (
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/internal/stream"
+	"repro/internal/workloads"
 )
 
 // stepProg is a tiny endless kernel exercising the emulator's ALU, load,
@@ -80,29 +83,58 @@ func BenchmarkFastForward(b *testing.B) {
 	cpu.FastForward(uint64(b.N))
 }
 
+// warmStart is where the warmed fast-forward benchmarks start timing in
+// quick-scale BFS_KR (12.1 M instructions): past the first 1 M, so the
+// hierarchy, predictor and image pages are in steady state, with room
+// for warmBudget more before the program ends.
+const warmStart, warmBudget = 1 << 20, 8 << 20
+
+// warmedMachine builds an SVR16 machine, the paper's subject, on a
+// quick-scale BFS_KR image and warms it up to warmStart.
+func warmedMachine(tb testing.TB) sim.Machine {
+	tb.Helper()
+	spec, err := workloads.Get("BFS_KR")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := sim.NewMachine(sim.SVRConfig(16), spec.Build(sim.QuickParams().Scale))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !m.FastForward(warmStart, true) {
+		tb.Fatal("BFS_KR ended inside the warm-up")
+	}
+	return m
+}
+
+// BenchmarkFastForwardWarm times the warmed fast-forward a paper-scale
+// gap runs, through sim.Machine.FastForward: one op is one instruction.
+// Every warmBudget instructions the machine goes back to a checkpoint at
+// warmStart, untimed, so the program never ends inside the loop.
 func BenchmarkFastForwardWarm(b *testing.B) {
-	h := cache.NewHierarchy(cache.DefaultConfig())
-	bp := inorder.New(inorder.DefaultConfig(), h).BP
-	w := &hierBPWarmer{h: h, bp: bp}
-	cpu := emu.New(stepProg(), mem.New())
-	cpu.FastForwardWarm(1<<14, w)
+	m := warmedMachine(b)
+	ck := m.Checkpoint()
 	b.ReportAllocs()
 	b.ResetTimer()
-	cpu.FastForwardWarm(uint64(b.N), w)
+	var pos uint64
+	for left := uint64(b.N); left > 0; {
+		if pos == warmBudget {
+			b.StopTimer()
+			var err error
+			if m, err = sim.NewMachineFrom(sim.SVRConfig(16), ck); err != nil {
+				b.Fatal(err)
+			}
+			pos = 0
+			b.StartTimer()
+		}
+		k := min(left, warmBudget-pos)
+		if !m.FastForward(k, true) {
+			b.Fatal("BFS_KR ended inside the timed fast-forward")
+		}
+		pos += k
+		left -= k
+	}
 }
-
-// hierBPWarmer mirrors the warmer the sim layer wires up: hierarchy
-// warm-access methods for the memory stream, predictor updates for
-// branches.
-type hierBPWarmer struct {
-	h  *cache.Hierarchy
-	bp interface{ Predict(pc int, taken bool) bool }
-}
-
-func (w *hierBPWarmer) WarmFetch(pc int)              { w.h.WarmFetchInstr(inorder.CodeBase + uint64(pc)*4) }
-func (w *hierBPWarmer) WarmLoad(pc int, addr uint64)  { w.h.WarmAccess(pc, addr, false) }
-func (w *hierBPWarmer) WarmStore(pc int, addr uint64) { w.h.WarmAccess(pc, addr, true) }
-func (w *hierBPWarmer) WarmBranch(pc int, taken bool) { w.bp.Predict(pc, taken) }
 
 // TestFastForwardDoesNotAllocate guards the functional fast-forward loop:
 // steady state must be allocation-free, or paper-scale skip distances pay
@@ -118,14 +150,11 @@ func TestFastForwardDoesNotAllocate(t *testing.T) {
 // TestFastForwardWarmDoesNotAllocate guards the warming variant's steady
 // state: warm lookups land in already-allocated cache/TLB/predictor
 // tables, so no per-instruction allocation is acceptable there either.
+// It runs the real warmer, through sim.Machine.FastForward.
 func TestFastForwardWarmDoesNotAllocate(t *testing.T) {
-	h := cache.NewHierarchy(cache.DefaultConfig())
-	bp := inorder.New(inorder.DefaultConfig(), h).BP
-	w := &hierBPWarmer{h: h, bp: bp}
-	cpu := emu.New(stepProg(), mem.New())
-	cpu.FastForwardWarm(1<<15, w)
-	if allocs := testing.AllocsPerRun(1000, func() { cpu.FastForwardWarm(1, w) }); allocs != 0 {
-		t.Fatalf("emu.FastForwardWarm allocates %.1f objects per instruction in steady state", allocs)
+	m := warmedMachine(t)
+	if allocs := testing.AllocsPerRun(1000, func() { m.FastForward(1, true) }); allocs != 0 {
+		t.Fatalf("warmed Machine.FastForward allocates %.1f objects per instruction in steady state", allocs)
 	}
 }
 

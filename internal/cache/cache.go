@@ -46,32 +46,32 @@ const LineBits = 6
 // LineSize is the cache-line size in bytes.
 const LineSize = 1 << LineBits
 
+// line is a way's replacement and prefetch state. Its tag and validity
+// live only in the packed tagp row, so the struct stays 16 bytes and
+// an 8-way set's stamps span two host cache lines.
 type line struct {
-	tag      uint64
-	valid    bool
-	dirty    bool
 	lastUse  uint64 // LRU timestamp
-	prefetch Origin // origin that prefetched the line, or -1
-	touched  bool   // demand-accessed since fill
+	prefetch int8   // Origin that prefetched the line, or -1
+	dirty    bool
+	touched  bool // demand-accessed since fill
 }
 
 // Cache is one level of set-associative, write-back, write-allocate cache.
 type Cache struct {
 	Name     string
 	sets     []line   // ways*numSets entries, set-major
-	tagp     []uint64 // packed scan array parallel to sets: tag+1, 0 = invalid
+	tagp     []uint64 // parallel to sets: tag+1, 0 = invalid
 	ways     int
 	setMask  uint64
 	setBits  uint
 	lruClock uint64
 
 	// Single-entry last-line cache: fastLine is the line index
-	// (addr>>LineBits) of the most recently hit or filled line plus one
-	// (zero = invalid) and fastWay points at its way. Lookup, Refresh
-	// and Peek consult it before scanning the set; Fill repoints it. The
-	// fast path replays exactly the state updates of a scan hit, so
-	// cache contents, LRU order and counters are bit-identical either
-	// way.
+	// (addr>>LineBits) of the most recently found or filled line plus
+	// one (zero = invalid) and fastWay points at its way. Every probe
+	// consults it before scanning the set, and a scan or Fill repoints
+	// it. It only short-cuts finding the way, so cache contents, LRU
+	// order and counters are bit-identical either way.
 	fastLine uint64
 	fastWay  *line
 
@@ -135,25 +135,42 @@ func NewCache(name string, sizeBytes, ways, mshrs int) *Cache {
 
 // setBase returns the flat index of addr's set's first way. The tag
 // match scans run over tagp[base:base+ways] — a dense uint64 run (one
-// cache line for 8 ways) instead of striding through the line structs;
-// only a match dereferences the full line. Fill is the sole mutator of
-// a way's identity, and it keeps tagp in sync.
+// cache line for 8 ways). Fill is the sole mutator of a way's identity.
 func (c *Cache) setBase(addr uint64) uint64 {
 	return ((addr >> LineBits) & c.setMask) * uint64(c.ways)
 }
 
 func (c *Cache) tag(addr uint64) uint64 { return addr >> (LineBits + c.setBits) }
 
-// rebuildTagp rederives the packed scan array from the line structs;
-// used after a warm-state restore overwrites sets wholesale.
-func (c *Cache) rebuildTagp() {
-	for i := range c.sets {
-		if c.sets[i].valid {
-			c.tagp[i] = c.sets[i].tag + 1
-		} else {
-			c.tagp[i] = 0
+// find returns addr's way, or nil when the line is absent: the MRU
+// entry first, then one scan of the set.
+func (c *Cache) find(addr uint64) *line {
+	if c.fastLine == addr>>LineBits+1 {
+		return c.fastWay
+	}
+	return c.scan(addr)
+}
+
+// scan looks addr's line up in its set's tagp row and repoints the MRU
+// entry at it. Tags are unique within a set, so the scan compares every
+// way and selects the match without an early exit: its cost does not
+// depend on where the line sits, and the host predicts one loop branch
+// instead of the match position.
+func (c *Cache) scan(addr uint64) *line {
+	key := c.tag(addr) + 1
+	base := c.setBase(addr)
+	hit := -1
+	for i, t := range c.tagp[base : base+uint64(c.ways)] {
+		if t == key {
+			hit = i
 		}
 	}
+	if hit < 0 {
+		return nil
+	}
+	l := &c.sets[base+uint64(hit)]
+	c.fastLine, c.fastWay = addr>>LineBits+1, l
+	return l
 }
 
 // Lookup probes the cache without filling. On hit it refreshes LRU state,
@@ -162,41 +179,40 @@ func (c *Cache) rebuildTagp() {
 // when markTouched is set).
 func (c *Cache) Lookup(addr uint64, write, markTouched bool) (hit bool, wasPrefetch Origin) {
 	c.Accesses++
-	if c.fastLine == addr>>LineBits+1 {
-		l := c.fastWay
-		c.lruClock++
-		l.lastUse = c.lruClock
-		if write {
-			l.dirty = true
-		}
-		pf := l.prefetch
-		if markTouched {
-			l.touched = true
-			l.prefetch = -1
-		}
-		return true, pf
+	l := c.find(addr)
+	if l == nil {
+		c.Misses++
+		return false, -1
 	}
-	tag := c.tag(addr)
-	base := c.setBase(addr)
-	for i, t := range c.tagp[base : base+uint64(c.ways)] {
-		if t == tag+1 {
-			l := &c.sets[base+uint64(i)]
-			c.lruClock++
-			l.lastUse = c.lruClock
-			if write {
-				l.dirty = true
-			}
-			c.fastLine, c.fastWay = addr>>LineBits+1, l
-			pf := l.prefetch
-			if markTouched {
-				l.touched = true
-				l.prefetch = -1
-			}
-			return true, pf
-		}
+	c.lruClock++
+	l.lastUse = c.lruClock
+	if write {
+		l.dirty = true
 	}
-	c.Misses++
-	return false, -1
+	pf := Origin(l.prefetch)
+	if markTouched {
+		l.touched = true
+		l.prefetch = -1
+	}
+	return true, pf
+}
+
+// LookupRun has exactly the effect of n ≥ 1 calls of
+// Lookup(addr, false, true) and reports whether they hit. The calls
+// would find the same line, so n hits collapse into one update: the
+// clock advances by n and the line takes the last stamp.
+func (c *Cache) LookupRun(addr uint64, n uint64) bool {
+	c.Accesses += int64(n)
+	l := c.find(addr)
+	if l == nil {
+		c.Misses += int64(n)
+		return false
+	}
+	c.lruClock += n
+	l.lastUse = c.lruClock
+	l.touched = true
+	l.prefetch = -1
+	return true
 }
 
 // Refresh re-touches a present line exactly as a no-write, no-mark Lookup
@@ -205,41 +221,19 @@ func (c *Cache) Lookup(addr uint64, write, markTouched bool) (hit bool, wasPrefe
 // single set scan; the state after Refresh is bit-identical to
 // `if c.Peek(addr) { c.Lookup(addr, false, false) }`.
 func (c *Cache) Refresh(addr uint64) bool {
-	if c.fastLine == addr>>LineBits+1 {
-		c.Accesses++
-		c.lruClock++
-		c.fastWay.lastUse = c.lruClock
-		return true
+	l := c.find(addr)
+	if l == nil {
+		return false
 	}
-	tag := c.tag(addr)
-	base := c.setBase(addr)
-	for i, t := range c.tagp[base : base+uint64(c.ways)] {
-		if t == tag+1 {
-			l := &c.sets[base+uint64(i)]
-			c.Accesses++
-			c.lruClock++
-			l.lastUse = c.lruClock
-			c.fastLine, c.fastWay = addr>>LineBits+1, l
-			return true
-		}
-	}
-	return false
+	c.Accesses++
+	c.lruClock++
+	l.lastUse = c.lruClock
+	return true
 }
 
-// Peek reports whether the line is present, with no state change.
-func (c *Cache) Peek(addr uint64) bool {
-	if c.fastLine == addr>>LineBits+1 {
-		return true
-	}
-	tag := c.tag(addr)
-	base := c.setBase(addr)
-	for _, t := range c.tagp[base : base+uint64(c.ways)] {
-		if t == tag+1 {
-			return true
-		}
-	}
-	return false
-}
+// Peek reports whether the line is present. It changes no contents,
+// recency or counters.
+func (c *Cache) Peek(addr uint64) bool { return c.find(addr) != nil }
 
 // Victim describes a line evicted by Fill.
 type Victim struct {
@@ -253,17 +247,16 @@ type Victim struct {
 // Fill installs the line containing addr, evicting the LRU way if needed.
 // prefetchOrigin < 0 marks a demand fill.
 func (c *Cache) Fill(addr uint64, dirty bool, prefetchOrigin Origin) Victim {
-	tag := c.tag(addr)
+	key := c.tag(addr) + 1
 	base := c.setBase(addr)
 	set := c.sets[base : base+uint64(c.ways)]
 	tp := c.tagp[base : base+uint64(c.ways)]
-	// Match and victim scans split (same selection rule as the fused
-	// loop: last invalid way, else first minimum lastUse): the first two
-	// passes run over the dense tagp row, and only a full set falls
-	// through to the strided lastUse min-scan.
+	// Victim rule: the last invalid way, else the first minimum
+	// lastUse. The match and invalid-way pass runs over the dense tagp
+	// row; only a full set reads the stamps.
 	vi := -1
 	for i, t := range tp {
-		if t == tag+1 {
+		if t == key {
 			// Already present (raced fill); just update.
 			l := &set[i]
 			if dirty {
@@ -277,32 +270,45 @@ func (c *Cache) Fill(addr uint64, dirty bool, prefetchOrigin Origin) Victim {
 		}
 	}
 	if vi < 0 {
-		vi = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < set[vi].lastUse {
-				vi = i
-			}
-		}
+		vi = lruWay(set)
 	}
 	v := &set[vi]
 	victim := Victim{}
-	if v.valid {
+	if old := tp[vi]; old != 0 {
 		victim = Victim{
 			Valid:    true,
 			Dirty:    v.dirty,
-			Addr:     (v.tag<<c.setBits | ((addr >> LineBits) & c.setMask)) << LineBits,
-			Prefetch: v.prefetch,
+			Addr:     ((old-1)<<c.setBits | ((addr >> LineBits) & c.setMask)) << LineBits,
+			Prefetch: Origin(v.prefetch),
 			Touched:  v.touched,
 		}
 	}
 	c.lruClock++
-	*v = line{tag: tag, valid: true, dirty: dirty, lastUse: c.lruClock, prefetch: prefetchOrigin, touched: false}
-	tp[vi] = tag + 1
+	*v = line{lastUse: c.lruClock, prefetch: int8(prefetchOrigin), dirty: dirty}
+	tp[vi] = key
 	// Repoint the last-line cache at the filled line. This also heals the
 	// one way the mapping can go stale: a fill is the only operation that
 	// changes which line a way holds.
 	c.fastLine, c.fastWay = addr>>LineBits+1, v
 	return victim
+}
+
+// lruWay returns the index of the first minimum lastUse in set. The
+// loop compiles to conditional moves: which way is oldest is
+// data-dependent, so a branch there mispredicts. Inlined into Fill it
+// compiles to a branch again, hence the directive.
+//
+//go:noinline
+func lruWay(set []line) int {
+	vi, oldest := 0, set[0].lastUse
+	for i := 1; i < len(set); i++ {
+		u := set[i].lastUse
+		if u < oldest {
+			vi = i
+		}
+		oldest = min(oldest, u)
+	}
+	return vi
 }
 
 // pruneMSHRs drops entries whose fill completed at or before cycle at.

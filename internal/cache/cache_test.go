@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -228,5 +229,49 @@ func TestTrackerAccuracy(t *testing.T) {
 	tr.Touch(0x1000)
 	if tr.Stats[OriginSVR].Used != 1 {
 		t.Error("touch on untagged line counted")
+	}
+}
+
+// TestStrideReciprocalExact checks the reciprocal table Observe divides
+// with: exact for every stride below LineSize and numerator below 4096.
+func TestStrideReciprocalExact(t *testing.T) {
+	for s := uint64(1); s < LineSize; s++ {
+		for x := uint64(0); x < 4096; x++ {
+			if got := x * strideRecip[s] >> 32; got != x/s {
+				t.Fatalf("%d/%d: reciprocal gives %d, want %d", x, s, got, x/s)
+			}
+		}
+	}
+}
+
+// TestStrideClosedFormMatchesStepLoop checks Observe's closed form for
+// short positive strides against the stride-by-stride step loop it
+// replaces: the same addresses, in order, for every stride and start
+// offset within a line.
+func TestStrideClosedFormMatchesStepLoop(t *testing.T) {
+	const degree = 4
+	for st := uint64(1); st < LineSize; st++ {
+		for off := uint64(0); off < LineSize; off++ {
+			s := NewStridePrefetcher(16, degree)
+			var got []uint64
+			addr := 0x10000 + off
+			for i := 0; i < 4; i++ {
+				got = s.Observe(3, addr, got[:0])
+				addr += st
+			}
+			addr -= st
+			var want []uint64
+			next, lastLine := addr, addr>>LineBits
+			for i := 0; i < 64 && len(want) < degree; i++ {
+				next += st
+				if line := next >> LineBits; line != lastLine {
+					lastLine = line
+					want = append(want, next)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("stride %d offset %d: prefetches %#x, want %#x", st, off, got, want)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"testing"
+	"unsafe"
 )
 
 func testConfig() Config {
@@ -253,5 +254,23 @@ func TestHierarchyResetStats(t *testing.T) {
 	r := h.Access(1, 0x100000, false, 1000)
 	if r.Level != LevelL1 {
 		t.Error("cache contents lost on ResetStats")
+	}
+}
+
+// TestWarmStateBytes pins what a default hierarchy's snapshot is
+// budgeted at: 24 bytes per cache line (its tagp word and a 16-byte line
+// struct), 16 per TLB slot, one strideEntry per stride-table slot and
+// 16 per outstanding prefetch tag.
+func TestWarmStateBytes(t *testing.T) {
+	if n := unsafe.Sizeof(line{}); n != 16 {
+		t.Errorf("line is %d bytes, want 16", n)
+	}
+	h := NewHierarchy(DefaultConfig())
+	h.Tracker.Mark(0x1000, OriginStride)
+	const lines = (64<<10 + 64<<10 + 512<<10) / LineSize
+	const slots = 16 + 16 + 2048
+	want := int64(lines*24+slots*16+16) + 64*int64(unsafe.Sizeof(strideEntry{}))
+	if got := h.WarmState().Bytes(); got != want {
+		t.Errorf("default snapshot budgets %d bytes, want %d", got, want)
 	}
 }

@@ -72,6 +72,15 @@ func (c *refCache) Lookup(addr uint64, write, markTouched bool) (bool, Origin) {
 	return true, pf
 }
 
+// LookupRun is n Lookup(addr, false, true) calls.
+func (c *refCache) LookupRun(addr uint64, n uint64) bool {
+	hit := false
+	for i := uint64(0); i < n; i++ {
+		hit, _ = c.Lookup(addr, false, true)
+	}
+	return hit
+}
+
 func (c *refCache) Refresh(addr uint64) bool {
 	set, pos := c.find(addr)
 	if pos < 0 {
@@ -148,6 +157,15 @@ func (t *refTLB) Lookup(addr uint64) bool {
 	return true
 }
 
+// LookupRun is n Lookup(addr) calls.
+func (t *refTLB) LookupRun(addr uint64, n uint64) bool {
+	hit := false
+	for i := uint64(0); i < n; i++ {
+		hit = t.Lookup(addr)
+	}
+	return hit
+}
+
 // Insert installs addr's page as most recently used, evicting the least
 // recently used entry of a full set. A page already present is left
 // where it is.
@@ -183,16 +201,19 @@ func refAddr(b0, b1 byte, setBits, blockBits uint) uint64 {
 	return (tag<<setBits|set)<<blockBits | uint64(b1)%(1<<blockBits)
 }
 
-// FuzzCacheMatchesReference runs a random sequence of Lookup, Refresh,
-// Peek and Fill over the L1-D and L2 and the naive model in lockstep.
-// Each operation takes three bytes: the opcode and its flags, then two
-// address bytes (see refAddr).
+// FuzzCacheMatchesReference runs a random sequence of Lookup, LookupRun,
+// Refresh, Peek and Fill over the L1-D and L2 and the naive model in
+// lockstep. Each operation takes three bytes: the opcode and its flags,
+// then two address bytes (see refAddr).
 func FuzzCacheMatchesReference(f *testing.F) {
 	f.Add(uint8(0), []byte{3, 0, 0, 1, 0, 8, 3, 0, 0, 2, 0, 0})
 	f.Add(uint8(1), []byte{3, 0x80, 1, 3, 0x84, 1, 3, 0x88, 1, 3, 0x8c, 1, 3, 0x90, 1, 0, 0x80, 1})
 	f.Add(uint8(0), []byte{
 		0x13, 0xc0, 0, 0x13, 0xc4, 0, 0x13, 0xc8, 0, 0x13, 0xcc, 0, 0x13, 0xd0, 0,
 		1, 0xc4, 0, 0x0b, 0xc8, 0, 1, 0xc0, 0, 0x23, 0x00, 0, 2, 0xc0, 0, 1, 0xcc, 0})
+	// Fill a set, run four hits on its oldest line, fill a fifth line:
+	// the run must have made the second line the victim.
+	f.Add(uint8(0), []byte{3, 0x00, 0, 3, 0x04, 0, 3, 0x08, 0, 3, 0x0c, 0, 0x1e, 0x00, 0, 3, 0x90, 0, 0, 0x04, 0, 0, 0x00, 0})
 	f.Fuzz(func(t *testing.T, shape uint8, ops []byte) {
 		if len(ops) > 3*4096 {
 			ops = ops[:3*4096]
@@ -226,6 +247,15 @@ func FuzzCacheMatchesReference(f *testing.F) {
 					t.Fatalf("%s op %d: %s", sh.name, i/3, desc)
 				}
 			case 2:
+				if op&4 != 0 {
+					n := 1 + uint64(op>>3)
+					got, want := c.LookupRun(addr, n), ref.LookupRun(addr, n)
+					desc = fmt.Sprintf("LookupRun(%#x, %d) = %v; reference %v", addr, n, got, want)
+					if got != want {
+						t.Fatalf("%s op %d: %s", sh.name, i/3, desc)
+					}
+					break
+				}
 				got, want := c.Peek(addr), ref.Peek(addr)
 				desc = fmt.Sprintf("Peek(%#x) = %v; reference %v", addr, got, want)
 				if got != want {
@@ -248,9 +278,9 @@ func FuzzCacheMatchesReference(f *testing.F) {
 	})
 }
 
-// FuzzTLBMatchesReference runs a random sequence of Lookup and Insert
-// over the D-TLB and S-TLB and the naive model in lockstep. Each
-// operation takes three bytes: the opcode, then two address bytes.
+// FuzzTLBMatchesReference runs a random sequence of Lookup, LookupRun
+// and Insert over the D-TLB and S-TLB and the naive model in lockstep.
+// Each operation takes three bytes: the opcode, then two address bytes.
 func FuzzTLBMatchesReference(f *testing.F) {
 	f.Add(uint8(0), []byte{1, 0, 0, 0, 0, 0, 0, 4, 0})
 	// Fill the D-TLB, miss on a new page, hit the LRU entry, then insert
@@ -260,6 +290,9 @@ func FuzzTLBMatchesReference(f *testing.F) {
 		seq = append(seq, 1, 0x80|tag<<2, 0)
 	}
 	seq = append(seq, 0, 0xc0, 0, 0, 0x80, 0, 1, 0xc0, 0, 0, 0x80, 0)
+	f.Add(uint8(0), seq)
+	// The same with a two-hit run on the LRU entry before the insert.
+	seq = append(seq[:48:48], 6, 0x80, 0, 1, 0xc0, 0, 0, 0x84, 0, 0, 0x80, 0)
 	f.Add(uint8(0), seq)
 	f.Fuzz(func(t *testing.T, shape uint8, ops []byte) {
 		if len(ops) > 3*4096 {
@@ -278,16 +311,24 @@ func FuzzTLBMatchesReference(f *testing.F) {
 		for i := 0; i+3 <= len(ops); i += 3 {
 			addr := refAddr(ops[i+1], ops[i+2], setBits, PageBits)
 			var desc string
-			if ops[i]&1 == 0 {
+			switch op := ops[i]; {
+			case op&1 != 0:
+				tlb.Insert(addr)
+				ref.Insert(addr)
+				desc = fmt.Sprintf("Insert(%#x)", addr)
+			case op&2 != 0:
+				n := 1 + uint64(op>>2)
+				got, want := tlb.LookupRun(addr, n), ref.LookupRun(addr, n)
+				desc = fmt.Sprintf("LookupRun(%#x, %d) = %v; reference %v", addr, n, got, want)
+				if got != want {
+					t.Fatalf("%s op %d: %s", sh.name, i/3, desc)
+				}
+			default:
 				got, want := tlb.Lookup(addr), ref.Lookup(addr)
 				desc = fmt.Sprintf("Lookup(%#x) = %v; reference %v", addr, got, want)
 				if got != want {
 					t.Fatalf("%s op %d: %s", sh.name, i/3, desc)
 				}
-			} else {
-				tlb.Insert(addr)
-				ref.Insert(addr)
-				desc = fmt.Sprintf("Insert(%#x)", addr)
 			}
 			if tlb.Accesses != ref.Accesses || tlb.Misses != ref.Misses {
 				t.Fatalf("%s op %d: after %s: accesses/misses %d/%d, reference %d/%d",

@@ -32,6 +32,17 @@ func NewStridePrefetcher(entries, degree int) *StridePrefetcher {
 	return &StridePrefetcher{entries: make([]strideEntry, entries), mask: mask, degree: degree}
 }
 
+// strideRecip[s] is ⌈2³²/s⌉. For every stride 0 < s < LineSize and
+// numerator x < 4096, x*strideRecip[s]>>32 equals x/s exactly
+// (TestStrideReciprocalExact), so Observe's closed form multiplies
+// instead of dividing; its numerators stay below 2·LineSize.
+var strideRecip = func() (r [LineSize]uint64) {
+	for s := uint64(1); s < LineSize; s++ {
+		r[s] = (1<<32 + s - 1) / s
+	}
+	return r
+}()
+
 // Observe is called for every demand load. It returns the addresses the
 // prefetcher wants fetched (line-deduplicated, max degree).
 func (s *StridePrefetcher) Observe(pc int, addr uint64, dst []uint64) []uint64 {
@@ -74,7 +85,7 @@ func (s *StridePrefetcher) Observe(pc int, addr uint64, dst []uint64) []uint64 {
 		var k uint64
 		for len(dst) < s.degree {
 			need := (lastLine+1)<<LineBits - next
-			dk := (need + uint64(st) - 1) / uint64(st)
+			dk := (need + uint64(st) - 1) * strideRecip[st] >> 32
 			if k += dk; k > 64 {
 				break
 			}

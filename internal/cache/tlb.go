@@ -59,27 +59,46 @@ func NewTLB(name string, entries, ways int) *TLB {
 // setBase returns the flat index of the first slot of vpn's set.
 func (t *TLB) setBase(vpn uint64) uint64 { return (vpn & t.setMask) * uint64(t.ways) }
 
-// Lookup probes the TLB for the page containing addr.
-func (t *TLB) Lookup(addr uint64) bool {
-	t.Accesses++
-	vpn := addr >> PageBits
+// find returns the flat slot index of vpn, or -1 when it is absent:
+// the MRU entry first, then one scan of the set that compares every
+// slot and selects the match without an early exit (vpns are unique
+// within a set).
+func (t *TLB) find(vpn uint64) int {
 	if t.fastVPN == vpn+1 {
-		t.clock++
-		t.lastUse[t.fastIdx] = t.clock
-		return true
+		return int(t.fastIdx)
 	}
 	base := t.setBase(vpn)
+	hit := -1
 	for i, k := range t.vpns[base : base+uint64(t.ways)] {
 		if k == vpn+1 {
-			idx := base + uint64(i)
-			t.clock++
-			t.lastUse[idx] = t.clock
-			t.fastVPN, t.fastIdx = vpn+1, idx
-			return true
+			hit = i
 		}
 	}
-	t.Misses++
-	return false
+	if hit < 0 {
+		return -1
+	}
+	t.fastVPN, t.fastIdx = vpn+1, base+uint64(hit)
+	return int(t.fastIdx)
+}
+
+// Lookup probes the TLB for the page containing addr.
+func (t *TLB) Lookup(addr uint64) bool {
+	return t.LookupRun(addr, 1)
+}
+
+// LookupRun has exactly the effect of n ≥ 1 Lookup(addr) calls and
+// reports whether they hit: n hits on one slot collapse into one update,
+// the clock advancing by n and the slot taking the last stamp.
+func (t *TLB) LookupRun(addr uint64, n uint64) bool {
+	t.Accesses += int64(n)
+	idx := t.find(addr >> PageBits)
+	if idx < 0 {
+		t.Misses += int64(n)
+		return false
+	}
+	t.clock += n
+	t.lastUse[idx] = t.clock
+	return true
 }
 
 // Insert installs a translation, evicting LRU. A page already present
@@ -88,12 +107,10 @@ func (t *TLB) Insert(addr uint64) {
 	vpn := addr >> PageBits
 	base := t.setBase(vpn)
 	keys := t.vpns[base : base+uint64(t.ways)]
-	use := t.lastUse[base : base+uint64(t.ways)]
-	// One fused pass over keys+lastUse: the match check, and the victim
-	// rule "last invalid slot, else first minimum lastUse". Once vi
-	// points at an invalid slot the min branch is dead, so a filling set
-	// degrades to the pure zero-scan and a full set to the pure min-scan.
-	vi := 0
+	// Victim rule: the last invalid slot, else the first minimum
+	// lastUse. The match and invalid-slot pass reads only the keys; a
+	// full set then scans the stamps.
+	vi := -1
 	for i, k := range keys {
 		if k == vpn+1 {
 			t.fastVPN, t.fastIdx = vpn+1, base+uint64(i)
@@ -101,8 +118,19 @@ func (t *TLB) Insert(addr uint64) {
 		}
 		if k == 0 {
 			vi = i
-		} else if keys[vi] != 0 && use[i] < use[vi] {
-			vi = i
+		}
+	}
+	if vi < 0 {
+		use := t.lastUse[base : base+uint64(t.ways)]
+		vi = 0
+		oldest := use[0]
+		for i := 1; i < len(use); i++ {
+			// A conditional move, as in Cache.Fill.
+			u := use[i]
+			if u < oldest {
+				vi = i
+			}
+			oldest = min(oldest, u)
 		}
 	}
 	idx := base + uint64(vi)

@@ -1,6 +1,9 @@
 package cache
 
-import "sort"
+import (
+	"sort"
+	"unsafe"
+)
 
 // This file is the functional-warming mirror of the timed demand paths:
 // each Warm* method replays exactly the tag/LRU/victim state updates of
@@ -43,8 +46,13 @@ func (h *Hierarchy) WarmPrefetch(addr uint64, origin Origin) {
 
 // WarmFetchInstr replays the state effects of an instruction fetch:
 // I-TLB inserts and the L1-I fill pair (missed line plus next-line
-// prefetch).
-func (h *Hierarchy) WarmFetchInstr(addr uint64) {
+// prefetch). It reports whether the fetched line is certain to stay in
+// the L1-I and I-TLB until a fetch from another line: fetches hit only
+// the instruction side, so only this fetch's own next-line fill could
+// evict it, and that happens only in an L1-I of a single line. While
+// it holds, further fetches from the line are hits that WarmFetchHits
+// can replay in one update.
+func (h *Hierarchy) WarmFetchInstr(addr uint64) (resident bool) {
 	if !h.ITLB.Lookup(addr) {
 		if !h.STLB.Lookup(addr) {
 			h.STLB.Insert(addr)
@@ -52,16 +60,28 @@ func (h *Hierarchy) WarmFetchInstr(addr uint64) {
 		h.ITLB.Insert(addr)
 	}
 	line := addr &^ (LineSize - 1)
+	h.lastILine = line
 	if hit, _ := h.L1I.Lookup(addr, false, true); hit {
-		h.lastILine = line
-		return
+		return true
 	}
 	if hit, _ := h.L2.Lookup(addr, false, true); !hit {
 		h.IFetchLoads++
 	}
 	h.L1I.Fill(addr, false, -1)
 	h.L1I.Fill(line+LineSize, false, -1) // next-line prefetch
-	h.lastILine = line
+	return len(h.L1I.sets) > 1
+}
+
+// WarmFetchHits replays n fetches from addr's line, which the last
+// WarmFetchInstr fetched and reported resident. Each would be an I-TLB
+// and L1-I hit that touches nothing else, so the n fetches collapse into
+// one n-hit update of each; the state after is that of n
+// WarmFetchInstr calls, and the data side may run in between.
+func (h *Hierarchy) WarmFetchHits(addr uint64, n uint64) {
+	if !h.ITLB.LookupRun(addr, n) || !h.L1I.LookupRun(addr, n) {
+		panic("cache: folded instruction fetches missed")
+	}
+	h.lastILine = addr &^ (LineSize - 1)
 }
 
 // warmTranslate mirrors translate's TLB state updates without walker
@@ -123,6 +143,7 @@ type HierarchyState struct {
 }
 
 type cacheState struct {
+	tagp     []uint64
 	sets     []line
 	lruClock uint64
 }
@@ -178,28 +199,37 @@ func (h *Hierarchy) SetWarmState(s *HierarchyState) {
 	h.lastILine = s.lastILine
 }
 
-// Bytes estimates the snapshot's retained size for cache budgeting.
+// Bytes estimates the snapshot's retained size for cache budgeting,
+// from the sizes of the elements it holds.
 func (s *HierarchyState) Bytes() int64 {
-	const lineBytes, tlbBytes, strideBytes, tagBytes = 48, 24, 48, 16
-	n := int64(len(s.l1d.sets)+len(s.l1i.sets)+len(s.l2.sets)) * lineBytes
-	for _, t := range [3]tlbState{s.dtlb, s.itlb, s.stlb} {
-		n += int64(len(t.vpns)) * tlbBytes
+	const word = int64(unsafe.Sizeof(uint64(0)))
+	var n int64
+	for _, c := range [3]cacheState{s.l1d, s.l1i, s.l2} {
+		n += int64(len(c.tagp))*word + int64(len(c.sets))*int64(unsafe.Sizeof(line{}))
 	}
-	n += int64(len(s.stride)) * strideBytes
-	n += int64(len(s.tags)) * tagBytes
+	for _, t := range [3]tlbState{s.dtlb, s.itlb, s.stlb} {
+		n += int64(len(t.vpns)+len(t.lastUse)) * word
+	}
+	n += int64(len(s.stride)) * int64(unsafe.Sizeof(strideEntry{}))
+	// A map entry holds its key and value; bucket overhead is not counted.
+	n += int64(len(s.tags)) * (word + int64(unsafe.Sizeof(Origin(0))))
 	return n
 }
 
 func captureCache(c *Cache) cacheState {
-	return cacheState{sets: append([]line(nil), c.sets...), lruClock: c.lruClock}
+	return cacheState{
+		tagp:     append([]uint64(nil), c.tagp...),
+		sets:     append([]line(nil), c.sets...),
+		lruClock: c.lruClock,
+	}
 }
 
 func restoreCache(c *Cache, s cacheState) {
 	if len(c.sets) != len(s.sets) {
 		panic("cache: warm-state geometry mismatch for " + c.Name)
 	}
+	copy(c.tagp, s.tagp)
 	copy(c.sets, s.sets)
-	c.rebuildTagp()
 	c.lruClock = s.lruClock
 	c.fastLine, c.fastWay = 0, nil
 }
@@ -232,12 +262,12 @@ type LineInfo struct {
 // address — a timing-free view for warming-fidelity tests.
 func (c *Cache) Lines() []LineInfo {
 	var out []LineInfo
-	for i, l := range c.sets {
-		if l.valid {
+	for i, t := range c.tagp {
+		if t != 0 {
 			set := uint64(i) / uint64(c.ways)
 			out = append(out, LineInfo{
-				Addr:  (l.tag<<c.setBits | set) << LineBits,
-				Dirty: l.dirty,
+				Addr:  ((t-1)<<c.setBits | set) << LineBits,
+				Dirty: c.sets[i].dirty,
 			})
 		}
 	}

@@ -12,10 +12,11 @@ import (
 // loop (FastForward) touches only architectural state; the warming loop
 // (FastForwardWarm) additionally reports the fetch/load/store/branch
 // stream to a Warmer so cache, TLB and branch-predictor state can be
-// warmed at ~zero timing cost. Both loops must stay allocation-free in
-// steady state (guarded by TestFastForwardDoesNotAllocate) and must
-// match Step's architectural semantics exactly (guarded by
-// TestFastForwardMatchesStep).
+// warmed without a timing model. Both loops must stay allocation-free in
+// steady state (guarded by TestFastForwardDoesNotAllocate and
+// TestFastForwardWarmDoesNotAllocate) and must match Step's
+// architectural semantics exactly (guarded by TestFastForwardMatchesStep
+// and TestFastForwardWarmStream).
 
 // ArchState is the portable architectural state of a CPU: everything
 // Step mutates except the memory image. A checkpoint pairs it with a
@@ -44,9 +45,18 @@ func (c *CPU) LoadArch(s ArchState) {
 // timing-free microarchitectural state (cache tags, TLB entries, branch
 // predictor tables) can be warmed without running a timing model. The
 // calls arrive in the order the detailed cores would have driven them:
-// WarmFetch for every instruction, then the instruction's own event.
+// the fetch of every instruction, then the instruction's own event.
+//
+// Fetches may arrive folded. WarmFetch warms one fetch and returns the
+// pc range [lo, hi) whose fetches are, until the next WarmFetch, hits
+// that touch only fetch-side state no other event reads or writes. The
+// fast-forward loop then counts fetches of pcs in that range instead of
+// reporting each, and hands a run of n of them to WarmFetchHits(pc, n)
+// before the next WarmFetch and before it returns, pc being the run's
+// first instruction. An empty range turns folding off.
 type Warmer interface {
-	WarmFetch(pc int)
+	WarmFetch(pc int) (lo, hi int)
+	WarmFetchHits(pc int, n uint64)
 	WarmLoad(pc int, addr uint64)
 	WarmStore(pc int, addr uint64)
 	WarmBranch(pc int, taken bool)
@@ -151,59 +161,115 @@ out:
 
 // FastForwardWarm is FastForward with functional warming: w observes the
 // fetch/load/store/branch stream. Architectural effects are identical to
-// FastForward; only w's state changes in addition.
+// FastForward; only w's state changes in addition. The loop has
+// FastForward's shape (PC and flags in locals, the hot ALU ops inlined)
+// and folds runs of fetches as the Warmer contract allows.
 func (c *CPU) FastForwardWarm(n uint64, w Warmer) uint64 {
+	if c.halted {
+		return 0
+	}
 	code := c.Prog.Code
+	mem := c.Mem
+	pc := c.PC
+	flags := c.Flags
 	var done uint64
-	for done < n {
-		if c.halted || c.PC >= len(code) {
-			break
+	// The open fetch run: fetches of pcs in [runLo, runHi) after the
+	// run's first, runPC, are counted in runHits.
+	runPC, runLo, runHi := 0, 0, 0
+	var runHits uint64
+	for done < n && pc < len(code) {
+		if uint(pc-runLo) < uint(runHi-runLo) {
+			runHits++
+		} else {
+			if runHits > 0 {
+				w.WarmFetchHits(runPC, runHits)
+				runHits = 0
+			}
+			runPC = pc
+			runLo, runHi = w.WarmFetch(pc)
 		}
-		pc := c.PC
 		in := code[pc]
 		a, bv := c.R[in.Ra], c.R[in.Rb]
 		nextPC := pc + 1
-		w.WarmFetch(pc)
-
-		if v, pure := EvalALU(in.Op, a, bv, in.Imm); pure {
+		var v int64
+		switch in.Op {
+		case isa.OpAdd:
+			v = a + bv
+			goto write
+		case isa.OpAddI:
+			v = a + in.Imm
+			goto write
+		case isa.OpLoad:
+			addr := uint64(a + in.Imm)
+			v = loadSigned(mem, addr, in.Size)
 			if in.Rd != isa.R0 {
 				c.R[in.Rd] = v
 			}
-		} else {
-			switch in.Op {
-			case isa.OpLoad:
-				addr := uint64(a + in.Imm)
-				v := loadSigned(c.Mem, addr, in.Size)
-				if in.Rd != isa.R0 {
-					c.R[in.Rd] = v
-				}
-				w.WarmLoad(pc, addr)
-			case isa.OpStore:
-				addr := uint64(a + in.Imm)
-				c.Mem.Write(addr, uint64(bv), in.Size)
-				w.WarmStore(pc, addr)
-			case isa.OpCmp:
-				c.Flags = cmpSign(a, bv)
-			case isa.OpCmpI:
-				c.Flags = cmpSign(a, in.Imm)
-			case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLE, isa.OpBGT:
-				taken := branchTaken(in.Op, c.Flags)
-				if taken {
-					nextPC = int(in.Imm)
-				}
-				w.WarmBranch(pc, taken)
-			case isa.OpJmp:
+			w.WarmLoad(pc, addr)
+		case isa.OpStore:
+			addr := uint64(a + in.Imm)
+			mem.Write(addr, uint64(bv), in.Size)
+			w.WarmStore(pc, addr)
+		case isa.OpCmp:
+			flags = cmpSign(a, bv)
+		case isa.OpCmpI:
+			flags = cmpSign(a, in.Imm)
+		case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLE, isa.OpBGT:
+			taken := branchTaken(in.Op, flags)
+			if taken {
 				nextPC = int(in.Imm)
-			case isa.OpHalt:
-				c.halted = true
-			case isa.OpNop:
-			default:
-				panic(fmt.Sprintf("emu: unknown opcode %v at pc %d", in.Op, c.PC))
+			}
+			w.WarmBranch(pc, taken)
+		case isa.OpAndI:
+			v = a & in.Imm
+			goto write
+		case isa.OpShlI:
+			v = a << (uint64(in.Imm) & 63)
+			goto write
+		case isa.OpShrI:
+			v = int64(uint64(a) >> (uint64(in.Imm) & 63))
+			goto write
+		case isa.OpMul:
+			v = a * bv
+			goto write
+		case isa.OpMulI:
+			v = a * in.Imm
+			goto write
+		case isa.OpLoadImm:
+			v = in.Imm
+			goto write
+		case isa.OpJmp:
+			nextPC = int(in.Imm)
+		case isa.OpHalt:
+			c.halted = true
+			pc = nextPC
+			done++
+			goto out
+		default:
+			if ev, pure := EvalALU(in.Op, a, bv, in.Imm); pure {
+				v = ev
+				goto write
+			}
+			if in.Op != isa.OpNop {
+				panic(fmt.Sprintf("emu: unknown opcode %v at pc %d", in.Op, pc))
 			}
 		}
-		c.PC = nextPC
-		c.seq++
+		pc = nextPC
+		done++
+		continue
+	write:
+		if in.Rd != isa.R0 {
+			c.R[in.Rd] = v
+		}
+		pc = nextPC
 		done++
 	}
+out:
+	if runHits > 0 {
+		w.WarmFetchHits(runPC, runHits)
+	}
+	c.PC = pc
+	c.Flags = flags
+	c.seq += done
 	return done
 }

@@ -87,15 +87,31 @@ func TestFastForwardMatchesStep(t *testing.T) {
 
 // warmEvent is one callback seen by recordingWarmer.
 type warmEvent struct {
-	kind  byte // 'f', 'l', 's', 'b'
+	kind  byte // 'f', 'h', 'l', 's', 'b'
 	pc    int
 	addr  uint64
 	taken bool
+	n     uint64 // folded fetches ('h')
 }
 
-type recordingWarmer struct{ evs []warmEvent }
+// recordingWarmer records every callback. With fold > 0 it offers the
+// aligned block of fold pcs around each fetched pc for folding.
+type recordingWarmer struct {
+	fold int
+	evs  []warmEvent
+}
 
-func (r *recordingWarmer) WarmFetch(pc int) { r.evs = append(r.evs, warmEvent{kind: 'f', pc: pc}) }
+func (r *recordingWarmer) WarmFetch(pc int) (lo, hi int) {
+	r.evs = append(r.evs, warmEvent{kind: 'f', pc: pc})
+	if r.fold == 0 {
+		return 0, 0
+	}
+	lo = pc - pc%r.fold
+	return lo, lo + r.fold
+}
+func (r *recordingWarmer) WarmFetchHits(pc int, n uint64) {
+	r.evs = append(r.evs, warmEvent{kind: 'h', pc: pc, n: n})
+}
 func (r *recordingWarmer) WarmLoad(pc int, addr uint64) {
 	r.evs = append(r.evs, warmEvent{kind: 'l', pc: pc, addr: addr})
 }
@@ -109,38 +125,84 @@ func (r *recordingWarmer) WarmBranch(pc int, taken bool) {
 // TestFastForwardWarmStream checks that the warming fast-forward reports
 // exactly the fetch/load/store/branch stream the DynInstr trace carries,
 // in the order the detailed front end would drive it (fetch first, then
-// the instruction's memory or branch event).
+// the instruction's memory or branch event), and leaves Step's
+// architectural state. With folding on, the expected stream applies the
+// Warmer contract to the trace: a fetch inside the range the run's
+// WarmFetch returned is counted, and the count is reported before the
+// next WarmFetch and at the end of every FastForwardWarm call.
 func TestFastForwardWarmStream(t *testing.T) {
-	prog, m1, _ := scatterSetup(t)
-	m2 := m1.Clone()
+	for _, fold := range []int{0, 1, 4, 16} {
+		for _, chunk := range []uint64{1 << 20, 7, 1} {
+			prog, m1, dst := scatterSetup(t)
+			m2 := m1.Clone()
 
-	ref := New(prog, m1)
-	var want []warmEvent
-	var rec DynInstr
-	for ref.Step(&rec) {
-		want = append(want, warmEvent{kind: 'f', pc: rec.PC})
-		switch rec.Instr.Kind() {
-		case isa.KindLoad:
-			want = append(want, warmEvent{kind: 'l', pc: rec.PC, addr: rec.Addr})
-		case isa.KindStore:
-			want = append(want, warmEvent{kind: 's', pc: rec.PC, addr: rec.Addr})
-		case isa.KindBranch:
-			want = append(want, warmEvent{kind: 'b', pc: rec.PC, taken: rec.Taken})
-		}
-	}
+			ref := New(prog, m1)
+			var want []warmEvent
+			var rec DynInstr
+			runPC, lo, hi := 0, 0, 0
+			var hits uint64
+			flush := func() {
+				if hits > 0 {
+					want = append(want, warmEvent{kind: 'h', pc: runPC, n: hits})
+					hits = 0
+				}
+			}
+			for ref.Step(&rec) {
+				if rec.PC >= lo && rec.PC < hi {
+					hits++
+				} else {
+					flush()
+					want = append(want, warmEvent{kind: 'f', pc: rec.PC})
+					runPC = rec.PC
+					if fold > 0 {
+						lo = rec.PC - rec.PC%fold
+						hi = lo + fold
+					}
+				}
+				switch rec.Instr.Kind() {
+				case isa.KindLoad:
+					want = append(want, warmEvent{kind: 'l', pc: rec.PC, addr: rec.Addr})
+				case isa.KindStore:
+					want = append(want, warmEvent{kind: 's', pc: rec.PC, addr: rec.Addr})
+				case isa.KindBranch:
+					want = append(want, warmEvent{kind: 'b', pc: rec.PC, taken: rec.Taken})
+				}
+				if ref.InstrCount()%chunk == 0 {
+					flush() // the call returns: its run ends
+					lo, hi = 0, 0
+				}
+			}
+			flush()
 
-	w := &recordingWarmer{}
-	ff := New(prog, m2)
-	ran := ff.FastForwardWarm(1<<20, w)
-	if ran != ref.InstrCount() {
-		t.Fatalf("warm ran %d, step ran %d", ran, ref.InstrCount())
-	}
-	if len(w.evs) != len(want) {
-		t.Fatalf("warm stream has %d events, trace implies %d", len(w.evs), len(want))
-	}
-	for i := range want {
-		if w.evs[i] != want[i] {
-			t.Fatalf("event %d: warm %+v, trace %+v", i, w.evs[i], want[i])
+			w := &recordingWarmer{fold: fold}
+			ff := New(prog, m2)
+			var ran uint64
+			for {
+				k := ff.FastForwardWarm(chunk, w)
+				ran += k
+				if k < chunk {
+					break
+				}
+			}
+			if ran != ref.InstrCount() {
+				t.Fatalf("fold %d chunk %d: warm ran %d, step ran %d", fold, chunk, ran, ref.InstrCount())
+			}
+			if got, want := ff.SaveArch(), ref.SaveArch(); got != want {
+				t.Fatalf("fold %d chunk %d: arch state diverged:\n warm %+v\n step %+v", fold, chunk, got, want)
+			}
+			for i := uint64(0); i < 64; i++ {
+				if a, b := m2.ReadI64(dst+8*i), m1.ReadI64(dst+8*i); a != b {
+					t.Fatalf("fold %d chunk %d: dst[%d] = %d warmed, %d stepped", fold, chunk, i, a, b)
+				}
+			}
+			if len(w.evs) != len(want) {
+				t.Fatalf("fold %d chunk %d: warm stream has %d events, trace implies %d", fold, chunk, len(w.evs), len(want))
+			}
+			for i := range want {
+				if w.evs[i] != want[i] {
+					t.Fatalf("fold %d chunk %d: event %d: warm %+v, trace %+v", fold, chunk, i, w.evs[i], want[i])
+				}
+			}
 		}
 	}
 }
@@ -178,9 +240,10 @@ func TestSaveLoadArchRoundTrip(t *testing.T) {
 }
 
 // TestFastForwardPureOpsMatchEvalALU pins the ALU cases inlined into the
-// fast-forward dispatch switch to EvalALU, op by op: for every pure
-// opcode and a grid of operand values, a one-instruction program must
-// leave exactly EvalALU's result in the destination register.
+// dispatch switches of both fast-forward loops to EvalALU, op by op: for
+// every pure opcode and a grid of operand values, a one-instruction
+// program must leave exactly EvalALU's result in the destination
+// register.
 func TestFastForwardPureOpsMatchEvalALU(t *testing.T) {
 	operands := []int64{0, 1, -1, 5, 12, -12, 63, 64, 1 << 40, -(1 << 40)}
 	for opv := 0; opv < 256; opv++ {
@@ -195,14 +258,22 @@ func TestFastForwardPureOpsMatchEvalALU(t *testing.T) {
 					{Op: op, Rd: 1, Ra: 2, Rb: 3, Imm: b},
 					{Op: isa.OpHalt},
 				}}
-				c := New(prog, mem.New())
-				c.SetReg(2, a)
-				c.SetReg(3, b)
-				if ran := c.FastForward(1); ran != 1 {
-					t.Fatalf("op %v: ran %d", op, ran)
-				}
-				if got := c.Reg(1); got != want {
-					t.Errorf("op %v a=%d b=imm=%d: fast-forward %d, EvalALU %d", op, a, b, got, want)
+				for _, warm := range []bool{false, true} {
+					c := New(prog, mem.New())
+					c.SetReg(2, a)
+					c.SetReg(3, b)
+					var ran uint64
+					if warm {
+						ran = c.FastForwardWarm(1, &recordingWarmer{})
+					} else {
+						ran = c.FastForward(1)
+					}
+					if ran != 1 {
+						t.Fatalf("op %v warm=%v: ran %d", op, warm, ran)
+					}
+					if got := c.Reg(1); got != want {
+						t.Errorf("op %v a=%d b=imm=%d warm=%v: fast-forward %d, EvalALU %d", op, a, b, warm, got, want)
+					}
 				}
 			}
 		}

@@ -12,9 +12,10 @@ import (
 )
 
 // FuzzSubmitJob posts arbitrary bodies to the submit handler. It may only
-// answer 202, 400, 413 or 429, and every config it accepts must build
-// and run: each is simulated for a few thousand instructions at
-// TinyScale, where a config the validator should have refused panics.
+// answer 202, 400, 413 or 429, every window it accepts must pass
+// sim.Params.Validate, and every config it accepts must build and run:
+// each is simulated for a few thousand instructions at TinyScale, where
+// a config the validator should have refused panics.
 func FuzzSubmitJob(f *testing.F) {
 	// The two bodies that used to crash a worker: a zero-valued Grid
 	// config, and a default in-order config with InO.Width 0.
@@ -32,6 +33,9 @@ func FuzzSubmitJob(f *testing.F) {
 	}
 	f.Add(`{"Configs":["svr16","inorder"],"Workloads":["Randacc"],"Preset":"quick"}`)
 	f.Add(`{"Configs":["svr99999999"]}`)
+	// Negative image sizes sent the worker's build running away until
+	// the server was killed.
+	f.Add(`{"Configs":["inorder"],"Workloads":["NAS-IS"],"Params":{"Scale":{"GraphNodes":-5,"Elems":-5,"Seed":1},"Warmup":10,"Measure":10}}`)
 
 	spec, err := workloads.Get("NAS-IS")
 	if err != nil {
@@ -62,6 +66,9 @@ func FuzzSubmitJob(f *testing.F) {
 		req, err := sr.resolve()
 		if err != nil {
 			t.Fatalf("accepted body does not resolve: %v", err)
+		}
+		if err := req.Params.Validate(); err != nil {
+			t.Fatalf("accepted body carries an unrunnable window: %v", err)
 		}
 		for _, cfg := range req.Configs {
 			sim.Run(spec, cfg, p)

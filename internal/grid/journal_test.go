@@ -90,7 +90,7 @@ func TestJournalSchedulerLifecycle(t *testing.T) {
 	}})
 	defer s.Shutdown()
 	job, err := s.Submit(JobRequest{Name: "lifecycle", Configs: labeled("A"),
-		Workloads: []string{"Randacc", "HJ2"}})
+		Workloads: []string{"Randacc", "HJ2"}, Params: sim.QuickParams()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,9 +239,10 @@ func ParseConfig(name string) (sim.Config, error) {
 	return sim.Config{}, fmt.Errorf("grid: unknown config %q (want inorder, imp, ooo, or svrN)", name)
 }
 
-// Submit validates a request (every config must pass sim.Config.Validate),
-// expands it into cells and enqueues them. It returns *ErrQueueFull
-// (nothing enqueued) when the queue cannot take the whole job.
+// Submit validates a request (every config must pass sim.Config.Validate
+// and the window sim.Params.Validate), expands it into cells and
+// enqueues them. It returns *ErrQueueFull (nothing enqueued) when the
+// queue cannot take the whole job.
 func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 	if len(req.Configs) == 0 {
 		return nil, fmt.Errorf("grid: job has no configs")
@@ -264,6 +265,11 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 		if err := c.Validate(); err != nil {
 			return nil, fmt.Errorf("grid: %w", err)
 		}
+	}
+	// So would an image no builder can finish or a window too large to
+	// run: a negative Scale sends a build into a runaway loop.
+	if err := req.Params.Validate(); err != nil {
+		return nil, fmt.Errorf("grid: %w", err)
 	}
 	return s.submit(req.Name, req.Priority, req.Configs, specs, req.Params)
 }

@@ -41,7 +41,7 @@ func TestPriorityOrdering(t *testing.T) {
 	defer s.Shutdown()
 
 	submit := func(label string, pri int) *Job {
-		j, err := s.Submit(JobRequest{Name: label, Priority: pri, Configs: labeled(label), Workloads: []string{"Randacc"}})
+		j, err := s.Submit(JobRequest{Name: label, Priority: pri, Configs: labeled(label), Workloads: []string{"Randacc"}, Params: sim.QuickParams()})
 		if err != nil {
 			t.Fatalf("submit %s: %v", label, err)
 		}
@@ -80,7 +80,7 @@ func TestQueueBackpressure(t *testing.T) {
 	defer func() { close(release); s.Shutdown() }()
 
 	// Pin the worker so queued cells stay queued.
-	pin, err := s.Submit(JobRequest{Configs: labeled("pin"), Workloads: []string{"Randacc"}})
+	pin, err := s.Submit(JobRequest{Configs: labeled("pin"), Workloads: []string{"Randacc"}, Params: sim.QuickParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestQueueBackpressure(t *testing.T) {
 	for _, l := range []string{"a", "b", "c", "d"} {
 		cfgs = append(cfgs, labeled(l)[0])
 	}
-	_, err = s.Submit(JobRequest{Configs: cfgs, Workloads: []string{"Randacc"}})
+	_, err = s.Submit(JobRequest{Configs: cfgs, Workloads: []string{"Randacc"}, Params: sim.QuickParams()})
 	var full *ErrQueueFull
 	if !errors.As(err, &full) {
 		t.Fatalf("submit past capacity: err = %v, want *ErrQueueFull", err)
@@ -126,7 +126,7 @@ func TestCancelResume(t *testing.T) {
 	for _, l := range []string{"c0", "c1", "c2"} {
 		cfgs = append(cfgs, labeled(l)[0])
 	}
-	j, err := s.Submit(JobRequest{Name: "cr", Configs: cfgs, Workloads: []string{"Randacc"}})
+	j, err := s.Submit(JobRequest{Name: "cr", Configs: cfgs, Workloads: []string{"Randacc"}, Params: sim.QuickParams()})
 	if err != nil {
 		t.Fatal(err)
 	}

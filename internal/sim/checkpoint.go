@@ -72,17 +72,33 @@ type hierWarmer struct {
 	bp *bpred.Predictor
 }
 
-func (w *hierWarmer) WarmFetch(pc int)              { w.h.WarmFetchInstr(inorder.CodeBase + uint64(pc)*4) }
-func (w *hierWarmer) WarmLoad(pc int, addr uint64)  { w.h.WarmAccess(pc, addr, false) }
-func (w *hierWarmer) WarmStore(pc int, addr uint64) { w.h.WarmAccess(pc, addr, true) }
-func (w *hierWarmer) WarmBranch(pc int, taken bool) { w.bp.Predict(pc, taken) }
+// instrsPerLine is how many instructions share one L1-I line: CodeBase
+// is line-aligned and every instruction is 4 bytes.
+const instrsPerLine = cache.LineSize / 4
+
+func fetchAddr(pc int) uint64 { return inorder.CodeBase + uint64(pc)*4 }
+
+// WarmFetch offers the rest of pc's L1-I line for folding whenever the
+// hierarchy reports the line resident until the next fetch elsewhere.
+func (w *hierWarmer) WarmFetch(pc int) (lo, hi int) {
+	if !w.h.WarmFetchInstr(fetchAddr(pc)) {
+		return 0, 0
+	}
+	lo = pc &^ (instrsPerLine - 1)
+	return lo, lo + instrsPerLine
+}
+
+func (w *hierWarmer) WarmFetchHits(pc int, n uint64) { w.h.WarmFetchHits(fetchAddr(pc), n) }
+func (w *hierWarmer) WarmLoad(pc int, addr uint64)   { w.h.WarmAccess(pc, addr, false) }
+func (w *hierWarmer) WarmStore(pc int, addr uint64)  { w.h.WarmAccess(pc, addr, true) }
+func (w *hierWarmer) WarmBranch(pc int, taken bool)  { w.bp.Predict(pc, taken) }
 
 func (b *machineBase) FastForward(n uint64, warm bool) bool {
 	if !warm {
 		return b.cpu.FastForward(n) == n
 	}
 	b.warmed = true
-	return b.cpu.FastForwardWarm(n, &hierWarmer{h: b.h, bp: b.bp}) == n
+	return b.cpu.FastForwardWarm(n, &b.warmer) == n
 }
 
 func (b *machineBase) Checkpoint() *Checkpoint {

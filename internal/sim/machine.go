@@ -188,13 +188,14 @@ type machineBase struct {
 	owns      bool
 
 	warmed bool                // a warmed fast-forward ran; Checkpoint snapshots hierarchy state
+	warmer hierWarmer          // FastForward's emu.Warmer over h and bp, kept here so a call allocates none
 	rows   stream.DecodedBatch // Step's chunk buffer
 }
 
 func newMachineBase(cfg Config, inst *workloads.Instance, h *cache.Hierarchy, bp *bpred.Predictor) machineBase {
 	view := StreamNeedsOf(cfg.Core) == StreamView
 	return machineBase{cfg: cfg, inst: inst, h: h, bp: bp, cpu: emu.New(inst.Prog, inst.Mem),
-		needsView: view, owns: true}
+		warmer: hierWarmer{h: h, bp: bp}, needsView: view, owns: true}
 }
 
 func (b *machineBase) base() *machineBase          { return b }

@@ -52,7 +52,44 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// problems collects every out-of-range field of one config.
+// Window caps for Params, each above what any preset or experiment
+// uses: BenchScale builds 1<<19-vertex graphs and 1<<22-element arrays,
+// and PaperParams runs ten regions of an 8 M-instruction fast-forward
+// and a 600 K-instruction detailed window. minScaleSize keeps every
+// image builder away from the empty and degenerate inputs it was never
+// written for.
+const (
+	minScaleSize   = 16
+	maxGraphNodes  = 1 << 20
+	maxElems       = 1 << 23
+	maxRegions     = 100
+	maxWindow      = 1 << 30 // Warmup and Measure instructions
+	maxFastForward = 1 << 34
+	maxSamples     = 1 << 16 // Measure / SampleEvery rows of a time series
+)
+
+// Validate reports whether a cell can run p: image sizes and window
+// lengths lie in range, and sampling stays under maxSamples rows, so an
+// untrusted window (a served job) can neither send an image builder
+// into a runaway loop nor exhaust memory.
+func (p Params) Validate() error {
+	var e problems
+	e.check("Scale.GraphNodes", int64(p.Scale.GraphNodes), minScaleSize, maxGraphNodes)
+	e.check("Scale.Elems", int64(p.Scale.Elems), minScaleSize, maxElems)
+	e.check("Regions", int64(p.Regions), 0, maxRegions)
+	e.checkCount("Warmup", p.Warmup, maxWindow)
+	e.checkCount("Measure", p.Measure, maxWindow)
+	e.checkCount("FastForward", p.FastForward, maxFastForward)
+	if p.SampleEvery > 0 && p.Measure/p.SampleEvery > maxSamples {
+		e.add("SampleEvery = %d cuts Measure = %d into more than %d samples", p.SampleEvery, p.Measure, maxSamples)
+	}
+	if err := errors.Join(e...); err != nil {
+		return fmt.Errorf("params: %w", err)
+	}
+	return nil
+}
+
+// problems collects every out-of-range field of one config or window.
 type problems []error
 
 func (p *problems) add(format string, args ...any) { *p = append(*p, fmt.Errorf(format, args...)) }
@@ -60,6 +97,13 @@ func (p *problems) add(format string, args ...any) { *p = append(*p, fmt.Errorf(
 func (p *problems) check(name string, v, lo, hi int64) {
 	if v < lo || v > hi {
 		p.add("%s = %d, want %d..%d", name, v, lo, hi)
+	}
+}
+
+// checkCount is check for unsigned counts, which start at zero.
+func (p *problems) checkCount(name string, v, hi uint64) {
+	if v > hi {
+		p.add("%s = %d, want at most %d", name, v, hi)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/svr"
+	"repro/internal/workloads"
 )
 
 // TestValidateAcceptsExperimentConfigs: the default machines and the
@@ -63,5 +64,52 @@ func TestValidateRejects(t *testing.T) {
 	if err := (Config{Label: "x"}).Validate(); err == nil ||
 		!strings.Contains(err.Error(), "Hier.L1") || !strings.Contains(err.Error(), "InO.Width") {
 		t.Errorf("zero config: Validate() = %v", err)
+	}
+}
+
+// TestParamsValidate: every preset window, and the smallest image sizes
+// Validate accepts, pass; each out-of-range field is refused by name.
+func TestParamsValidate(t *testing.T) {
+	paper2 := PaperParams()
+	paper2.Regions = 2
+	smallest := Params{Scale: workloads.Scale{GraphNodes: minScaleSize, Elems: minScaleSize}, Measure: 1}
+	for _, p := range []Params{QuickParams(), DefaultParams(), PaperParams(), paper2, smallest,
+		{Scale: workloads.TinyScale(), Warmup: 1_000, Measure: 3_000, SampleEvery: 100}} {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%+v: %v", p, err)
+		}
+	}
+	for _, tc := range []struct {
+		field string
+		edit  func(*Params)
+	}{
+		{"Scale.GraphNodes", func(p *Params) { p.Scale.GraphNodes = -5 }},
+		{"Scale.GraphNodes", func(p *Params) { p.Scale.GraphNodes = 0 }},
+		{"Scale.GraphNodes", func(p *Params) { p.Scale.GraphNodes = 1 << 30 }},
+		{"Scale.Elems", func(p *Params) { p.Scale.Elems = -5 }},
+		{"Scale.Elems", func(p *Params) { p.Scale.Elems = 1 << 40 }},
+		{"Regions", func(p *Params) { p.Regions = -1 }},
+		{"Regions", func(p *Params) { p.Regions = 1 << 20 }},
+		{"Warmup", func(p *Params) { p.Warmup = 1 << 62 }},
+		{"Measure", func(p *Params) { p.Measure = 1 << 62 }},
+		{"FastForward", func(p *Params) { p.FastForward = 1 << 62 }},
+		{"SampleEvery", func(p *Params) { p.SampleEvery = 1 }},
+	} {
+		p := QuickParams()
+		tc.edit(&p)
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate() = %v, want an error naming it", tc.field, err)
+		}
+	}
+}
+
+// TestSmallestScaleRuns: at the smallest image sizes Params.Validate
+// accepts, every workload builds and runs a short window.
+func TestSmallestScaleRuns(t *testing.T) {
+	p := Params{Scale: workloads.Scale{GraphNodes: minScaleSize, Elems: minScaleSize, Seed: 1}, Warmup: 100, Measure: 1_000}
+	for _, name := range workloads.Names() {
+		if _, err := RunByName(name, MachineConfig(InO), p); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
