@@ -11,7 +11,7 @@ import (
 )
 
 // The process-wide grid scheduler. Every subcommand that executes a
-// (config × workload) matrix — run, all, bench, compare, serve — is a
+// (config × workload) matrix — run, all, compare, serve — is a
 // thin client of this one scheduler core: scheduler() installs it as the
 // sim matrix runner, so experiment grids, ad-hoc comparisons and served
 // jobs share the same queue, worker pool and artifact store.
@@ -31,9 +31,8 @@ func scheduler() *grid.Scheduler {
 	return sched
 }
 
-// gridFlags is the window/grid flag block shared by run, all and bench:
-// one definition of -quick/-scale/-measure/-warmup/-ff/-regions/-ckpt/
-// -workloads instead of a per-subcommand copy.
+// gridFlags is the window/grid flag block of run and all:
+// -quick/-scale/-measure/-warmup/-ff/-regions/-ckpt/-workloads.
 type gridFlags struct {
 	quick   *bool
 	scale   *string
@@ -60,10 +59,9 @@ func addGridFlags(fs *flag.FlagSet) *gridFlags {
 }
 
 // params folds the parsed flags into simulation parameters and the
-// workload filter. def is the subcommand's base window when no scale
-// flag is given (DefaultParams for run/all, QuickParams for bench).
-func (g *gridFlags) params(def sim.Params) (sim.Params, []string, error) {
-	p := def
+// workload filter. With no scale flag the window is DefaultParams.
+func (g *gridFlags) params() (sim.Params, []string, error) {
+	p := sim.DefaultParams()
 	switch *g.scale {
 	case "":
 		if *g.quick {

@@ -76,8 +76,6 @@ func dispatch(w io.Writer, cmd string, args []string) error {
 		return cmdTimeline(w, args)
 	case "compare":
 		return cmdCompare(w, args)
-	case "bench":
-		return cmdBench(w, args)
 	case "journal":
 		return cmdJournal(w, args)
 	case "serve":
@@ -103,7 +101,6 @@ func usage() {
   svrsim trace <workload> [flags]  dump pipeline + runahead events
   svrsim timeline <workload> [fl.] export a traced window as a Perfetto timeline
   svrsim compare <workload>        one workload on every machine, side by side
-  svrsim bench [flags]             time the simulator itself on the cold grid
   svrsim journal <file> [flags]    validate a lifecycle journal, render its grid trace
   svrsim serve [flags]             multi-tenant grid service over HTTP/JSON
   svrsim version                   module version and build metadata
@@ -124,7 +121,6 @@ run/all flags:
   -ckpt              swap detailed warmup for a shared fast-forward checkpoint
   -timeseries F      sample every cell's counters into a per-interval CSV at F
   -sample N          sampling interval in instructions (default 100000)
-  -status ADDR       serve live scheduler status on ADDR (/status, expvar, pprof)
   -journal F         stream the scheduler lifecycle journal (JSONL) to F
   -gridtrace F       export the whole run as a Chrome/Perfetto trace of the
                      scheduler itself (workers, cells, phases, artifact flows)
@@ -136,16 +132,6 @@ timeline flags:
 
 journal flags:
   -trace F           also render the journal as a Chrome/Perfetto grid trace at F
-
-bench flags:
-  -phases            report per-phase wall-time attribution (where grid time goes)
-  -out F             bench report JSON path (default BENCH_BASELINE.json)
-  -baseline F        diff against a previous bench JSON (default BENCH_BASELINE.json;
-                     informational)
-  -ckpt              run the grid with shared fast-forward checkpoints
-  -cpuprofile F      write a CPU profile
-  -memprofile F      write an allocation profile
-  -full              paper-scale inputs instead of quick scale
 
 metrics flags:
   -core K            machine: inorder, imp, ooo, svr (default svr)
@@ -169,7 +155,7 @@ serve endpoints:
   POST /api/jobs/{id}/cancel   drop queued cells (running cells finish)
   POST /api/jobs/{id}/resume   re-enqueue a canceled job's remainder
   GET  /api/status             scheduler + queue + jobs + artifact store JSON
-  GET  /status, /metrics       aggregate snapshot; Prometheus text format
+  GET  /metrics                Prometheus text format
 `)
 }
 
@@ -182,15 +168,19 @@ func expFlags(args []string) (sim.ExpParams, []string, error) {
 	g := addGridFlags(fs)
 	tsF := fs.String("timeseries", "", "write per-interval counter samples of every cell to this CSV")
 	sampleF := fs.Uint64("sample", 100_000, "sampling interval in instructions (with -timeseries)")
-	statusF := fs.String("status", "", "serve live scheduler status on this address (e.g. :6060)")
 	journalF := fs.String("journal", "", "stream the scheduler lifecycle journal (JSONL) to this file")
 	gridtraceF := fs.String("gridtrace", "", "write a Chrome/Perfetto trace of the scheduler run to this file")
 	if err := fs.Parse(args); err != nil {
 		return sim.ExpParams{}, nil, err
 	}
-	pp, wls, err := g.params(sim.DefaultParams())
+	pp, wls, err := g.params()
 	if err != nil {
 		return sim.ExpParams{}, nil, err
+	}
+	for _, name := range wls {
+		if _, err := lookupWorkload(name); err != nil {
+			return sim.ExpParams{}, nil, err
+		}
 	}
 	p := sim.ExpParams{Params: pp, Workloads: wls}
 	csvMode = *csvF
@@ -198,7 +188,6 @@ func expFlags(args []string) (sim.ExpParams, []string, error) {
 	metricsMode = *metricsF
 	coldMode = *coldF
 	timeseriesPath = *tsF
-	statusAddr = *statusF
 	journalPath = *journalF
 	gridtracePath = *gridtraceF
 	if timeseriesPath != "" {
@@ -209,10 +198,10 @@ func expFlags(args []string) (sim.ExpParams, []string, error) {
 
 // csvMode / jsonMode switch run/all output format; metricsMode adds
 // per-cell metric snapshots to the JSON; coldMode disables the run cache;
-// timeseriesPath collects per-cell interval samples into a CSV;
-// statusAddr serves the live scheduler status (all set by expFlags).
+// timeseriesPath collects per-cell interval samples into a CSV (all set
+// by expFlags).
 var csvMode, jsonMode, metricsMode, coldMode bool
-var timeseriesPath, statusAddr, journalPath, gridtracePath string
+var timeseriesPath, journalPath, gridtracePath string
 
 func printReport(w io.Writer, r *sim.Report) error {
 	if jsonMode {
@@ -310,7 +299,7 @@ func startProgressTicker(curExp *string) func() {
 	return func() { close(stop) }
 }
 
-// applyRunFlags activates -cold, -timeseries, -status and progress
+// applyRunFlags activates -cold, -timeseries, the journal and progress
 // reporting for run/all, and routes the matrices through the shared
 // scheduler core; the returned cleanup restores the process-wide state.
 func applyRunFlags(curExp *string) func() {
@@ -324,25 +313,7 @@ func applyRunFlags(curExp *string) func() {
 	sim.SetProgressHook(progressPrinter(curExp))
 	stopTicker := startProgressTicker(curExp)
 	stopJournal := startRunJournal()
-	stopStatus := func() {}
-	if statusAddr != "" {
-		bound, shutdown, err := startStatusServer(statusAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "svrsim: status server: %v\n", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "svrsim: status on http://%s/status (also /debug/vars, /debug/pprof)\n",
-				bound)
-			stopStatus = shutdown
-			// A sweep long enough to watch is long enough to interrupt:
-			// SIGINT/SIGTERM drains running cells, persists the queue
-			// state, and exits 0 (same contract as `svrsim serve`).
-			stopSignals := handleDrainSignals(defaultStateFile, stopStatus)
-			prevStop := stopStatus
-			stopStatus = func() { stopSignals(); prevStop() }
-		}
-	}
 	return func() {
-		stopStatus()
 		stopJournal()
 		stopTicker()
 		sim.SetProgressHook(nil)
@@ -537,7 +508,7 @@ func cmdWorkload(w io.Writer, args []string) error {
 		p.Measure = *measure
 	}
 
-	cfg, err := coreConfig(*coreF, *n)
+	cfg, err := parseCore(*coreF, *n)
 	if err != nil {
 		return err
 	}
@@ -577,20 +548,19 @@ func cmdWorkload(w io.Writer, args []string) error {
 	return nil
 }
 
-// coreConfig resolves the -core/-n flag pair shared by the workload and
-// metrics subcommands.
-func coreConfig(core string, n int) (sim.Config, error) {
-	switch core {
-	case "inorder":
-		return sim.MachineConfig(sim.InO), nil
-	case "imp":
-		return sim.MachineConfig(sim.IMP), nil
-	case "ooo":
-		return sim.MachineConfig(sim.OoO), nil
-	case "svr":
-		return sim.SVRConfig(n), nil
+// parseCore resolves the -core/-n flag pair of the workload, metrics,
+// trace and timeline subcommands with the checks a served job gets:
+// grid.ParseConfig names the machine ("svr" takes its vector length
+// from -n) and sim.Config.Validate refuses one that cannot be built.
+func parseCore(core string, n int) (sim.Config, error) {
+	if core == "svr" {
+		core = fmt.Sprintf("svr%d", n)
 	}
-	return sim.Config{}, fmt.Errorf("unknown core %q", core)
+	cfg, err := grid.ParseConfig(core)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	return cfg, cfg.Validate()
 }
 
 // cmdMetrics runs one workload on one machine and dumps the machine's
@@ -621,7 +591,7 @@ func cmdMetrics(w io.Writer, args []string) error {
 	if *warmup > 0 {
 		p.Warmup = *warmup
 	}
-	cfg, err := coreConfig(*coreF, *n)
+	cfg, err := parseCore(*coreF, *n)
 	if err != nil {
 		return err
 	}
@@ -721,12 +691,18 @@ func cmdTrace(w io.Writer, args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
+	if *events < 1 {
+		return fmt.Errorf("trace: -events %d, want at least 1", *events)
+	}
 	spec, err := lookupWorkload(name)
 	if err != nil {
 		return err
 	}
+	cfg, err := parseCore("svr", *n)
+	if err != nil {
+		return err
+	}
 	inst := spec.Build(workloads.BenchScale())
-	cfg := sim.SVRConfig(*n)
 	h := cache.NewHierarchy(cfg.Hier)
 	core := inorder.New(cfg.InO, h)
 	cpu := emu.New(inst.Prog, inst.Mem)

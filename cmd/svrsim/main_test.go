@@ -103,6 +103,32 @@ func TestUnknownCommand(t *testing.T) {
 	}
 }
 
+// TestBadInputIsAnError: each invalid flag value is refused with an
+// error before anything runs, instead of a panic or a simulation of a
+// machine no served job could submit.
+func TestBadInputIsAnError(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "fig1", "-quick", "-workloads", "NOPE"},
+		{"all", "-quick", "-workloads", "BFS_KR,NOPE"},
+		{"trace", "NAS-IS", "-events", "0"},
+		{"trace", "NAS-IS", "-events", "-1"},
+		{"metrics", "NAS-IS", "-n", "-3"},
+		{"workload", "NAS-IS", "-n", "0"},
+		{"workload", "NAS-IS", "-n", "100000"},
+		{"trace", "NAS-IS", "-n", "0"},
+		{"timeline", "NAS-IS", "-n", "-1", "-o", "-"},
+	} {
+		var b strings.Builder
+		if err := dispatch(&b, args[0], args[1:]); err == nil {
+			t.Errorf("%v: no error\n%.300s", args, b.String())
+		}
+	}
+	var b strings.Builder
+	if err := dispatch(&b, "bench", nil); err != errUnknownCommand {
+		t.Errorf("bench: err = %v, want errUnknownCommand", err)
+	}
+}
+
 func TestRunExperimentQuickSubset(t *testing.T) {
 	out := runCmd(t, "run", "fig3", "-quick", "-workloads", "NAS-IS,PR_KR")
 	if !strings.Contains(out, "mem-dram CPI") {

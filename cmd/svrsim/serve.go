@@ -2,11 +2,13 @@ package main
 
 import (
 	"context"
+	"expvar"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime/debug"
@@ -18,54 +20,18 @@ import (
 	"repro/internal/sim"
 )
 
-// defaultStateFile is where the queue state is persisted on a graceful
-// shutdown (serve's -state flag overrides it).
-const defaultStateFile = "svrsim-state.json"
-
-// handleDrainSignals installs a SIGINT/SIGTERM handler implementing the
-// graceful-shutdown contract shared by `svrsim serve` and the -status
-// server: drain running cells, persist the queue state, run pre (extra
-// teardown, may be nil), exit 0. The returned stop function uninstalls
-// the handler.
-func handleDrainSignals(statePath string, pre func()) (stop func()) {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		sig, ok := <-ch
-		if !ok {
-			return
-		}
-		fmt.Fprintf(os.Stderr, "\nsvrsim: %s: draining running cells...\n", sig)
-		scheduler().Shutdown()
-		if statePath != "" {
-			if err := scheduler().SaveState(statePath); err != nil {
-				fmt.Fprintf(os.Stderr, "svrsim: persisting queue state: %v\n", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "svrsim: queue state saved to %s\n", statePath)
-			}
-		}
-		if pre != nil {
-			pre()
-		}
-		os.Exit(0)
-	}()
-	return func() {
-		signal.Stop(ch)
-		close(ch)
-	}
-}
-
 // cmdServe runs the multi-tenant grid service: the shared scheduler
 // core behind an HTTP/JSON API (submit grids, stream per-cell results,
-// poll/cancel/resume jobs), plus the /status, /metrics and /debug
-// observability surfaces. SIGINT/SIGTERM shuts down gracefully: running
-// cells drain, the queue state is persisted, and the process exits 0.
+// poll/cancel/resume jobs), plus the /metrics and /debug observability
+// surfaces. SIGINT/SIGTERM shuts down gracefully: running cells drain,
+// the queue state is persisted, and the process exits 0. This drain is
+// the only writer of the state file.
 func cmdServe(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "cell worker pool size (default GOMAXPROCS)")
 	queueCap := fs.Int("queue", 0, "max queued cells across all jobs (default 4096)")
-	stateF := fs.String("state", defaultStateFile, "queue-state file: restored on start, persisted on shutdown (empty disables)")
+	stateF := fs.String("state", "svrsim-state.json", "queue-state file: restored on start, persisted on shutdown (empty disables)")
 	journalF := fs.String("journal", "", "stream the scheduler lifecycle journal (JSONL) to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -122,7 +88,7 @@ func cmdServe(w io.Writer, args []string) error {
 		Handler:     mux,
 		BaseContext: func(net.Listener) context.Context { return serveCtx },
 	}
-	fmt.Fprintf(w, "svrsim: serving on http://%s (POST /api/jobs, /api/status, /status, /metrics)\n",
+	fmt.Fprintf(w, "svrsim: serving on http://%s (POST /api/jobs, /api/status, /metrics)\n",
 		ln.Addr())
 
 	done := make(chan error, 1)
@@ -159,11 +125,10 @@ func cmdServe(w io.Writer, args []string) error {
 // event streams without growing with server uptime.
 const serveJournalRing = 1 << 16
 
-// newServeMux assembles `svrsim serve`'s routes on a private ServeMux —
-// never the process-global http.DefaultServeMux — so a serve mux and a
-// -status mux (startStatusServer) can coexist in one process without
-// double-registering each other's patterns. The debug surfaces are
-// per-mux too, via addDebugRoutes.
+// newServeMux assembles `svrsim serve`'s routes on a private ServeMux,
+// never the process-global http.DefaultServeMux, so tests can build
+// several in one process. GET /api/status is the one status document;
+// the rest are the Prometheus, health and stdlib debug surfaces.
 func newServeMux(s *grid.Scheduler) *http.ServeMux {
 	// The artifact store's hit/miss/evict counters live in a metrics
 	// registry, served in Prometheus text format on /metrics alongside
@@ -173,9 +138,6 @@ func newServeMux(s *grid.Scheduler) *http.ServeMux {
 
 	mux := http.NewServeMux()
 	mux.Handle("/api/", s.Handler())
-	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
-		writeStatusJSON(w)
-	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		reg.Snapshot().WritePrometheus(w)
@@ -184,7 +146,14 @@ func newServeMux(s *grid.Scheduler) *http.ServeMux {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	addDebugRoutes(mux)
+	// The stdlib registers expvar and pprof only on DefaultServeMux;
+	// mount them here by hand.
+	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

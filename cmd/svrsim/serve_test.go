@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -12,59 +13,77 @@ import (
 	"repro/internal/sim"
 )
 
-// TestServeAndStatusMuxesCoexist: `svrsim serve` and the run-mode
-// -status server build private ServeMuxes, so both can live in one
-// process — registering the debug surfaces twice on the global
-// http.DefaultServeMux would panic with a duplicate-pattern error.
-func TestServeAndStatusMuxesCoexist(t *testing.T) {
-	defer func() {
-		if r := recover(); r != nil {
-			t.Fatalf("building both muxes panicked: %v", r)
+// TestServeMuxRoutes: GET /api/status is serve's one status document,
+// next to the Prometheus, health and stdlib debug routes; the routes
+// that repeated a subset of it are gone.
+func TestServeMuxRoutes(t *testing.T) {
+	s := grid.New(grid.Options{Workers: 1})
+	defer s.Shutdown()
+	srv := httptest.NewServer(newServeMux(s))
+	defer srv.Close()
+
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
 		}
-	}()
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		return resp.StatusCode, body
+	}
 
-	serveSrv := httptest.NewServer(newServeMux(scheduler()))
-	defer serveSrv.Close()
-
-	statusAddr, stopStatus, err := startStatusServer("127.0.0.1:0")
+	// One tiny job, so the status document has result-store traffic to
+	// report: its run-cache lookups are the "result" artifact class.
+	resp, err := http.Post(srv.URL+"/api/jobs", "application/json", strings.NewReader(
+		`{"Configs":["inorder"],"Workloads":["NAS-IS"],"Params":{"Scale":{"GraphNodes":512,"Elems":1024,"Seed":42},"Warmup":1000,"Measure":5000}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stopStatus()
-
-	get := func(url string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatalf("GET %s: %v", url, err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(body)
+	var job grid.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&job)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /api/jobs = %d, %v", resp.StatusCode, err)
+	}
+	if code, body := get("/api/jobs/" + job.ID + "/results"); code != http.StatusOK {
+		t.Fatalf("GET results = %d\n%s", code, body)
 	}
 
-	// Both servers answer their shared observability routes.
-	for _, base := range []string{serveSrv.URL, "http://" + statusAddr} {
-		if code, body := get(base + "/status"); code != http.StatusOK ||
-			!strings.Contains(body, "Scheduler") {
-			t.Errorf("GET %s/status = %d\n%s", base, code, body)
-		}
-		if code, body := get(base + "/debug/vars"); code != http.StatusOK ||
-			!strings.Contains(body, "scheduler") {
-			t.Errorf("GET %s/debug/vars = %d", base, code)
-		}
+	code, body := get("/api/status")
+	if code != http.StatusOK {
+		t.Fatalf("GET /api/status = %d\n%s", code, body)
+	}
+	var st grid.StatusPayload
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&st); err != nil {
+		t.Fatalf("/api/status does not decode into grid.StatusPayload: %v\n%s", err, body)
+	}
+	if len(st.Jobs) != 1 || st.Jobs[0].State != grid.StateDone {
+		t.Errorf("/api/status jobs = %+v, want the one finished job", st.Jobs)
+	}
+	if r := st.Artifacts["result"]; r.Hits+r.Misses == 0 {
+		t.Errorf("/api/status reports no result-store lookups:\n%s", body)
 	}
 
-	// The serve-only routes stay off the -status server.
-	if code, body := get(serveSrv.URL + "/metrics"); code != http.StatusOK ||
-		!strings.Contains(body, "svrsim_grid_queue_wait_us") {
-		t.Errorf("GET serve /metrics = %d\n%s", code, body)
+	for path, want := range map[string]string{
+		"/debug/vars":   `"memstats"`,
+		"/debug/pprof/": "goroutine",
+		"/metrics":      "svrsim_grid_queue_wait_us",
+		"/healthz":      "ok",
+	} {
+		if code, body := get(path); code != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("GET %s = %d, want 200 containing %q\n%.400s", path, code, want, body)
+		}
 	}
-	if code, _ := get(serveSrv.URL + "/healthz"); code != http.StatusOK {
-		t.Errorf("GET serve /healthz = %d", code)
-	}
-	if code, _ := get("http://" + statusAddr + "/healthz"); code == http.StatusOK {
-		t.Error("-status server serves /healthz; serve-only routes leaked onto it")
+	for _, path := range []string{"/status", "/api/artifacts"} {
+		if code, _ := get(path); code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, code)
+		}
 	}
 }
 

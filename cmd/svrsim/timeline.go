@@ -10,7 +10,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cpu/inorder"
 	"repro/internal/emu"
-	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/svr"
 	"repro/internal/trace"
@@ -53,6 +52,10 @@ func cmdTimeline(w io.Writer, args []string) error {
 	if *format != "chrome" && *format != "jsonl" {
 		return fmt.Errorf("unknown format %q (want chrome, jsonl)", *format)
 	}
+	cfg, err := parseCore("svr", *n)
+	if err != nil {
+		return err
+	}
 
 	dst := w
 	if *out != "-" {
@@ -65,7 +68,6 @@ func cmdTimeline(w io.Writer, args []string) error {
 	}
 
 	inst := spec.Build(workloads.BenchScale())
-	cfg := sim.SVRConfig(*n)
 	h := cache.NewHierarchy(cfg.Hier)
 	core := inorder.New(cfg.InO, h)
 	cpu := emu.New(inst.Prog, inst.Mem)

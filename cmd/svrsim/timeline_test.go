@@ -2,14 +2,10 @@ package main
 
 import (
 	"encoding/json"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // timelineArgs is the tiny traced window every timeline test uses.
@@ -208,48 +204,5 @@ func TestRunTimeseriesFlag(t *testing.T) {
 		if fields[1] != "NAS-IS" {
 			t.Errorf("row %d workload = %q", i, fields[1])
 		}
-	}
-}
-
-// TestStatusServer exercises the -status surface directly: /status must
-// serve the scheduler snapshot as JSON and /debug/vars must stay valid
-// expvar output.
-func TestStatusServer(t *testing.T) {
-	addr, shutdown, err := startStatusServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	resp, err := http.Get("http://" + addr + "/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap struct {
-		Scheduler sim.GridStatus
-		RunCache  struct{ Hits, Misses int64 }
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatalf("/status is not valid JSON: %v", err)
-	}
-	if snap.Scheduler.Active {
-		t.Error("scheduler reported active with no sweep running")
-	}
-
-	vresp, err := http.Get("http://" + addr + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vresp.Body.Close()
-	blob, err := io.ReadAll(vresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal(blob, &vars); err != nil {
-		t.Fatalf("/debug/vars is not valid JSON: %v", err)
-	}
-	if _, ok := vars["scheduler"]; !ok {
-		t.Error("expvar output has no scheduler key")
 	}
 }

@@ -93,9 +93,6 @@ func (s *Scheduler) Handler() http.Handler {
 	mux.HandleFunc("GET /api/status", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, s.Status())
 	})
-	mux.HandleFunc("GET /api/artifacts", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, sim.Artifacts().Stats())
-	})
 	mux.HandleFunc("GET /api/jobs", func(w http.ResponseWriter, _ *http.Request) {
 		out := []JobStatus{}
 		for _, j := range s.Jobs() {

@@ -1,12 +1,17 @@
 package grid
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -240,6 +245,49 @@ func TestCrossJobDedup(t *testing.T) {
 	}
 }
 
+// TestEightMachinesPlanOneCohort: the eight machines of a fig1 column
+// (every config of one workload window) run as one lockstep cohort of
+// width 8, so the window is recorded once and each chunk decoded once
+// for all of them. Narrower groups would change no result, only cost
+// throughput, so this is the check that catches a planner that splits
+// them.
+func TestEightMachinesPlanOneCohort(t *testing.T) {
+	var cfgs []sim.Config
+	for _, name := range []string{"inorder", "imp", "ooo", "svr8", "svr16", "svr32", "svr64", "svr128"} {
+		cfg, err := ParseConfig(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	specs, err := ResolveWorkloads([]string{"NAS-IS"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.SetRunCacheEnabled(sim.SetRunCacheEnabled(false))
+	jn := NewJournal(JournalConfig{Capture: -1})
+	SetJournal(jn)
+	defer SetJournal(nil)
+
+	s := New(Options{Workers: 2})
+	defer s.Shutdown()
+	rs := s.RunMatrix(cfgs, specs, sim.Params{Scale: workloads.TinyScale(), Warmup: 1_000, Measure: 10_000})
+	s.Shutdown()
+	SetJournal(nil)
+	if len(rs.Cells) != len(cfgs) {
+		t.Fatalf("result set has %d cells, want %d", len(rs.Cells), len(cfgs))
+	}
+	var widths []int64
+	for _, ev := range jn.Events() {
+		if ev.Ev == EvCohortStart {
+			widths = append(widths, ev.N)
+		}
+	}
+	if !reflect.DeepEqual(widths, []int64{8}) {
+		t.Errorf("cohort.start widths = %v, want [8]", widths)
+	}
+}
+
 // TestSaveLoadState: unfinished jobs survive a shutdown via the state
 // file and resubmit on a fresh scheduler.
 func TestSaveLoadState(t *testing.T) {
@@ -344,4 +392,115 @@ func TestSaveStateAtomic(t *testing.T) {
 		t.Fatalf("previous state: restored %d jobs, err %v; want 1", n, err)
 	}
 	s2.Jobs()[0].Wait()
+}
+
+// killSaveStates are the two state files TestKillDuringSave alternates:
+// one job, and sixteen jobs of eight machines each, so a torn write of
+// either cannot pass for the other.
+func killSaveStates() [2][]byte {
+	var small, large persistedState
+	small.Jobs = []persistedJob{{Name: "small", Configs: []sim.Config{sim.SVRConfig(16)},
+		Workloads: []string{"Randacc"}, Params: sim.QuickParams()}}
+	for i := 0; i < 16; i++ {
+		pj := persistedJob{Name: fmt.Sprintf("large-%d", i), Priority: i,
+			Workloads: []string{"BFS_KR", "HJ2"}, Params: sim.QuickParams()}
+		for _, n := range []int{8, 16, 32, 64, 128} {
+			pj.Configs = append(pj.Configs, sim.SVRConfig(n))
+		}
+		pj.Configs = append(pj.Configs, sim.MachineConfig(sim.InO), sim.MachineConfig(sim.IMP), sim.MachineConfig(sim.OoO))
+		large.Jobs = append(large.Jobs, pj)
+	}
+	var out [2][]byte
+	for i, st := range []persistedState{small, large} {
+		blob, err := json.MarshalIndent(st, "", "  ")
+		if err != nil {
+			panic(err)
+		}
+		out[i] = append(blob, '\n') // the bytes SaveState writes
+	}
+	return out
+}
+
+// TestKillDuringSave: a SIGKILL anywhere inside a state save leaves the
+// previous state file or the new one, whole. The test re-executes its
+// own binary as a helper that rewrites the file through writeFileAtomic
+// in a tight loop, alternating two states, and kills it at a random
+// point. After each kill the file must equal one of the two byte for
+// byte and LoadState must restore every job in it. (A killed save may
+// leave its temporary file behind; only the state path is checked.)
+func TestKillDuringSave(t *testing.T) {
+	states := killSaveStates()
+	if path := os.Getenv("GRID_TEST_SAVE_LOOP"); path != "" {
+		// Helper: one complete save, a ready line, then saves until
+		// killed. The deadline stops an orphan whose parent died.
+		if err := writeFileAtomic(path, states[0]); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Println("ready")
+		for i, end := 1, time.Now().Add(10*time.Second); time.Now().Before(end); i++ {
+			if err := writeFileAtomic(path, states[i%2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return
+	}
+
+	seed := time.Now().UnixNano()
+	t.Logf("seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	path := filepath.Join(t.TempDir(), "state.json")
+	done := func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
+		return stubResult(req), sim.CellOutcome{}
+	}
+	for iter := 0; iter < 8; iter++ {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestKillDuringSave$")
+		cmd.Env = append(os.Environ(), "GRID_TEST_SAVE_LOOP="+path)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(out)
+		var early []string // the helper's output before "ready": its failure, if any
+		for sc.Scan() && sc.Text() != "ready" {
+			early = append(early, sc.Text())
+		}
+		if sc.Text() != "ready" {
+			cmd.Process.Kill()
+			cmd.Wait()
+			t.Fatalf("helper did not start: %v\n%s\n%s", sc.Err(), strings.Join(early, "\n"), stderr.Bytes())
+		}
+		time.Sleep(time.Duration(rng.Int63n(int64(20 * time.Millisecond))))
+		if err := cmd.Process.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		cmd.Wait() // reports the kill
+
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("kill %d: %v", iter, err)
+		}
+		var want int
+		switch {
+		case bytes.Equal(got, states[0]):
+			want = 1
+		case bytes.Equal(got, states[1]):
+			want = 16
+		default:
+			t.Fatalf("kill %d: state file is neither saved state (%d bytes)", iter, len(got))
+		}
+		s := New(Options{Workers: 1, Execute: done})
+		n, err := s.LoadState(path)
+		s.Shutdown()
+		if err != nil || n != want {
+			t.Fatalf("kill %d: LoadState restored %d jobs, err %v; want %d", iter, n, err, want)
+		}
+	}
+	// Each leftover temporary file is a kill that landed inside a save.
+	tmps, _ := filepath.Glob(path + ".tmp*")
+	t.Logf("%d of 8 kills landed inside a save", len(tmps))
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/artifact"
@@ -21,39 +20,6 @@ import (
 // stream.ArchView over their own memory image row by row ahead of issue;
 // the shared batch stays immutable. Simulate drives the same walk over
 // private recordings.
-
-// cohortTotals is the process-lifetime cohort accounting (the tracker
-// fields reset per grid; bench and status deltas need cumulative
-// counters, like RecordingStats for streams).
-var cohortTotals struct {
-	sync.Mutex
-	runs   int
-	cells  int
-	widths map[int]int
-}
-
-// CohortStats reports cumulative lockstep-cohort counts: cohorts run
-// and the cells they produced, process-wide.
-func CohortStats() (runs, cells int) {
-	cohortTotals.Lock()
-	defer cohortTotals.Unlock()
-	return cohortTotals.runs, cohortTotals.cells
-}
-
-// CohortWidthHist returns a copy of the process-wide cohort width
-// histogram: widths (cells stepped per lockstep cohort) to how many
-// cohorts ran at that width. The mean hides bimodality — a grid of
-// width-8 SVR cohorts plus width-2 leftovers averages to an unremarkable
-// 5 — so the bench publishes the full distribution.
-func CohortWidthHist() map[int]int {
-	cohortTotals.Lock()
-	defer cohortTotals.Unlock()
-	h := make(map[int]int, len(cohortTotals.widths))
-	for w, n := range cohortTotals.widths {
-		h[w] = n
-	}
-	return h
-}
 
 // MaxCohortWidth caps how many cells one cohort steps in lockstep: past
 // this, the members' aggregate hot state (caches, TLBs, predictors)
@@ -214,14 +180,6 @@ func runCohort(reqs []CellRequest, claims []int, results []Result, outs []CellOu
 		outs[ci].Phases.AddAll(share)
 	}
 	tr.CohortDone(len(claims))
-	cohortTotals.Lock()
-	cohortTotals.runs++
-	cohortTotals.cells += len(claims)
-	if cohortTotals.widths == nil {
-		cohortTotals.widths = make(map[int]int)
-	}
-	cohortTotals.widths[len(claims)]++
-	cohortTotals.Unlock()
 }
 
 // newCohortMachine builds one cohort member at the first region start:

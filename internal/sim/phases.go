@@ -120,16 +120,6 @@ func (t PhaseTimes) Split(k int) PhaseTimes {
 	return out
 }
 
-// Seconds renders the decomposition as a name → seconds map (the bench
-// report form).
-func (t PhaseTimes) Seconds() map[string]float64 {
-	out := make(map[string]float64, NumPhases)
-	for p, d := range t {
-		out[phaseNames[p]] = d.Seconds()
-	}
-	return out
-}
-
 // MarshalJSON renders the decomposition as {"build": ns, ...} with every
 // phase present (stable schema) and durations in nanoseconds.
 func (t PhaseTimes) MarshalJSON() ([]byte, error) {

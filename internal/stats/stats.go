@@ -1,4 +1,4 @@
-// Package stats provides the counters, CPI-stack accounting and aggregate
+// Package stats provides the CPI-stack accounting and aggregate
 // math (harmonic means, normalization) used to regenerate the paper's
 // tables and figures.
 package stats
@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -119,30 +118,6 @@ func MeanCI95(xs []float64) (mean, half float64) {
 	}
 	variance := ss / float64(len(xs)-1)
 	return mean, 1.96 * math.Sqrt(variance/float64(len(xs)))
-}
-
-// Counters is a named-counter bag used by the memory system and cores.
-type Counters struct {
-	m map[string]int64
-}
-
-// NewCounters returns an empty counter bag.
-func NewCounters() *Counters { return &Counters{m: make(map[string]int64)} }
-
-// Inc adds delta to the named counter.
-func (c *Counters) Inc(name string, delta int64) { c.m[name] += delta }
-
-// Get returns the value of the named counter (0 if never incremented).
-func (c *Counters) Get(name string) int64 { return c.m[name] }
-
-// Names returns all counter names, sorted.
-func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for k := range c.m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Table is a simple column-aligned text table for experiment output.

@@ -66,20 +66,6 @@ func TestHarmonicLEArithmetic(t *testing.T) {
 	}
 }
 
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Inc("b", 2)
-	c.Inc("a", 1)
-	c.Inc("b", 3)
-	if c.Get("b") != 5 || c.Get("a") != 1 || c.Get("zzz") != 0 {
-		t.Error("counter values wrong")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("names = %v", names)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("workload", "CPI")
 	tb.AddRowF("bfs", 12.5)
