@@ -22,14 +22,10 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/cpu/inorder"
-	"repro/internal/emu"
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/stream"
-	"repro/internal/svr"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -702,21 +698,13 @@ func cmdTrace(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	inst := spec.Build(workloads.BenchScale())
-	h := cache.NewHierarchy(cfg.Hier)
-	core := inorder.New(cfg.InO, h)
-	cpu := emu.New(inst.Prog, inst.Mem)
-	eng := svr.New(cfg.SVR, h, cpu)
-	core.Companion = eng
-	core.Run(stream.NewLive(cpu), *skip)
-
 	ring := trace.NewRing(*events)
-	core.Tracer = ring
-	eng.Tracer = ring
-	core.Run(stream.NewLive(cpu), *window)
-
+	traced, err := traceWindow(spec, cfg, *skip, *window, ring)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "trace of %s (SVR-%d), %d instructions after skipping %d:\n\n",
-		name, *n, *window, *skip)
+		name, *n, traced, *skip)
 	if err := ring.Dump(w); err != nil {
 		return err
 	}

@@ -7,11 +7,7 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/cache"
-	"repro/internal/cpu/inorder"
-	"repro/internal/emu"
-	"repro/internal/stream"
-	"repro/internal/svr"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -27,11 +23,29 @@ func lookupWorkload(name string) (workloads.Spec, error) {
 	return spec, nil
 }
 
+// traceWindow is the set-up trace and timeline share: it builds cfg's
+// machine over spec's BenchScale image, times the first skip
+// instructions untraced, then the next window with sink attached, and
+// returns how many instructions sink saw (fewer than window if the
+// program ended inside it). A program that ends inside skip is an error.
+func traceWindow(spec workloads.Spec, cfg sim.Config, skip, window uint64, sink trace.Tracer) (uint64, error) {
+	m, err := sim.NewMachine(cfg, spec.Build(workloads.BenchScale()))
+	if err != nil {
+		return 0, err
+	}
+	if !m.Step(skip) {
+		return 0, fmt.Errorf("%s ended after %d instructions, inside -skip %d", spec.Name, m.Instrs(), skip)
+	}
+	m.SetTracer(sink)
+	m.Step(window)
+	return m.Instrs() - skip, nil
+}
+
 // cmdTimeline runs a traced window of one workload on the SVR machine and
 // exports it as a timeline: Chrome Trace Event JSON for Perfetto
 // (per-lane pipeline slices, PRM rounds as async spans, miss→fill flow
 // arrows) or raw JSONL for custom tooling.
-func cmdTimeline(w io.Writer, args []string) error {
+func cmdTimeline(w io.Writer, args []string) (err error) {
 	if len(args) < 1 {
 		return fmt.Errorf("timeline: missing workload name")
 	}
@@ -59,21 +73,20 @@ func cmdTimeline(w io.Writer, args []string) error {
 
 	dst := w
 	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
+		f, ferr := os.Create(*out)
+		if ferr != nil {
+			return ferr
 		}
-		defer f.Close()
+		defer func() {
+			if ferr := f.Close(); err == nil {
+				err = ferr
+			}
+			if err != nil {
+				os.Remove(*out) // a failed timeline leaves no file behind
+			}
+		}()
 		dst = f
 	}
-
-	inst := spec.Build(workloads.BenchScale())
-	h := cache.NewHierarchy(cfg.Hier)
-	core := inorder.New(cfg.InO, h)
-	cpu := emu.New(inst.Prog, inst.Mem)
-	eng := svr.New(cfg.SVR, h, cpu)
-	core.Companion = eng
-	core.Run(stream.NewLive(cpu), *skip)
 
 	var sink trace.Sink
 	switch *format {
@@ -82,10 +95,10 @@ func cmdTimeline(w io.Writer, args []string) error {
 	case "jsonl":
 		sink = trace.NewJSONL(dst)
 	}
-	core.Tracer = sink
-	eng.Tracer = sink
-	core.Run(stream.NewLive(cpu), *window)
-
+	traced, err := traceWindow(spec, cfg, *skip, *window, sink)
+	if err != nil {
+		return err
+	}
 	if cap, ok := sink.(*trace.Capture); ok {
 		if err := trace.WriteChromeTrace(dst, cap.Events, cfg.InO.Width); err != nil {
 			return err
@@ -96,7 +109,7 @@ func cmdTimeline(w io.Writer, args []string) error {
 	}
 	if *out != "-" {
 		fmt.Fprintf(w, "timeline of %s (SVR-%d): %d instructions after skipping %d -> %s (%s)\n",
-			name, *n, *window, *skip, *out, *format)
+			name, *n, traced, *skip, *out, *format)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -138,6 +139,30 @@ func TestTimelineWritesFile(t *testing.T) {
 	var tr chromeOut
 	if err := json.Unmarshal(blob, &tr); err != nil {
 		t.Fatalf("written file is not valid JSON: %v", err)
+	}
+}
+
+// TestTraceWindowPastProgramEnd runs leela, the shortest workload at
+// BenchScale. A -skip past its end is an error that says where it
+// ended, and the failed timeline leaves no -o file behind; a -window
+// past its end reports the instructions actually traced.
+func TestTraceWindowPastProgramEnd(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	var b strings.Builder
+	err := dispatch(&b, "timeline", []string{"leela", "-o", path, "-skip", "20000000"})
+	if err == nil {
+		t.Fatal("timeline: a -skip past the program's end is not an error")
+	}
+	var end uint64
+	if _, serr := fmt.Sscanf(err.Error(), "leela ended after %d instructions, inside -skip 20000000", &end); serr != nil {
+		t.Fatalf("timeline: error does not say where leela ended: %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("failed timeline left %s behind (stat: %v)", path, err)
+	}
+	out := runCmd(t, "trace", "leela", "-skip", fmt.Sprint(end-50), "-window", "200")
+	if want := fmt.Sprintf("50 instructions after skipping %d", end-50); !strings.Contains(out, want) {
+		t.Errorf("trace header does not say %q:\n%.300s", want, out)
 	}
 }
 

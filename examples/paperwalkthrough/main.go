@@ -1,6 +1,6 @@
 // Paperwalkthrough reproduces the paper's expository material directly:
 // the 5-vertex CSR sample graph of Fig 2, the PageRank hot loop of
-// Listing 1 written in the mini ISA, and a live trace of SVR's piggyback
+// Listing 1 written in the mini ISA, and a trace of SVR's piggyback
 // runahead mode over it (Fig 4's timeline) — then scales the same loop up
 // to show the machinery paying off.
 package main
@@ -9,15 +9,13 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/cpu/inorder"
 	"repro/internal/emu"
 	"repro/internal/graphs"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/stream"
-	"repro/internal/svr"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // fig2Graph is the sample graph of Fig 2: offsets [0 2 4 7 9 12],
@@ -132,27 +130,32 @@ func traceOneRound() {
 	for i := range contrib {
 		contrib[i] = float64(i) * 0.5
 	}
-	prog, m, _ := buildListing1(g, contrib)
+	prog, image, _ := buildListing1(g, contrib)
 
-	cfg := sim.SVRConfig(16)
-	h := cache.NewHierarchy(cfg.Hier)
-	core := inorder.New(cfg.InO, h)
-	cpu := emu.New(prog, m)
-	eng := svr.New(cfg.SVR, h, cpu)
-	core.Companion = eng
-	core.Run(stream.NewLive(cpu), 3000) // warm the stride detector
+	m, err := sim.NewMachine(sim.SVRConfig(16), &workloads.Instance{Name: prog.Name, Prog: prog, Mem: image})
+	if err != nil {
+		panic(err)
+	}
+	m.Step(3000) // warm the stride detector
 
 	ring := trace.NewRing(64)
-	eng.Tracer = ring
-	for ring.Total() < 12 {
-		if core.Run(stream.NewLive(cpu), 100) == 0 {
-			break
-		}
+	m.SetTracer(engineEvents{ring})
+	for ring.Total() < 12 && m.Step(100) {
 	}
 	for i, ev := range ring.Events() {
 		if i >= 10 {
 			break
 		}
 		fmt.Printf("  %s\n", ev)
+	}
+}
+
+// engineEvents passes on the SVR engine's events only: the core's
+// per-instruction issue and complete records would bury the round.
+type engineEvents struct{ trace.Tracer }
+
+func (e engineEvents) Emit(ev trace.Event) {
+	if ev.Kind != trace.KindIssue && ev.Kind != trace.KindComplete {
+		e.Tracer.Emit(ev)
 	}
 }

@@ -202,11 +202,13 @@ func TestCoreStepNoSinkDoesNotAllocate(t *testing.T) {
 		t.Fatal("core starts with a tracer attached")
 	}
 	// Warm: fault in the kernel's pages and settle the caches so the timed
-	// runs measure steady state, not first-touch fills.
-	core.Run(stream.NewLive(cpu), 1<<15)
-	// The instruction record lives outside the closure, as it does across
-	// the iterations of Core.Run's loop.
+	// runs measure steady state, not first-touch fills. The instruction
+	// record lives outside the closure, as it does across the iterations
+	// of the warm loop.
 	var rec emu.DynInstr
+	for i := 0; i < 1<<15 && cpu.Step(&rec); i++ {
+		core.Issue(&rec)
+	}
 	if allocs := testing.AllocsPerRun(1000, func() {
 		cpu.Step(&rec)
 		core.Issue(&rec)

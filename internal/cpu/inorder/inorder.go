@@ -396,27 +396,11 @@ func (c *Core) NormalizedStack() stats.CPIStack {
 	return s
 }
 
-// Run pulls up to maxInstr instructions from the source through the
-// core, returning the number executed. The source is either a live
-// emulator (stream.LiveSource) or a pre-recorded stream replay
-// (stream.ReplaySource); the core is agnostic — it consumes DynInstr
-// records either way.
-func (c *Core) Run(src stream.InstrSource, maxInstr uint64) uint64 {
-	var rec emu.DynInstr
-	var n uint64
-	for n < maxInstr && src.Next(&rec) {
-		c.Issue(&rec)
-		n++
-	}
-	return n
-}
-
 // RunBatch issues rows [lo, hi) of a shared decoded batch through the
-// core: the cohort driver's lockstep entry point. Each row is copied
-// into the same DynInstr record Issue consumes from Run, so the timing
-// walk is bit-identical to replaying the rows through an InstrSource —
-// the batch only removes the per-instruction decode and the interface
-// dispatch.
+// core: the entry point every machine steps through. Each row is copied
+// into the one DynInstr record Issue consumes, so the timing walk is
+// bit-identical to issuing the same records one by one from a lockstep
+// emulator — the batch only removes the per-instruction decode.
 func (c *Core) RunBatch(b *stream.DecodedBatch, lo, hi int) {
 	// The scratch record lives on the core, not the stack: Issue's
 	// receiver-escape would otherwise heap-allocate it every call.

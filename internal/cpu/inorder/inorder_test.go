@@ -8,7 +8,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/stats"
-	"repro/internal/stream"
 )
 
 func newCore() *Core {
@@ -17,10 +16,19 @@ func newCore() *Core {
 	return New(DefaultConfig(), cache.NewHierarchy(cfg))
 }
 
+// runLive issues up to n instructions through core, each executed by
+// cpu in lockstep just before it issues.
+func runLive(core *Core, cpu *emu.CPU, n uint64) {
+	var rec emu.DynInstr
+	for i := uint64(0); i < n && cpu.Step(&rec); i++ {
+		core.Issue(&rec)
+	}
+}
+
 func run(t *testing.T, p *isa.Program, m *mem.Memory, core *Core) *emu.CPU {
 	t.Helper()
 	cpu := emu.New(p, m)
-	core.Run(stream.NewLive(cpu), 1<<22)
+	runLive(core, cpu, 1<<22)
 	if !cpu.Halted() {
 		t.Fatal("program did not halt")
 	}
@@ -146,7 +154,7 @@ func TestPointerChaseCPIHigh(t *testing.T) {
 
 	core := newCore()
 	cpu := emu.New(b.Build(), m)
-	core.Run(stream.NewLive(cpu), 60000)
+	runLive(core, cpu, 60000)
 	if cpi := core.CPI(); cpi < 20 {
 		t.Errorf("pointer-chase CPI = %.1f, want > 20 (DRAM-bound)", cpi)
 	}
@@ -261,12 +269,12 @@ func TestResetStatsWindows(t *testing.T) {
 	b.Halt()
 	core := newCore()
 	cpu := emu.New(b.Build(), mem.New())
-	core.Run(stream.NewLive(cpu), 50)
+	runLive(core, cpu, 50)
 	core.H.Reg.Reset()
 	if core.Instrs != 0 || core.Cycles() != 0 {
 		t.Fatalf("stats not reset: %d instrs %d cycles", core.Instrs, core.Cycles())
 	}
-	core.Run(stream.NewLive(cpu), 20)
+	runLive(core, cpu, 20)
 	if core.Instrs != 20 {
 		t.Errorf("windowed instrs = %d", core.Instrs)
 	}

@@ -381,22 +381,10 @@ func (c *Core) NormalizedStack() stats.CPIStack {
 	return s
 }
 
-// Run pulls up to maxInstr instructions from the source (live emulator
-// or recorded-stream replay) through the core.
-func (c *Core) Run(src stream.InstrSource, maxInstr uint64) uint64 {
-	var rec emu.DynInstr
-	var n uint64
-	for n < maxInstr && src.Next(&rec) {
-		c.Issue(&rec)
-		n++
-	}
-	return n
-}
-
 // RunBatch issues rows [lo, hi) of a shared decoded batch through the
-// core — bit-identical to Run over a source yielding the same records
-// (each row is copied into the one DynInstr Issue consumes), minus the
-// per-instruction decode and interface dispatch.
+// core — bit-identical to issuing the same records one by one from a
+// lockstep emulator (each row is copied into the one DynInstr Issue
+// consumes), minus the per-instruction decode.
 func (c *Core) RunBatch(b *stream.DecodedBatch, lo, hi int) {
 	// The scratch record lives on the core, not the stack: Issue's
 	// receiver-escape would otherwise heap-allocate it every call.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -18,10 +17,19 @@ func hcfg() cache.Config {
 	return cfg
 }
 
+// runLive issues up to n instructions through core (out-of-order or
+// in-order), each executed by cpu in lockstep just before it issues.
+func runLive(core interface{ Issue(*emu.DynInstr) }, cpu *emu.CPU, n uint64) {
+	var rec emu.DynInstr
+	for i := uint64(0); i < n && cpu.Step(&rec); i++ {
+		core.Issue(&rec)
+	}
+}
+
 func runP(t *testing.T, p *isa.Program, m *mem.Memory, core *Core) {
 	t.Helper()
 	cpu := emu.New(p, m)
-	core.Run(stream.NewLive(cpu), 1<<22)
+	runLive(core, cpu, 1<<22)
 	if !cpu.Halted() {
 		t.Fatal("program did not halt")
 	}
@@ -89,7 +97,7 @@ func TestOoOBeatsInOrderOnIndirect(t *testing.T) {
 	_ = data2
 	i := inorder.New(inorder.DefaultConfig(), cache.NewHierarchy(hcfg()))
 	cpu := emu.New(buildStrideIndirect(idx2, data2, 1<<14), m2)
-	i.Run(stream.NewLive(cpu), 1<<22)
+	runLive(i, cpu, 1<<22)
 
 	ratio := i.CPI() / o.CPI()
 	if ratio < 1.5 {
@@ -147,7 +155,7 @@ func TestStoreToLoadOrdering(t *testing.T) {
 	b.Halt()
 	core := New(DefaultConfig(), cache.NewHierarchy(hcfg()))
 	cpu := emu.New(b.Build(), m)
-	core.Run(stream.NewLive(cpu), 100)
+	runLive(core, cpu, 100)
 	if cpu.Reg(3) != 42 {
 		t.Fatalf("functional: r3 = %d", cpu.Reg(3))
 	}
@@ -210,12 +218,12 @@ func TestResetStats(t *testing.T) {
 	b.Halt()
 	core := New(DefaultConfig(), cache.NewHierarchy(hcfg()))
 	cpu := emu.New(b.Build(), mem.New())
-	core.Run(stream.NewLive(cpu), 50)
+	runLive(core, cpu, 50)
 	core.H.Reg.Reset()
 	if core.Instrs != 0 || core.Cycles() != 0 {
 		t.Fatal("stats not cleared")
 	}
-	core.Run(stream.NewLive(cpu), 20)
+	runLive(core, cpu, 20)
 	if core.Instrs != 20 || core.Cycles() <= 0 {
 		t.Errorf("window: %d instrs, %d cycles", core.Instrs, core.Cycles())
 	}
@@ -231,7 +239,7 @@ func TestOoOTracer(t *testing.T) {
 	ring := trace.NewRing(64)
 	core.Tracer = ring
 	cpu := emu.New(b.Build(), mem.New())
-	core.Run(stream.NewLive(cpu), 100)
+	runLive(core, cpu, 100)
 	if ring.Total() != 22 { // 11 instrs x (issue + complete)
 		t.Errorf("trace events = %d, want 22", ring.Total())
 	}

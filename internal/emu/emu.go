@@ -57,7 +57,8 @@ func (c *CPU) Reg(r isa.Reg) int64 { return c.R[r] }
 
 // ReadMem returns size bytes of data memory at addr, zero-extended.
 // With Reg and CmpFlags it makes the live CPU an architectural-state
-// view (stream.ArchState) for consumers like the SVR engine.
+// view (stream.ArchState): the lockstep reference the tests hold the
+// SVR engine's replay-backed views to.
 func (c *CPU) ReadMem(addr uint64, size uint8) uint64 { return c.Mem.Read(addr, size) }
 
 // CmpFlags returns the sign of the last compare: -1, 0, +1.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/stream"
 )
 
 // buildStrideIndirect emits sum += data[idx[i]] — IMP's ideal pattern.
@@ -57,7 +56,10 @@ func runIMP(t *testing.T, p *isa.Program, m *mem.Memory, withIMP bool) (*inorder
 		pf = New(DefaultConfig(), h, m)
 		core.Companion = pf
 	}
-	core.Run(stream.NewLive(cpu), 1<<22)
+	var rec emu.DynInstr
+	for i := 0; i < 1<<22 && cpu.Step(&rec); i++ {
+		core.Issue(&rec)
+	}
 	return core, pf
 }
 

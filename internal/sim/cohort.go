@@ -9,9 +9,9 @@ import (
 )
 
 // Timing cohorts: the one way a cell is timed. Sibling cells of one
-// workload window (any registered core kind, up to MaxCohortWidth; a
-// lone cell is a cohort of one) are built at the first region start and
-// walked in lockstep over the region schedule. Each window is recorded
+// workload window (any core kind, up to MaxCohortWidth; a lone cell is a
+// cohort of one) are built at the first region start and walked in
+// lockstep over the region schedule. Each window is recorded
 // once (cachedRecording: shared through the artifact store, keyed by its
 // absolute start instruction), decoded once per cohort into SoA chunks,
 // and every member steps a chunk before the next one is decoded, so the
@@ -199,7 +199,7 @@ func newCohortMachine(cfg Config, spec workloads.Spec, p Params, out *CellOutcom
 	} else {
 		inst = cachedBuild(spec, p.Scale, pc)
 	}
-	private := StreamNeedsOf(cfg.Core) == StreamView || p.Regions > 1
+	private := readsArch(cfg.Core) || p.Regions > 1
 	if private {
 		inst = cloneInstance(inst)
 	}

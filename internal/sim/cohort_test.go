@@ -64,7 +64,7 @@ func runCohortCells(t *testing.T, spec workloads.Spec, cfgs []Config, p Params) 
 }
 
 // TestCohortMatchesSolo is the fidelity contract of lockstep cohorts:
-// for every registered core kind — stream-pure, IMP's and SVR's views —
+// for every core kind — stream-pure, IMP's and SVR's views —
 // plain, checkpointed, and as a sampled multi-region schedule, a cell
 // stepped in lockstep over shared decoded batches must produce a Result
 // deeply equal to the same cell run as a cohort of one, and to the cell

@@ -4,28 +4,39 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/stream"
+	"repro/internal/emu"
 	"repro/internal/workloads"
 )
 
 // The live reference: a machine's core driven straight from its own
-// emulator (stream.LiveSource), the lockstep arrangement the recorded
-// walk replaced. It exists only here, as the oracle the fidelity tests
-// hold every execution path to.
+// emulator, each instruction executed the moment before it issues — the
+// lockstep arrangement the recorded walk replaced. It exists only here,
+// as the oracle the fidelity tests hold every execution path to.
 
-// liveStep issues the next n instructions, executed live by m's emulator.
+// liveStep issues the next n instructions, executed live by m's
+// emulator, returning false if the program ended first.
 func liveStep(m Machine, n uint64) bool {
-	src := stream.NewLive(m.base().cpu)
+	var core interface{ Issue(*emu.DynInstr) }
 	switch mm := m.(type) {
 	case *inOrderMachine:
 		if mm.eng != nil {
 			mm.eng.Arch = mm.cpu
 		}
-		return mm.core.Run(src, n) == n
+		core = mm.core
 	case *oooMachine:
-		return mm.core.Run(src, n) == n
+		core = mm.core
+	default:
+		panic(fmt.Sprintf("liveStep: unknown machine %T", m))
 	}
-	panic(fmt.Sprintf("liveStep: unknown machine %T", m))
+	cpu := m.base().cpu
+	var rec emu.DynInstr
+	for i := uint64(0); i < n; i++ {
+		if !cpu.Step(&rec) {
+			return false
+		}
+		core.Issue(&rec)
+	}
+	return true
 }
 
 // liveSimulate is Simulate executed live: the same region schedule,

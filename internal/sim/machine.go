@@ -15,21 +15,27 @@ import (
 	"repro/internal/stats"
 	"repro/internal/stream"
 	"repro/internal/svr"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
 // Machine is one runnable machine organization: the timing back end of
-// a workload instance. A machine never executes the program to time it:
-// the cohort walk (every grid cell, and Simulate) steps machines over
-// the decoded rows of each window's recording, and Step records
-// privately for drivers that advance a machine in quanta (the
-// multi-core experiment). The machine's own emulator only
-// fast-forwards, captures checkpoints and marks where the next
-// recording starts.
+// a workload instance, and the only way a core is built and driven. A
+// machine never executes the program to time it: the cohort walk (every
+// grid cell, and Simulate) steps machines over the decoded rows of each
+// window's recording, and Step records privately, a bounded quantum at a
+// time, for callers that advance one machine by hand (the multi-core
+// experiment, the trace and timeline tools, the paper walkthrough). The
+// machine's own emulator only fast-forwards, captures checkpoints and
+// marks where the next recording starts.
 type Machine interface {
 	// Step times the next n instructions of the program, returning
 	// false if it ended before all n issued.
 	Step(n uint64) bool
+	// SetTracer attaches t (nil detaches) to the core and, for SVR, to
+	// its engine: every event Step or StepBatch emits from then on
+	// reaches t.
+	SetTracer(t trace.Tracer)
 	// StepBatch issues rows [lo, hi) of a decoded window through the
 	// timing models: the cohort walk's lockstep entry point.
 	StepBatch(b *stream.DecodedBatch, lo, hi int)
@@ -71,81 +77,44 @@ type Machine interface {
 	base() *machineBase
 }
 
-// StreamNeeds says whether a core kind's timing models read more than
-// the DynInstr records, which decides whether its machines time each
-// window through a private architectural view.
-type StreamNeeds int
-
-// Stream requirement classes.
-const (
-	// StreamPure consumers read DynInstr records and nothing else
-	// (in-order and out-of-order cores).
-	StreamPure StreamNeeds = iota
-	// StreamView consumers read architectural registers, flags or data
-	// memory at the retire point — the IMP prefetcher chasing
-	// indirections, SVR's value scavenging. Each window runs a
-	// stream.ArchView over the machine's own memory image, advanced past
-	// every row before the row issues.
-	StreamView
-)
-
-// MachineFactory builds a machine of one kind over a pre-built hierarchy.
-type MachineFactory func(cfg Config, inst *workloads.Instance, h *cache.Hierarchy) Machine
-
-type machineEntry struct {
-	factory MachineFactory
-	needs   StreamNeeds
-}
-
-// machineFactories maps core kinds to constructors plus their stream
-// requirements. New organizations register here instead of growing a
-// switch in the runner.
-var machineFactories = map[CoreKind]machineEntry{}
-
-// RegisterMachine installs the factory for a core kind and declares what
-// the kind requires of its instruction stream.
-func RegisterMachine(kind CoreKind, f MachineFactory, needs StreamNeeds) {
-	machineFactories[kind] = machineEntry{factory: f, needs: needs}
-}
-
-// StreamNeedsOf reports the stream requirement of a core kind.
-func StreamNeedsOf(kind CoreKind) StreamNeeds { return machineFactories[kind].needs }
-
-func init() {
-	RegisterMachine(InO, newInOrderMachine, StreamPure)
-	RegisterMachine(IMP, newInOrderMachine, StreamView)
-	RegisterMachine(SVR, newInOrderMachine, StreamView)
-	RegisterMachine(OoO, newOoOMachine, StreamPure)
-}
-
 // NewMachine builds the configured machine with a private memory
 // hierarchy over the given instance. The instance's memory is mutated by
 // the run; callers reusing an instance must Clone it first.
 func NewMachine(cfg Config, inst *workloads.Instance) (Machine, error) {
-	f, err := factoryFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return f(cfg, inst, cache.NewHierarchy(cfg.Hier)), nil
+	return newMachine(cfg, inst, nil)
 }
 
 // NewMachineShared builds the configured machine with a private cache
 // hierarchy on a shared DRAM channel (the §VI-E multi-core setup).
 func NewMachineShared(cfg Config, inst *workloads.Instance, ch *dram.Channel) (Machine, error) {
-	f, err := factoryFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return f(cfg, inst, cache.NewHierarchyShared(cfg.Hier, ch)), nil
+	return newMachine(cfg, inst, ch)
 }
 
-func factoryFor(cfg Config) (MachineFactory, error) {
-	e, ok := machineFactories[cfg.Core]
-	if !ok {
-		return nil, fmt.Errorf("sim: no machine registered for core kind %d", cfg.Core)
+// newMachine builds cfg's kind over a private hierarchy, on ch when it
+// is non-nil. The kind is checked before anything is built.
+func newMachine(cfg Config, inst *workloads.Instance, ch *dram.Channel) (Machine, error) {
+	var build func(Config, *workloads.Instance, *cache.Hierarchy) Machine
+	switch cfg.Core {
+	case InO, IMP, SVR:
+		build = newInOrderMachine
+	case OoO:
+		build = newOoOMachine
+	default:
+		return nil, fmt.Errorf("sim: no machine for core kind %d", cfg.Core)
 	}
-	return e.factory, nil
+	if ch == nil {
+		ch = dram.New(cfg.Hier.DRAM)
+	}
+	return build(cfg, inst, cache.NewHierarchyShared(cfg.Hier, ch)), nil
 }
+
+// readsArch reports whether a core kind's timing models read more than
+// the DynInstr records: architectural registers, flags or data memory at
+// the retire point (the IMP prefetcher chasing indirections, SVR's value
+// scavenging). Such machines time each window through a private
+// stream.ArchView over their own memory image, advanced past every row
+// before the row issues.
+func readsArch(kind CoreKind) bool { return kind == IMP || kind == SVR }
 
 // Simulate drives a machine through the standard warmup → reset →
 // measure → collect sequence shared by every experiment. With
@@ -180,12 +149,12 @@ type machineBase struct {
 	eng  *svr.Engine      // non-nil only for SVR; reads through the window's view
 
 	// owns marks a private image, which the machine carries across
-	// windows: StreamView kinds advance view over inst.Mem, stream-pure
-	// kinds apply each window's stores to it. Cohort members sharing a
-	// frozen image own nothing and write nothing.
-	needsView bool
-	view      *stream.ArchView
-	owns      bool
+	// windows: kinds that read architectural state advance view over
+	// inst.Mem, stream-pure kinds apply each window's stores to it.
+	// Cohort members sharing a frozen image own nothing and write
+	// nothing.
+	view *stream.ArchView
+	owns bool
 
 	warmed bool                // a warmed fast-forward ran; Checkpoint snapshots hierarchy state
 	warmer hierWarmer          // FastForward's emu.Warmer over h and bp, kept here so a call allocates none
@@ -193,20 +162,20 @@ type machineBase struct {
 }
 
 func newMachineBase(cfg Config, inst *workloads.Instance, h *cache.Hierarchy, bp *bpred.Predictor) machineBase {
-	view := StreamNeedsOf(cfg.Core) == StreamView
 	return machineBase{cfg: cfg, inst: inst, h: h, bp: bp, cpu: emu.New(inst.Prog, inst.Mem),
-		warmer: hierWarmer{h: h, bp: bp}, needsView: view, owns: true}
+		warmer: hierWarmer{h: h, bp: bp}, owns: true}
 }
 
 func (b *machineBase) base() *machineBase          { return b }
 func (b *machineBase) Registry() *metrics.Registry { return b.h.Reg }
 func (b *machineBase) ResetStats()                 { b.h.Reg.Reset() }
 
-// openWindow positions the back end at rec's start: StreamView kinds get
-// a fresh view over their own image, seeded with the window's start
-// registers and flags, and the SVR engine reads through it.
+// openWindow positions the back end at rec's start: kinds that read
+// architectural state get a fresh view over their own image, seeded with
+// the window's start registers and flags, and the SVR engine reads
+// through it.
 func (b *machineBase) openWindow(rec *stream.Recording) {
-	if !b.needsView {
+	if !readsArch(b.cfg.Core) {
 		return
 	}
 	b.view = stream.NewArchView(rec, b.inst.Mem)
@@ -228,18 +197,30 @@ func (b *machineBase) carry(rows *stream.DecodedBatch, lo, hi int) {
 	}
 }
 
+// stepQuantum caps the instructions one private recording of Step
+// holds, so a caller's n never sizes a buffer.
+const stepQuantum = 1 << 16
+
 // step implements Step for every kind: the next n instructions are
-// recorded privately and issued as one window.
+// recorded privately, at most stepQuantum at a time, and each recording
+// is issued as one window.
 func (b *machineBase) step(m Machine, n uint64) bool {
-	rec := recordFrom(b, n)
-	b.openWindow(rec)
-	src := stream.NewReplay(rec)
-	for b.rows.Fill(src, cohortChunkRows) > 0 {
-		m.StepBatch(&b.rows, 0, b.rows.N)
+	for n > 0 {
+		q := min(n, stepQuantum)
+		rec := recordFrom(b, q)
+		b.openWindow(rec)
+		src := stream.NewReplay(rec)
+		for b.rows.Fill(src, cohortChunkRows) > 0 {
+			m.StepBatch(&b.rows, 0, b.rows.N)
+		}
+		src.Recycle()
+		b.closeWindow(rec)
+		if rec.N < q {
+			return false
+		}
+		n -= q
 	}
-	src.Recycle()
-	b.closeWindow(rec)
-	return rec.N == n
+	return true
 }
 
 // inOrderMachine is the in-order family: the bare baseline core, and the
@@ -263,6 +244,13 @@ func newInOrderMachine(cfg Config, inst *workloads.Instance, h *cache.Hierarchy)
 }
 
 func (m *inOrderMachine) Step(n uint64) bool { return m.step(m, n) }
+
+func (m *inOrderMachine) SetTracer(t trace.Tracer) {
+	m.core.Tracer = t
+	if m.eng != nil {
+		m.eng.Tracer = t
+	}
+}
 
 // StepBatch issues rows [lo, hi). With a view (IMP, SVR) each row's
 // architectural effects are applied before the row issues, so the
@@ -309,7 +297,8 @@ func newOoOMachine(cfg Config, inst *workloads.Instance, h *cache.Hierarchy) Mac
 	return &oooMachine{machineBase: newMachineBase(cfg, inst, h, core.BP), core: core}
 }
 
-func (m *oooMachine) Step(n uint64) bool { return m.step(m, n) }
+func (m *oooMachine) Step(n uint64) bool       { return m.step(m, n) }
+func (m *oooMachine) SetTracer(t trace.Tracer) { m.core.Tracer = t }
 
 // StepBatch issues rows [lo, hi) (see the in-order machine's StepBatch).
 func (m *oooMachine) StepBatch(b *stream.DecodedBatch, lo, hi int) {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -62,6 +63,52 @@ func TestReplayMatchesLive(t *testing.T) {
 	}
 }
 
+// TestTracedStepMatchesLive: a sink attached with SetTracer on the one
+// path sees exactly the events the live reference emits once the core's
+// and the SVR engine's Tracer fields are set at the same point. The
+// traced window starts at an odd instruction and spans more than one
+// Step quantum, so recording and chunk boundaries fall mid-loop.
+func TestTracedStepMatchesLive(t *testing.T) {
+	spec := mustSpec(t, "CC_ORK")
+	sc := workloads.TinyScale()
+	const skip, window = 10_001, stepQuantum + 5_000
+	for _, kind := range []CoreKind{InO, IMP, OoO, SVR} {
+		t.Run(kind.String(), func(t *testing.T) {
+			cfg := MachineConfig(kind)
+			var want, got trace.Capture
+			live := testMachine(t, cfg, spec, sc)
+			liveStep(live, skip)
+			switch mm := live.(type) {
+			case *inOrderMachine:
+				mm.core.Tracer = &want
+				if mm.eng != nil {
+					mm.eng.Tracer = &want
+				}
+			case *oooMachine:
+				mm.core.Tracer = &want
+			}
+			liveStep(live, window)
+
+			m := testMachine(t, cfg, spec, sc)
+			m.Step(skip)
+			m.SetTracer(&got)
+			m.Step(window)
+			if !reflect.DeepEqual(want.Events, got.Events) {
+				t.Fatalf("Step saw %d events, the live reference %d", len(got.Events), len(want.Events))
+			}
+			if kind != SVR {
+				return
+			}
+			for _, ev := range got.Events {
+				if ev.Kind == trace.KindPRMEnter {
+					return
+				}
+			}
+			t.Error("SVR window traced no PRM entry")
+		})
+	}
+}
+
 // TestReplayMatchesLiveCheckpointed covers the grid's composed path: a
 // cell restored from the shared, functionally-warmed checkpoint and
 // timed as a cohort of one over the shared recordings must equal the
@@ -93,7 +140,7 @@ func TestReplayMatchesLiveCheckpointed(t *testing.T) {
 
 // TestMatrixReplayMatchesLive runs a small grid cold through the default
 // matrix runner, holds every cell to the live reference, and asserts the
-// scheduler accounted every cell — every registered kind, SVR included —
+// scheduler accounted every cell — every core kind, SVR included —
 // as timed from a recording.
 func TestMatrixReplayMatchesLive(t *testing.T) {
 	defer SetRunCacheEnabled(SetRunCacheEnabled(false))

@@ -172,7 +172,7 @@ func TestNewMachineUnknownKind(t *testing.T) {
 	spec := mustSpec(t, "HJ2")
 	inst := spec.Build(workloads.TinyScale())
 	if _, err := NewMachine(Config{Core: CoreKind(99)}, inst); err == nil {
-		t.Fatal("expected error for unregistered core kind")
+		t.Fatal("expected error for an unknown core kind")
 	}
 }
 

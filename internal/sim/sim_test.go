@@ -84,7 +84,9 @@ func TestFig3DRAMDominatesInOrder(t *testing.T) {
 }
 
 func TestFig11Orderings(t *testing.T) {
-	r := runFig11(quick())
+	p := quick()
+	p.Workloads = append(append([]string(nil), quickSet...), "BFS_KR", "G500")
+	r := runFig11(p)
 	// IMP must fail (stay at baseline) on the patterns it cannot see.
 	for _, wl := range []string{"HJ2", "HJ8", "Randacc", "SSSP_TW"} {
 		ino := r.Values["cpi.in-order."+wl]
@@ -94,8 +96,9 @@ func TestFig11Orderings(t *testing.T) {
 				wl, impV, ino)
 		}
 	}
-	// IMP beats SVR on the long simple stride-indirect loop (NAS-IS, PR_KR).
-	for _, wl := range []string{"NAS-IS", "PR_KR"} {
+	// IMP beats SVR on the long simple stride-indirect loops (BFS_KR,
+	// G500, NAS-IS, PR_KR).
+	for _, wl := range []string{"BFS_KR", "G500", "NAS-IS", "PR_KR"} {
 		if r.Values["cpi.IMP."+wl] >= r.Values["cpi.SVR16."+wl] {
 			t.Errorf("%s: IMP (%.2f) should beat SVR16 (%.2f) per the paper",
 				wl, r.Values["cpi.IMP."+wl], r.Values["cpi.SVR16."+wl])

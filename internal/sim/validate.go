@@ -30,15 +30,14 @@ const (
 // parts the core kind builds are checked.
 func (c Config) Validate() error {
 	var p problems
-	if _, ok := machineFactories[c.Core]; !ok {
-		p.add("Core = %d is not a machine kind", c.Core)
-	}
 	p.hier(c.Hier)
 	switch c.Core {
 	case InO, IMP, SVR:
 		p.inOrder(c.InO)
 	case OoO:
 		p.outOfOrder(c.OoO)
+	default:
+		p.add("Core = %d is not a machine kind", c.Core)
 	}
 	switch c.Core {
 	case IMP:

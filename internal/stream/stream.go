@@ -8,27 +8,16 @@
 // emulated once into a compact Recording (Record) and decoded
 // (ReplaySource, DecodedBatch) into the rows N timing models step,
 // instead of re-running the emulator in lockstep inside every cell.
-// InstrSource and LiveSource remain for the core-level tools that drive
-// a bare core straight from an emulator.
+// This split is the only way anything drives a core.
 //
 // Timing models that read architectural state (the SVR engine
 // scavenges register values and dereferences memory at the retire
 // point) consume it through the ArchState interface: an ArchView
-// advanced over the decoded rows, or a live emu.CPU in the core-level
-// tools.
+// advanced over the decoded rows, or a live emu.CPU in the tests that
+// hold the recorded path to a lockstep reference.
 package stream
 
-import (
-	"repro/internal/emu"
-	"repro/internal/isa"
-)
-
-// InstrSource produces the dynamic instruction stream a timing model
-// consumes: one DynInstr per Next call, false once the stream ends
-// (program halt, or end of a recording).
-type InstrSource interface {
-	Next(rec *emu.DynInstr) bool
-}
+import "repro/internal/isa"
 
 // ArchState is the architectural state a timing model may read at the
 // retire point of the instruction it was just handed: register values,
@@ -46,18 +35,3 @@ type ArchState interface {
 	// CmpFlags returns the sign of the last compare: -1, 0, +1.
 	CmpFlags() int
 }
-
-// LiveSource feeds a timing model straight from the functional emulator:
-// every Next executes one instruction on the wrapped CPU. This is the
-// classic lockstep arrangement — architectural state lags the timing
-// model by at most one instruction, which is what the SVR engine's
-// value scavenging relies on.
-type LiveSource struct {
-	CPU *emu.CPU
-}
-
-// NewLive wraps a CPU as an InstrSource.
-func NewLive(cpu *emu.CPU) *LiveSource { return &LiveSource{CPU: cpu} }
-
-// Next executes one instruction, filling rec.
-func (s *LiveSource) Next(rec *emu.DynInstr) bool { return s.CPU.Step(rec) }

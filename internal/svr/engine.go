@@ -53,9 +53,9 @@ type Engine struct {
 	Opt Options
 	H   *cache.Hierarchy
 	// Arch is the architectural state the engine scavenges values from:
-	// each window's stream.ArchView in simulated cells, or a live
-	// emulator in the core-level tools. Both expose identical
-	// post-retire values, so the engine is agnostic.
+	// each window's stream.ArchView in a machine, or a live emulator in
+	// the lockstep reference tests. Both expose identical post-retire
+	// values, so the engine is agnostic.
 	Arch   stream.ArchState
 	Tracer trace.Tracer // optional runahead event tracing
 
@@ -91,8 +91,10 @@ type Engine struct {
 }
 
 // New builds an engine attached to the given hierarchy and
-// architectural-state view (a live emu.CPU, or a replay-backed view).
-// Options are normalized (see Options.Normalize).
+// architectural-state view: the replay-backed stream.ArchView a machine
+// times each window through (nil when the machine sets Arch per
+// window), or a live emu.CPU in the lockstep reference tests. Options
+// are normalized (see Options.Normalize).
 func New(opt Options, h *cache.Hierarchy, arch stream.ArchState) *Engine {
 	opt = opt.Normalize()
 	e := &Engine{

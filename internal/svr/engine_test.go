@@ -8,7 +8,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/stream"
 )
 
 // buildStrideIndirect emits sum += data[idx[i]] over n iterations —
@@ -61,7 +60,10 @@ func runWith(t *testing.T, p *isa.Program, m *mem.Memory, opt *Options, maxInstr
 		eng = New(*opt, h, cpu)
 		core.Companion = eng
 	}
-	core.Run(stream.NewLive(cpu), maxInstr)
+	var rec emu.DynInstr
+	for i := uint64(0); i < maxInstr && cpu.Step(&rec); i++ {
+		core.Issue(&rec)
+	}
 	return core, eng
 }
 
