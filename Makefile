@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all test race bench results metrics fuzz vet fmt cover
+.PHONY: all test race bench results metrics fuzz vet fmt cover ab
 
 all: vet test
 
@@ -46,3 +46,29 @@ vet:
 
 cover:
 	$(GO) test -cover ./internal/...
+
+# A/B comparison with the repository benchmark (bench/README.md, "A/B
+# comparisons"): side A is bench/ built from a snapshot of OLD that git
+# archive extracts under .bench_build/, side B from the working tree.
+# Each seed is one pair, the side that runs first alternating; each
+# run's last line goes to A.jsonl or B.jsonl, then compare prints its
+# verdicts. Held-out seeds:
+#   make ab OLD=<rev> WORKLOAD=<name> SEEDS="60 61 62 63 64 65 66 67 68 69"
+SEEDS ?= 40 41 42 43 44 45 46 47 48 49
+AB_OLD := .bench_build/ab-old
+
+ab:
+	@test -n "$(OLD)" -a -n "$(WORKLOAD)" || { echo 'usage: make ab OLD=<rev> WORKLOAD=<name> [SEEDS="..."]' >&2; exit 2; }
+	rm -rf $(AB_OLD) && mkdir -p $(AB_OLD)
+	git archive $(OLD) | tar -x -C $(AB_OLD)
+	rm -f A.jsonl B.jsonl
+	i=0; for s in $(SEEDS); do \
+		order="A B"; [ $$((i % 2)) -eq 1 ] && order="B A"; \
+		for side in $$order; do \
+			dir=.; [ $$side = A ] && dir=$(AB_OLD); \
+			(cd $$dir && bash bench/run.sh --workload $(WORKLOAD) --seed $$s) > .bench_build/ab-run.out || exit 1; \
+			tail -n 1 .bench_build/ab-run.out >> $$side.jsonl; \
+		done; i=$$((i + 1)); \
+	done
+	rm -rf $(AB_OLD)
+	.bench_build/bench compare -workload $(WORKLOAD) A.jsonl B.jsonl

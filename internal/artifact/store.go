@@ -9,6 +9,7 @@
 package artifact
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -91,6 +92,7 @@ func (s Stats) Total() ClassStats {
 type entry struct {
 	v     any
 	bytes int64
+	tied  []Key // entries that go when this one goes (Tie)
 }
 
 type call struct {
@@ -213,16 +215,18 @@ func (s *Store) Put(k Key, v any, bytes int64) {
 
 // insert stores the entry and enforces the budget. Caller holds s.mu.
 func (s *Store) insert(k Key, v any, bytes int64) {
+	var tied []Key
 	if old, ok := s.entries[k]; ok {
 		s.bytes -= old.bytes
 		cc := s.class(k.Class)
 		cc.bytes -= old.bytes
 		cc.entries--
 		s.touch(k)
+		tied = old.tied
 	} else {
 		s.order = append(s.order, k)
 	}
-	s.entries[k] = &entry{v: v, bytes: bytes}
+	s.entries[k] = &entry{v: v, bytes: bytes, tied: tied}
 	s.bytes += bytes
 	cc := s.class(k.Class)
 	cc.bytes += bytes
@@ -230,22 +234,58 @@ func (s *Store) insert(k Key, v any, bytes int64) {
 	s.evictPastLimitLocked()
 }
 
-// evictPastLimitLocked drops LRU entries until the budget is met,
-// notifying the evict hook. Caller holds s.mu.
+// evictPastLimitLocked drops LRU entries until the budget is met.
+// Caller holds s.mu.
 func (s *Store) evictPastLimitLocked() {
 	for s.bytes > s.limit && len(s.order) > 1 {
-		victim := s.order[0]
-		s.order = s.order[1:]
-		e := s.entries[victim]
-		delete(s.entries, victim)
-		s.bytes -= e.bytes
-		vc := s.class(victim.Class)
-		vc.bytes -= e.bytes
-		vc.entries--
-		vc.evictions++
+		s.dropLocked(s.order[0], true)
+	}
+}
+
+// Tie makes child go whenever parent goes, evicted by the budget or
+// purged, so an artifact that shares parent's memory and is charged only
+// for what it adds to it never outlives the charge for the rest. Call it
+// once child is stored; if parent is not resident as parentValue, the
+// value child was made from, child goes now. Values compare with ==, so
+// parentValue is a pointer.
+func (s *Store) Tie(child, parent Key, parentValue any) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.entries[child]; !ok {
+		return
+	}
+	p, ok := s.entries[parent]
+	if !ok || p.v != parentValue {
+		s.dropLocked(child, true)
+		return
+	}
+	if !slices.Contains(p.tied, child) {
+		p.tied = append(p.tied, child)
+	}
+}
+
+// dropLocked removes k and, after it, everything tied to it. An
+// eviction is counted and reported to the evict hook; a purge is not.
+// Caller holds s.mu.
+func (s *Store) dropLocked(k Key, evicted bool) {
+	e, ok := s.entries[k]
+	if !ok {
+		return
+	}
+	delete(s.entries, k)
+	s.order = slices.DeleteFunc(s.order, func(o Key) bool { return o == k })
+	s.bytes -= e.bytes
+	cc := s.class(k.Class)
+	cc.bytes -= e.bytes
+	cc.entries--
+	if evicted {
+		cc.evictions++
 		if s.evictHook != nil {
-			s.evictHook(EvictEvent{Key: victim, Bytes: e.bytes})
+			s.evictHook(EvictEvent{Key: k, Bytes: e.bytes})
 		}
+	}
+	for _, c := range e.tied {
+		s.dropLocked(c, evicted)
 	}
 }
 
@@ -428,7 +468,8 @@ func (s *Store) SetClassEnabled(c Class, on bool) bool {
 	return prev
 }
 
-// Purge drops every resident entry of one class (counters kept).
+// Purge drops every resident entry of one class, and whatever is tied
+// to them (counters kept).
 func (s *Store) Purge(c Class) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -436,20 +477,11 @@ func (s *Store) Purge(c Class) {
 }
 
 func (s *Store) purgeLocked(c Class) {
-	keep := s.order[:0]
-	for _, k := range s.order {
-		if k.Class != c {
-			keep = append(keep, k)
-			continue
+	for _, k := range slices.Clone(s.order) {
+		if k.Class == c {
+			s.dropLocked(k, false)
 		}
-		e := s.entries[k]
-		delete(s.entries, k)
-		s.bytes -= e.bytes
 	}
-	s.order = keep
-	cc := s.class(c)
-	cc.bytes = 0
-	cc.entries = 0
 }
 
 // ResetStats zeroes one class's counters (resident entries stay).

@@ -218,6 +218,58 @@ func TestPurgeAndResetStats(t *testing.T) {
 	}
 }
 
+// TestTieDropsWithParent: an entry tied to another goes when that one
+// is evicted or purged, whatever its own recency, and evictions count
+// and reach the hook for both; one tied to a parent that is not resident
+// as the value it was made from goes at once.
+func TestTieDropsWithParent(t *testing.T) {
+	s := New(100)
+	var evicted []string
+	s.SetEvictHook(func(ev EvictEvent) { evicted = append(evicted, ev.Key.ID) })
+	root, mid, leaf := new(int), new(int), new(int)
+	s.Put(key(Checkpoint, "root"), root, 40)
+	s.Put(key(Checkpoint, "mid"), mid, 10)
+	s.Tie(key(Checkpoint, "mid"), key(Checkpoint, "root"), root)
+	s.Put(key(Checkpoint, "leaf"), leaf, 10)
+	s.Tie(key(Checkpoint, "leaf"), key(Checkpoint, "mid"), mid)
+	s.Put(key(Image, "other"), 1, 30)
+	s.Get(key(Checkpoint, "leaf")) // most recent, yet it goes with root
+	s.Put(key(Image, "big"), 2, 30)
+	for _, id := range []string{"root", "mid", "leaf"} {
+		if _, ok := s.Get(key(Checkpoint, id)); ok {
+			t.Errorf("%s survived its root's eviction", id)
+		}
+	}
+	if st := s.Stats()[Checkpoint]; st.Evictions != 3 || st.Entries != 0 || st.Bytes != 0 {
+		t.Errorf("checkpoint stats after the cascade: %+v", st)
+	}
+	if fmt.Sprint(evicted) != "[root mid leaf]" {
+		t.Errorf("evict hook saw %v", evicted)
+	}
+	if s.Bytes() != 60 {
+		t.Errorf("resident bytes %d, want 60", s.Bytes())
+	}
+
+	s.Put(key(Checkpoint, "root"), root, 10)
+	s.Put(key(Checkpoint, "mid"), mid, 10)
+	s.Tie(key(Checkpoint, "mid"), key(Checkpoint, "root"), root)
+	s.Purge(Checkpoint)
+	if st := s.Stats()[Checkpoint]; st.Entries != 0 || st.Evictions != 3 {
+		t.Errorf("purge: %+v", st)
+	}
+
+	s.Put(key(Checkpoint, "root"), new(int), 10) // a re-produced root
+	s.Put(key(Checkpoint, "mid"), mid, 10)
+	s.Tie(key(Checkpoint, "mid"), key(Checkpoint, "root"), root)
+	if _, ok := s.Get(key(Checkpoint, "mid")); ok {
+		t.Error("an entry tied to a value no longer resident stayed")
+	}
+	s.Tie(key(Checkpoint, "gone"), key(Checkpoint, "root"), root) // no child: no-op
+	if _, ok := s.Get(key(Checkpoint, "root")); !ok {
+		t.Error("tying a missing child dropped the parent")
+	}
+}
+
 func TestTotalAndRegister(t *testing.T) {
 	s := New(1 << 20)
 	s.Put(key(Image, "a"), 1, 10)

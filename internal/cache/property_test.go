@@ -112,8 +112,12 @@ func TestTrackerConservation(t *testing.T) {
 			}
 			var issued, resolved int64
 			for o := Origin(0); o < NumOrigins; o++ {
-				issued += tr.Stats[o].Issued
-				resolved += tr.Stats[o].Used + tr.Stats[o].EvictedUnused
+				s := tr.Stats[o]
+				if s.Issued != s.Used+s.EvictedUnused+int64(tr.PendingFrom(o)) {
+					return false
+				}
+				issued += s.Issued
+				resolved += s.Used + s.EvictedUnused
 			}
 			if issued != resolved+int64(tr.Pending()) {
 				return false

@@ -174,6 +174,19 @@ func (t *Tracker) Evict(addr uint64) {
 // Pending returns the number of outstanding unused prefetched lines.
 func (t *Tracker) Pending() int { return t.n }
 
+// PendingFrom returns how many of those lines origin o prefetched.
+func (t *Tracker) PendingFrom(o Origin) int {
+	n := 0
+	if t.n > 0 {
+		for i, k := range t.keys {
+			if k != 0 && t.origins[i] == o {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // each calls f for every outstanding tag, in table order.
 func (t *Tracker) each(f func(lineAddr uint64, o Origin)) {
 	for i, k := range t.keys {

@@ -223,18 +223,50 @@ func (m *Memory) Clone() *Memory {
 
 // Pages returns the number of distinct backing pages touched so far.
 func (m *Memory) Pages() int {
-	n := len(m.overflow)
+	n := 0
+	m.each(func(*page) { n++ })
+	return n
+}
+
+// OwnedPages returns how many of those pages m alone holds: the ones it
+// touched first or copied on write, which no clone or parent shares. A
+// fresh clone owns none; Clone freezes the parent's, so count first.
+func (m *Memory) OwnedPages() int {
+	n := 0
+	m.each(func(p *page) {
+		if p.owner == m {
+			n++
+		}
+	})
+	return n
+}
+
+// Distinct returns how many distinct backing pages the memories
+// reference between them: the pages they keep alive together, however
+// many of them share each one.
+func Distinct(ms ...*Memory) int {
+	seen := make(map[*page]struct{})
+	for _, m := range ms {
+		m.each(func(p *page) { seen[p] = struct{}{} })
+	}
+	return len(seen)
+}
+
+// each calls f for every touched page.
+func (m *Memory) each(f func(*page)) {
+	for _, p := range m.overflow {
+		f(p)
+	}
 	for _, l := range m.root {
 		if l == nil {
 			continue
 		}
 		for _, p := range l {
 			if p != nil {
-				n++
+				f(p)
 			}
 		}
 	}
-	return n
 }
 
 // ReadBytes copies len(dst) bytes starting at addr into dst.

@@ -147,3 +147,44 @@ func TestArrayFill(t *testing.T) {
 		}
 	}
 }
+
+// TestOwnedPages: a clone shares every page with its parent and owns
+// none; each page it then writes or first touches becomes its own, and
+// the parent, frozen by the Clone, owns none of the shared pages either.
+// Distinct counts each shared page once.
+func TestOwnedPages(t *testing.T) {
+	parent := New()
+	const pages = 8
+	for i := uint64(0); i < pages; i++ {
+		parent.Write(i*PageSize, i, 8)
+	}
+	if got := parent.OwnedPages(); got != pages {
+		t.Fatalf("parent owns %d pages before Clone, want %d", got, pages)
+	}
+	child := parent.Clone()
+	if got := child.OwnedPages(); got != 0 {
+		t.Errorf("fresh clone owns %d pages, want 0", got)
+	}
+	if got := parent.OwnedPages(); got != 0 {
+		t.Errorf("parent owns %d pages after Clone froze them, want 0", got)
+	}
+	for k := 1; k <= 3; k++ {
+		child.Write(uint64(k)*PageSize+8, 1, 8) // copy a shared page
+		if got := child.OwnedPages(); got != k {
+			t.Errorf("after writing %d shared pages the clone owns %d", k, got)
+		}
+	}
+	child.Write(3*PageSize+16, 2, 8) // an owned page again: no new copy
+	child.Read(100*PageSize, 8)      // first touch allocates a page of its own
+	if got, want := child.OwnedPages(), 4; got != want {
+		t.Errorf("clone owns %d pages, want %d", got, want)
+	}
+	if got := child.Pages(); got != pages+1 {
+		t.Errorf("clone references %d pages, want %d", got, pages+1)
+	}
+	// Together they keep the parent's pages, the clone's copies of three
+	// of them and its new page alive.
+	if got, want := Distinct(parent, child), pages+4; got != want {
+		t.Errorf("parent and clone keep %d distinct pages, want %d", got, want)
+	}
+}

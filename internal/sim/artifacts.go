@@ -27,12 +27,17 @@ func imageKey(name string, sc workloads.Scale) artifact.Key {
 		ID: fmt.Sprintf("%s|g%d|e%d|s%d", name, sc.GraphNodes, sc.Elems, sc.Seed)}
 }
 
-// checkpointKey addresses a post-fast-forward checkpoint: the image key
-// plus the fast-forward length and — when warming — the warm-relevant
-// machine geometry (warmKey).
-func checkpointKey(name string, sc workloads.Scale, ff uint64, warm string) artifact.Key {
-	return artifact.Key{Class: artifact.Checkpoint,
-		ID: fmt.Sprintf("%s|g%d|e%d|s%d|ff%d|w%s", name, sc.GraphNodes, sc.Elems, sc.Seed, ff, warm)}
+// checkpointKey addresses the checkpoint at which region r of a sampled
+// schedule starts: the image key plus the fast-forward length and — when
+// warming — the warm-relevant machine geometry (warmKey). The first
+// region's start does not depend on the window; a later one's key also
+// carries the window size and r.
+func checkpointKey(name string, sc workloads.Scale, ff, window uint64, r int, warm string) artifact.Key {
+	id := fmt.Sprintf("%s|g%d|e%d|s%d|ff%d", name, sc.GraphNodes, sc.Elems, sc.Seed, ff)
+	if r > 0 {
+		id += fmt.Sprintf("|n%d|r%d", window, r)
+	}
+	return artifact.Key{Class: artifact.Checkpoint, ID: id + "|w" + warm}
 }
 
 // streamKey addresses a stream recording: the image key plus the

@@ -132,32 +132,47 @@ func warmKey(cfg Config) string {
 	return fmt.Sprintf("%x", sum[:8])
 }
 
-// cachedCheckpoint returns the shared post-fast-forward checkpoint for
-// (workload, params, warm geometry), producing it at most once across
-// concurrent callers: build (or fetch) the raw image, fast-forward a
-// throwaway machine, capture. The outcome reports whether this caller
-// got it from the store (hit or joined flight) rather than producing it.
-func cachedCheckpoint(spec workloads.Spec, cfg Config, p Params, tr *Tracker, pc *phaseCtx) (*Checkpoint, artifact.Outcome) {
+// cachedStart returns the shared checkpoint at which region r of p's
+// schedule starts for cfg's warm geometry, producing it at most once
+// across concurrent callers. The starts form a chain of live-points:
+// region 0 starts at the workload image fast-forwarded p.FastForward
+// instructions; region r starts at prev, region r-1's start, restored on
+// a throwaway machine and fast-forwarded through its warmup+measure
+// window and the next gap (both warmed when the gaps are). The first
+// start is charged for every page it references, so it covers the
+// image's pages once the image is evicted; a later one is charged for
+// what it adds to prev and tied to it in the store, so it never outlives
+// the charge for the rest. The producer banks the fast-forward, a caller
+// that joined its flight the wait. The outcome reports whether this
+// caller got the checkpoint from the store (hit or joined flight) rather
+// than producing it.
+func cachedStart(spec workloads.Spec, cfg Config, p Params, r int, prev *Checkpoint, tr *Tracker, pc *phaseCtx) (*Checkpoint, artifact.Outcome) {
 	warm := ""
-	if p.Warm {
+	if p.warmGaps() {
 		warm = warmKey(cfg)
 	}
-	k := checkpointKey(spec.Name, p.Scale, p.FastForward, warm)
+	window := p.Warmup + p.Measure
+	k := checkpointKey(spec.Name, p.Scale, p.FastForward, window, r, warm)
 	callStart := time.Now()
 	v, oc := artifacts.GetOrProduce(k, func() (any, int64) {
+		n := window + p.FastForward
+		if r == 0 {
+			prev, n = imageStart(cachedBuild(spec, p.Scale, pc)), p.FastForward
+		}
 		tr.ckptBegin()
 		t0 := time.Now()
-		m, err := NewMachine(cfg, cloneInstance(cachedBuild(spec, p.Scale, pc)))
-		if err != nil {
-			panic(err)
-		}
-		m.FastForward(p.FastForward, p.Warm)
-		ck := m.Checkpoint()
+		ck := advance(cfg, prev, n, warm != "")
 		d := time.Since(t0)
 		tr.ckptEnd(d)
 		pc.add(PhaseFastForward, d)
-		return ck, ck.Bytes()
+		if r == 0 {
+			return ck, ck.Bytes()
+		}
+		return ck, ck.addedBytes()
 	})
+	if r > 0 && !oc.FromStore() {
+		artifacts.Tie(k, checkpointKey(spec.Name, p.Scale, p.FastForward, window, r-1, warm), prev)
+	}
 	if oc.Waited {
 		pc.add(PhaseStoreWait, time.Since(callStart))
 	}

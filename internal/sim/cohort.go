@@ -11,15 +11,19 @@ import (
 // Timing cohorts: the one way a cell is timed. Sibling cells of one
 // workload window (any core kind, up to MaxCohortWidth; a lone cell is a
 // cohort of one) are built at the first region start and walked in
-// lockstep over the region schedule. Each window is recorded
-// once (cachedRecording: shared through the artifact store, keyed by its
-// absolute start instruction), decoded once per cohort into SoA chunks,
-// and every member steps a chunk before the next one is decoded, so the
-// batch plus the members' hot state stay cache-resident. Members whose
-// timing models read architectural state (IMP, SVR) advance a private
-// stream.ArchView over their own memory image row by row ahead of issue;
-// the shared batch stays immutable. Simulate drives the same walk over
-// private recordings.
+// lockstep over the region schedule. Each region start is a shared
+// checkpoint (cachedStart: one chain per workload and warm geometry,
+// through the artifact store), which every member restores instead of
+// warming the gap itself (an IMP or SVR member warms only its head, see
+// settle). Each window is recorded once (cachedRecording: shared through
+// the artifact store, keyed by its absolute start instruction), decoded
+// once per cohort into SoA chunks, and every member steps a chunk
+// before the next one is decoded, so the batch plus the members' hot
+// state stay cache-resident. Members whose timing models read
+// architectural state (IMP, SVR) advance a private stream.ArchView over
+// their own memory image row by row ahead of issue; the shared batch
+// stays immutable. Simulate drives the same walk over private
+// recordings and a private chain.
 
 // MaxCohortWidth caps how many cells one cohort steps in lockstep: past
 // this, the members' aggregate hot state (caches, TLBs, predictors)
@@ -147,14 +151,18 @@ func runCohort(reqs []CellRequest, claims []int, results []Result, outs []CellOu
 	pc := &phaseCtx{label: first.Cfg.Label, workload: spec.Name, ph: &cph}
 	tr.phase(+1, 0)
 
-	w := &walk{p: p, ms: make([]Machine, len(claims)), tr: tr, pc: pc}
+	w := &walk{p: p, ms: make([]Machine, len(claims)), at: make([]*Checkpoint, len(claims)), tr: tr, pc: pc,
+		next: func(cfg Config, prev *Checkpoint, r int) *Checkpoint {
+			ck, _ := cachedStart(spec, cfg, p, r, prev, tr, pc)
+			return ck
+		}}
 	for k, ci := range claims {
 		outs[ci].Replayed = true
-		m, err := newCohortMachine(reqs[ci].Cfg, spec, p, &outs[ci], tr, pc)
+		m, ck, err := newCohortMachine(reqs[ci].Cfg, spec, p, &outs[ci], tr, pc)
 		if err != nil {
 			panic(err)
 		}
-		w.ms[k] = m
+		w.ms[k], w.at[k] = m, ck
 	}
 	recorded, streamFromStore := false, false
 	w.record = func(src *machineBase) *stream.Recording {
@@ -164,7 +172,7 @@ func runCohort(reqs []CellRequest, claims []int, results []Result, outs []CellOu
 		}
 		return rec
 	}
-	for k, res := range w.run(true) {
+	for k, res := range w.run() {
 		results[claims[k]] = res
 		outs[claims[k]].StreamFromStore = streamFromStore || k > 0
 	}
@@ -182,96 +190,100 @@ func runCohort(reqs []CellRequest, claims []int, results []Result, outs []CellOu
 	tr.CohortDone(len(claims))
 }
 
-// newCohortMachine builds one cohort member at the first region start:
-// restored from the shared checkpoint when fast-forwarding, else at the
-// program entry of the shared image. Kinds that read architectural
-// state (IMP, SVR) always get a private image for their window views;
-// stream-pure kinds share the frozen image unless later regions need
-// their memory carried across windows and gaps.
-func newCohortMachine(cfg Config, spec workloads.Spec, p Params, out *CellOutcome, tr *Tracker, pc *phaseCtx) (Machine, error) {
-	var inst *workloads.Instance
+// newCohortMachine builds one cohort member at the first region start
+// and returns that start: the shared checkpoint after the first
+// fast-forward (cachedStart), else the program entry of the shared image.
+// Kinds that read architectural state (IMP, SVR) get a private image
+// for their window views; stream-pure kinds share the frozen one, at
+// every region start.
+func newCohortMachine(cfg Config, spec workloads.Spec, p Params, out *CellOutcome, tr *Tracker, pc *phaseCtx) (Machine, *Checkpoint, error) {
 	var ck *Checkpoint
 	if p.FastForward > 0 {
 		var co artifact.Outcome
-		ck, co = cachedCheckpoint(spec, cfg, p, tr, pc)
+		ck, co = cachedStart(spec, cfg, p, 0, nil, tr, pc)
 		out.CkptFromStore = co.FromStore()
-		inst = &workloads.Instance{Name: ck.Workload, Prog: ck.prog, Mem: ck.mem, Check: ck.check}
 	} else {
-		inst = cachedBuild(spec, p.Scale, pc)
+		ck = imageStart(cachedBuild(spec, p.Scale, pc))
 	}
-	private := readsArch(cfg.Core) || p.Regions > 1
-	if private {
-		inst = cloneInstance(inst)
-	}
-	m, err := NewMachine(cfg, inst)
-	if err != nil {
-		return nil, err
-	}
-	if ck != nil {
-		m.Restore(ck)
-	}
-	if !private {
-		// Nothing may write the shared image, and no later window needs
-		// this member's memory.
-		m.base().owns = false
-	}
-	return m, nil
+	m, err := newMachineAt(cfg, ck, readsArch(cfg.Core))
+	return m, ck, err
 }
 
-// walk times machines in lockstep over one Params' region schedule:
-// fast-forward gaps, run by every member itself (warming updates each
-// member's own caches, TLBs and predictor), alternate with recorded
-// windows the members step together. All members sit at the same
-// architectural point throughout; record returns the recording of the
-// window starting at a member's emulator position, without moving it.
+// walk times machines in lockstep over one Params' region schedule.
+// Every member starts at the first region start; before each later
+// region, next resolves the region's start for the member's warm
+// geometry from the member's previous one, and the member restores it
+// (the gap runs once per chain; a member with its own prefetcher warms
+// only the head of it that settles its tags, see settle). The windows
+// between are recorded and the members step them together. All members
+// sit at the same architectural point throughout; record returns the
+// recording of the window starting at a member's emulator position,
+// without moving it.
 type walk struct {
 	p      Params
 	ms     []Machine
+	at     []*Checkpoint // each member's current region start, when p.chained()
+	next   func(cfg Config, prev *Checkpoint, r int) *Checkpoint
 	record func(src *machineBase) *stream.Recording
 	tr     *Tracker
 	pc     *phaseCtx
 	batch  stream.DecodedBatch // chunk buffer, reused across chunks and windows
 }
 
-// run executes the schedule and returns each member's Result. atFirst
-// marks members already positioned at their first region start
-// (restored from the shared checkpoint), whose first fast-forward must
-// not run again.
-func (w *walk) run(atFirst bool) []Result {
+// run executes the schedule and returns each member's Result.
+func (w *walk) run() []Result {
 	p := w.p
 	per := make([][]Result, len(w.ms))
 	for r := 0; r < max(p.Regions, 1); r++ {
-		ffOK := true
-		if p.FastForward > 0 && (r > 0 || !atFirst) {
-			t0 := time.Now()
-			for _, m := range w.ms {
-				ffOK = m.FastForward(p.FastForward, p.Warm)
-			}
-			w.pc.add(PhaseFastForward, time.Since(t0))
-			if !ffOK && r > 0 {
-				break // the program ended inside the gap
-			}
+		if r > 0 && !w.moveTo(r) {
+			break // the program ended inside the gap
 		}
 		res := w.window(w.record(w.source()))
 		if res[0].Instrs == 0 && r > 0 {
-			break // the program ended inside the previous window
+			break // the program ended where the gap did
 		}
 		for k := range per {
 			per[k] = append(per[k], res[k])
 		}
-		if !ffOK || res[0].Instrs < p.Measure {
+		if res[0].Instrs < p.Measure {
 			break
 		}
 	}
 	out := make([]Result, len(w.ms))
 	for k := range out {
-		if p.FastForward == 0 && p.Regions <= 1 {
+		if !p.chained() {
 			out[k] = per[k][0]
 		} else {
 			out[k] = mergeRegions(per[k], p)
 		}
 	}
 	return out
+}
+
+// moveTo moves every member to region r's start and reports whether the
+// gap before it ran whole. When the program ended inside the gap the
+// start is the program's end, where the members then finish. A member
+// with a prefetcher of its own first settles its tags in the warmed gap,
+// and restores the start only if that left it short of it.
+func (w *walk) moveTo(r int) bool {
+	span := w.p.Warmup + w.p.Measure + w.p.FastForward
+	whole := true
+	for k, m := range w.ms {
+		b := m.base()
+		ck := w.next(b.cfg, w.at[k], r)
+		whole = whole && ck.Instrs() == w.at[k].Instrs()+span
+		w.at[k] = ck
+		if w.p.warmGaps() {
+			t0 := time.Now()
+			there := b.settle(ck.Instrs())
+			w.pc.add(PhaseFastForward, time.Since(t0))
+			if there {
+				continue
+			}
+		}
+		m.Restore(ck)
+	}
+	return whole
 }
 
 // source is the member windows are recorded from: one that owns its

@@ -93,14 +93,16 @@ func testMachine(t *testing.T, cfg Config, spec workloads.Spec, sc workloads.Sca
 	return m
 }
 
-// liveCell runs one cell live from the start point the grid uses: the
-// shared checkpoint when fast-forwarding, else a clone of the image.
+// liveCell runs one cell live from the start point the grid uses — the
+// shared first region start when fast-forwarding, else a clone of the
+// image — and warms every later gap in place: the reference the chain of
+// shared region starts is held to.
 func liveCell(t *testing.T, spec workloads.Spec, cfg Config, p Params) Result {
 	t.Helper()
 	if p.FastForward == 0 {
 		return liveSimulate(testMachine(t, cfg, spec, p.Scale), p, false)
 	}
-	ck, _ := cachedCheckpoint(spec, cfg, p, nil, nil)
+	ck, _ := cachedStart(spec, cfg, p, 0, nil, nil, nil)
 	m, err := NewMachineFrom(cfg, ck)
 	if err != nil {
 		t.Fatal(err)

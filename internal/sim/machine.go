@@ -64,13 +64,15 @@ type Machine interface {
 	FastForward(n uint64, warm bool) bool
 	// Checkpoint captures the machine's resumable state (architectural
 	// registers plus a COW memory clone, and warmed microarchitectural
-	// snapshots after a warmed fast-forward) for NewMachineFrom. Only
-	// meaningful before any timed stepping: timing state (MSHRs,
-	// walkers, DRAM, core pipeline) is not captured.
+	// snapshots after a warmed fast-forward) for NewMachineFrom and
+	// Restore. Timing state (MSHRs, walkers, DRAM, core pipeline) is
+	// not captured.
 	Checkpoint() *Checkpoint
-	// Restore adopts ck's architectural and warmed state. The machine
-	// must be freshly built over a clone of the checkpointed memory;
-	// NewMachineFrom does both.
+	// Restore moves the machine to ck, as if it had fast-forwarded
+	// there: it adopts ck's registers, memory image and any warmed
+	// cache, TLB, prefetch-tag and predictor state, and keeps its own
+	// timing state and prefetcher tables. It is how every region of a
+	// sampled schedule is entered.
 	Restore(ck *Checkpoint)
 	// base exposes the state every kind shares, which the walk positions
 	// between windows.
@@ -121,8 +123,11 @@ func readsArch(kind CoreKind) bool { return kind == IMP || kind == SVR }
 // Params.SampleEvery set it also records the interval time series; with
 // Params.FastForward or multi-region Params it runs the region schedule
 // (fast-forward → detailed window, repeated) and aggregates. It is the
-// walk a cohort of one takes, over private recordings instead of the
-// artifact store's.
+// walk a cohort of one takes, over private recordings and a private
+// chain of region starts instead of the artifact store's: the machine
+// fast-forwards to its first region start itself, and each later start
+// is advanced from the previous one on a throwaway machine, as
+// cachedStart does.
 func Simulate(m Machine, p Params) Result { return simulate(m, p, false) }
 
 // SimulateFrom is Simulate for a machine already positioned at its first
@@ -133,8 +138,16 @@ func SimulateFrom(m Machine, p Params) Result { return simulate(m, p, true) }
 func simulate(m Machine, p Params, atFirst bool) Result {
 	w := &walk{p: p, ms: []Machine{m}, record: func(src *machineBase) *stream.Recording {
 		return recordFrom(src, p.Warmup+p.Measure)
+	}, next: func(cfg Config, prev *Checkpoint, _ int) *Checkpoint {
+		return advance(cfg, prev, p.Warmup+p.Measure+p.FastForward, p.warmGaps())
 	}}
-	return w.run(atFirst)[0]
+	if p.chained() {
+		if !atFirst {
+			m.FastForward(p.FastForward, p.warmGaps())
+		}
+		w.at = []*Checkpoint{m.Checkpoint()}
+	}
+	return w.run()[0]
 }
 
 // machineBase is the state every machine kind shares: the workload
@@ -147,12 +160,13 @@ type machineBase struct {
 	bp   *bpred.Predictor // the core's predictor, warmed and checkpointed with the caches
 	cpu  *emu.CPU         // fast-forwards, captures checkpoints, marks where recordings start
 	eng  *svr.Engine      // non-nil only for SVR; reads through the window's view
+	pf   *imp.Prefetcher  // non-nil only for IMP; reads inst.Mem directly
 
-	// owns marks a private image, which the machine carries across
-	// windows: kinds that read architectural state advance view over
-	// inst.Mem, stream-pure kinds apply each window's stores to it.
-	// Cohort members sharing a frozen image own nothing and write
-	// nothing.
+	// owns marks a private image, which the machine carries through a
+	// window: kinds that read architectural state advance view over
+	// inst.Mem, stream-pure kinds apply the window's stores to it (Step
+	// carries it on to the next). Cohort members of a stream-pure kind
+	// share each region start's frozen image, and own and write nothing.
 	view *stream.ArchView
 	owns bool
 
@@ -235,7 +249,8 @@ func newInOrderMachine(cfg Config, inst *workloads.Instance, h *cache.Hierarchy)
 	m := &inOrderMachine{machineBase: newMachineBase(cfg, inst, h, core.BP), core: core}
 	switch cfg.Core {
 	case IMP:
-		core.Companion = imp.New(cfg.IMP, h, inst.Mem)
+		m.pf = imp.New(cfg.IMP, h, inst.Mem)
+		core.Companion = m.pf
 	case SVR:
 		m.eng = svr.New(cfg.SVR, h, nil) // reads through each window's view
 		core.Companion = m.eng

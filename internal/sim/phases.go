@@ -32,9 +32,11 @@ const (
 	// PhaseBuild: constructing workload images, machines, and any wall
 	// time no finer phase claimed (the attribution remainder).
 	PhaseBuild Phase = iota
-	// PhaseFastForward: functional fast-forward — producing a shared
-	// post-fast-forward checkpoint (captured once per workload window)
-	// and the warmed gaps between the regions of a sampled schedule.
+	// PhaseFastForward: functional fast-forward — producing the shared
+	// checkpoints regions start at (cachedStart: the first fast-forward,
+	// and for each later region the previous window and the gap), banked
+	// by the cell that produced each, and the head of a gap an IMP or
+	// SVR cell warms itself (settle).
 	PhaseFastForward
 	// PhaseRecord: producing a shared instruction-stream recording.
 	PhaseRecord

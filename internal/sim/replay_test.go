@@ -113,8 +113,9 @@ func TestTracedStepMatchesLive(t *testing.T) {
 // cell restored from the shared, functionally-warmed checkpoint and
 // timed as a cohort of one over the shared recordings must equal the
 // same machine run live from the checkpoint — for a single window and
-// for a two-region schedule whose second window is recorded from the
-// member's emulator after its own warmed gap.
+// for a two-region schedule whose second region the cell enters by
+// restoring the chain's second shared start, while the live machine
+// warms the gap in place.
 func TestReplayMatchesLiveCheckpointed(t *testing.T) {
 	defer SetRunCacheEnabled(SetRunCacheEnabled(false))
 	spec := mustSpec(t, "CC_ORK")

@@ -91,15 +91,24 @@ type Params struct {
 
 	// FastForward, when non-zero, functionally executes this many
 	// instructions (no DynInstr streaming, no timing models) before each
-	// detailed region. The experiment scheduler captures the machine
-	// state after the first fast-forward as a shared checkpoint, so the
-	// fast-forward of a workload runs once and is cloned into every
-	// compatible config cell.
+	// detailed region. No grid cell runs a whole gap itself: the
+	// experiment scheduler captures each region start as a shared
+	// checkpoint, the first after the first fast-forward and each later
+	// one after the previous window and the next gap (cachedStart), so a
+	// workload's gaps run once per warm geometry and every compatible
+	// config cell restores them. An IMP or SVR cell warms the head of
+	// each gap itself first (see Warm).
 	FastForward uint64
 	// Warm enables functional warming during fast-forward: cache, TLB,
 	// prefetch-tag and branch-predictor state is updated alongside the
 	// architectural execution at ~zero timing cost, letting the detailed
-	// warmup shrink or disappear.
+	// warmup shrink or disappear. A later region's start is warmed
+	// through the previous window as well as the gap, so it holds the
+	// cache state warming leaves, not the one the cell's own prefetches
+	// left. An IMP or SVR cell warms the head of each gap in place until
+	// the gap has used or evicted every line its prefetcher left tagged,
+	// and differs from one that warmed the whole gap in place only where
+	// the rest of the gap does not wash its prefetched lines out.
 	Warm bool
 	// Regions, when above one, runs that many detailed warmup+measure
 	// windows stitched together by fast-forward gaps and aggregates
@@ -131,7 +140,9 @@ func QuickParams() Params {
 // fast-forward, so a cell's samples span the longest default-scale
 // workloads (~96 M dynamic instructions — the closest our budget gets to
 // the paper's 200 M-instruction regions) while detailed simulation
-// covers only the measured windows. Shorter workloads simply run fewer
+// covers only the measured windows. The 8 M-instruction gaps run once
+// per workload and warm geometry, as the chain of region-start
+// checkpoints every cell restores. Shorter workloads simply run fewer
 // regions: the schedule stops at program end and the aggregate reports
 // how many regions actually ran.
 func PaperParams() Params {
@@ -144,6 +155,14 @@ func PaperParams() Params {
 		Measure:     500_000,
 	}
 }
+
+// chained reports whether p's regions start at checkpoints: after a
+// fast-forward, or after an earlier region.
+func (p Params) chained() bool { return p.FastForward > 0 || p.Regions > 1 }
+
+// warmGaps reports whether the fast-forward to a region start warms;
+// back-to-back regions (no fast-forward) warm nothing.
+func (p Params) warmGaps() bool { return p.Warm && p.FastForward > 0 }
 
 // Result is the measurement record of one run.
 type Result struct {
