@@ -217,13 +217,12 @@ func printReport(w io.Writer, r *sim.Report) error {
 }
 
 // progressMu serializes the \r-overwritten stderr progress line between
-// the per-cell hook and the periodic ticker.
+// the per-cell subscriber and the periodic ticker.
 var progressMu sync.Mutex
 
 // statusSuffix renders the live scheduler rate/ETA tail of the progress
 // line, empty until the scheduler has something to project from.
-func statusSuffix() string {
-	st := sim.CurrentStatus()
+func statusSuffix(st sim.GridStatus) string {
 	if !st.Active || st.Rate <= 0 {
 		return ""
 	}
@@ -234,23 +233,22 @@ func statusSuffix() string {
 	return s
 }
 
-// progressPrinter reports scheduler progress on stderr as experiments
-// run: cells completed, served from cache, remaining, and the live
+// progressLine reports scheduler progress on stderr as experiments run,
+// subscribed to the event stream: at each finished cell it reads the
+// grid status, which has folded that cell in already, and prints the
+// cells completed, served from cache and remaining, and the live
 // instruction rate / ETA. curExp names the experiment whose matrix is in
 // flight.
-func progressPrinter(curExp *string) func(sim.CellEvent) {
-	cached := 0
-	return func(ev sim.CellEvent) {
-		if ev.Done == 1 {
-			cached = 0
+func progressLine(curExp *string) func(sim.Event) {
+	return func(ev sim.Event) {
+		if ev.Kind != sim.EvCellFinish {
+			return
 		}
-		if ev.Cached {
-			cached++
-		}
+		st := sim.CurrentStatus()
 		progressMu.Lock()
 		fmt.Fprintf(os.Stderr, "\r%s: %d/%d cells (%d cached, %d remaining%s)",
-			*curExp, ev.Done, ev.Cells, cached, ev.Cells-ev.Done, statusSuffix())
-		if ev.Done == ev.Cells {
+			*curExp, st.Done, st.Cells, st.Cached, st.Cells-st.Done, statusSuffix(st))
+		if st.Done == st.Cells {
 			fmt.Fprintln(os.Stderr)
 		}
 		progressMu.Unlock()
@@ -258,8 +256,9 @@ func progressPrinter(curExp *string) func(sim.CellEvent) {
 }
 
 // startProgressTicker redraws a scheduler-state line every couple of
-// seconds so long cells still show liveness (the per-cell hook only fires
-// on completion). The returned stop function ends the goroutine.
+// seconds so long cells still show liveness (the per-cell line only
+// moves when a cell finishes). The returned stop function ends the
+// goroutine.
 func startProgressTicker(curExp *string) func() {
 	stop := make(chan struct{})
 	go func() {
@@ -287,7 +286,7 @@ func startProgressTicker(curExp *string) func() {
 				}
 				progressMu.Lock()
 				fmt.Fprintf(os.Stderr, "\r%s: %d/%d done (%d queued, %d building%s, %d running%s)",
-					*curExp, st.Done, st.Cells, st.Queued, st.Building, ckpt, st.Running, statusSuffix())
+					*curExp, st.Done, st.Cells, st.Queued, st.Building, ckpt, st.Running, statusSuffix(st))
 				progressMu.Unlock()
 			}
 		}
@@ -305,15 +304,13 @@ func applyRunFlags(curExp *string) func() {
 		prevCache = sim.SetRunCacheEnabled(false)
 	}
 	prevMetrics := sim.SetCellMetrics(metricsMode)
-	prevSeries := sim.SetCellSeries(timeseriesPath != "")
-	sim.SetProgressHook(progressPrinter(curExp))
+	stopProgress := sim.Subscribe(progressLine(curExp))
 	stopTicker := startProgressTicker(curExp)
 	stopJournal := startRunJournal()
 	return func() {
 		stopJournal()
 		stopTicker()
-		sim.SetProgressHook(nil)
-		sim.SetCellSeries(prevSeries)
+		stopProgress()
 		sim.SetCellMetrics(prevMetrics)
 		if coldMode {
 			sim.SetRunCacheEnabled(prevCache)

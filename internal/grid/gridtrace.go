@@ -28,23 +28,17 @@ type phaseSeg struct {
 // openCell tracks a started, not yet finished cell.
 type openCell struct {
 	name   string
-	job    string
 	worker int
 	start  int64 // µs
 	phases []phaseSeg
 }
 
-type cellKey struct {
-	job string
-	seq int
-}
+// cellKey names a cell within the whole stream: its job and its name.
+type cellKey struct{ job, cell string }
 
 // WriteTrace renders events (chronological, as returned by
 // Journal.Events) as a Chrome trace. cell.phase and artifact.* events
-// carry only a cell name, not a job/worker identity; they attach to the
-// most recently started open cell of that name — exact whenever equally
-// named cells of different jobs do not overlap, a best-effort guess when
-// they do.
+// attach to the open cell of their job and name.
 func WriteTrace(w io.Writer, events []JournalEvent) error {
 	b := trace.NewChromeBuilder("svrsim grid")
 	b.Thread(tidScheduler, "scheduler")
@@ -60,19 +54,11 @@ func WriteTrace(w io.Writer, events []JournalEvent) error {
 		nextID     uint64
 		jobSpan    = map[string]uint64{}
 		open       = map[cellKey]*openCell{}
-		byName     = map[string][]*openCell{}
 		flows      = map[string]uint64{} // produced artifact → flow id
 		cohortSpan = map[int]uint64{}    // worker → open cohort span id
 	)
 	newID := func() uint64 { nextID++; return nextID }
 	us := func(ns int64) int64 { return ns / 1000 }
-	// locate resolves a cell-named event to its open cell (nil if none).
-	locate := func(name string) *openCell {
-		if s := byName[name]; len(s) > 0 {
-			return s[len(s)-1]
-		}
-		return nil
-	}
 
 	for _, ev := range events {
 		ts := us(ev.TS)
@@ -91,20 +77,18 @@ func WriteTrace(w io.Writer, events []JournalEvent) error {
 			b.Instant(tidScheduler, ev.Ev+" "+ev.Job, "job", ts, nil)
 
 		case EvCellStart:
-			oc := &openCell{name: ev.Cell, job: ev.Job, worker: ev.Worker, start: ts}
-			open[cellKey{ev.Job, ev.Seq}] = oc
-			byName[ev.Cell] = append(byName[ev.Cell], oc)
+			open[cellKey{ev.Job, ev.Cell}] = &openCell{name: ev.Cell, worker: ev.Worker, start: ts}
 		case EvCellPhase:
-			if oc := locate(ev.Cell); oc != nil {
+			if oc := open[cellKey{ev.Job, ev.Cell}]; oc != nil {
 				oc.phases = append(oc.phases, phaseSeg{name: ev.Phase, dur: us(ev.DurNS)})
 			}
 		case EvCellFinish:
-			k := cellKey{ev.Job, ev.Seq}
+			k := cellKey{ev.Job, ev.Cell}
 			oc := open[k]
 			if oc == nil {
 				// cell.start fell off the capture ring: reconstruct the
 				// extent from the reported wall time.
-				oc = &openCell{name: ev.Cell, job: ev.Job, worker: ev.Worker,
+				oc = &openCell{name: ev.Cell, worker: ev.Worker,
 					start: ts - us(ev.DurNS)}
 			}
 			b.Slice(oc.worker, oc.name, "cell", oc.start, ts-oc.start,
@@ -128,14 +112,6 @@ func WriteTrace(w io.Writer, events []JournalEvent) error {
 				}
 			}
 			delete(open, k)
-			if s := byName[ev.Cell]; len(s) > 0 {
-				for i := len(s) - 1; i >= 0; i-- {
-					if s[i] == oc {
-						byName[ev.Cell] = append(s[:i], s[i+1:]...)
-						break
-					}
-				}
-			}
 
 		case EvCohortStart:
 			id := newID()
@@ -151,7 +127,7 @@ func WriteTrace(w io.Writer, events []JournalEvent) error {
 
 		case EvArtifactHit, EvArtifactJoin, EvArtifactProd:
 			tid := tidScheduler
-			if oc := locate(ev.Cell); oc != nil {
+			if oc := open[cellKey{ev.Job, ev.Cell}]; oc != nil {
 				tid = oc.worker
 			}
 			b.Instant(tid, ev.Ev+" "+ev.Class, "artifact", ts,
@@ -173,23 +149,12 @@ func WriteTrace(w io.Writer, events []JournalEvent) error {
 	return b.Write(w)
 }
 
-// JobEvents filters a journal stream down to one job: its own lifecycle
-// events plus the job-anonymous cell.phase/artifact.* events belonging to
-// its cells (matched by cell name). Store-global events (evictions) are
-// excluded.
+// JobEvents filters a journal stream down to one job's events.
+// Store-global events (evictions) belong to no job and are excluded.
 func JobEvents(events []JournalEvent, jobID string) []JournalEvent {
-	names := map[string]bool{}
-	for _, ev := range events {
-		if ev.Job == jobID && ev.Cell != "" {
-			names[ev.Cell] = true
-		}
-	}
 	var out []JournalEvent
 	for _, ev := range events {
-		switch {
-		case ev.Job == jobID:
-			out = append(out, ev)
-		case ev.Job == "" && ev.Cell != "" && names[ev.Cell]:
+		if ev.Job == jobID {
 			out = append(out, ev)
 		}
 	}

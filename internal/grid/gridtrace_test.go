@@ -22,15 +22,15 @@ func goldenEvents() []JournalEvent {
 		{TS: 1_200, Ev: EvCellQueue, Job: "job-1", Cell: "OoO/HJ2", Seq: 2},
 		{TS: 5_000, Ev: EvCellStart, Job: "job-1", Cell: "SVR16/BFS_KR", Worker: 1, DurNS: 4_000},
 		{TS: 6_000, Ev: EvCellStart, Job: "job-1", Cell: "OoO/HJ2", Seq: 2, Worker: 2, DurNS: 4_800},
-		{TS: 40_000, Ev: EvArtifactProd, Cell: "SVR16/BFS_KR", Class: "stream", Key: "s1", DurNS: 30_000},
-		{TS: 90_000, Ev: EvCellPhase, Cell: "SVR16/BFS_KR", Phase: "record", DurNS: 30_000},
-		{TS: 95_000, Ev: EvCellPhase, Cell: "SVR16/BFS_KR", Phase: "timing", DurNS: 50_000},
+		{TS: 40_000, Ev: EvArtifactProd, Job: "job-1", Cell: "SVR16/BFS_KR", Class: "stream", Key: "s1", DurNS: 30_000},
+		{TS: 90_000, Ev: EvCellPhase, Job: "job-1", Cell: "SVR16/BFS_KR", Phase: "record", DurNS: 30_000},
+		{TS: 95_000, Ev: EvCellPhase, Job: "job-1", Cell: "SVR16/BFS_KR", Phase: "timing", DurNS: 50_000},
 		{TS: 100_000, Ev: EvCellFinish, Job: "job-1", Cell: "SVR16/BFS_KR", Worker: 1, DurNS: 95_000, Note: "simulated"},
 		{TS: 105_000, Ev: EvCellStart, Job: "job-1", Cell: "SVR32/BFS_KR", Seq: 1, Worker: 1, DurNS: 103_900},
 		{TS: 110_000, Ev: EvCohortStart, Job: "job-1", Worker: 1, N: 2},
-		{TS: 120_000, Ev: EvArtifactHit, Cell: "SVR32/BFS_KR", Class: "stream", Key: "s1", DurNS: 100},
-		{TS: 150_000, Ev: EvCellPhase, Cell: "SVR32/BFS_KR", Phase: "decode", DurNS: 10_000},
-		{TS: 160_000, Ev: EvCellPhase, Cell: "SVR32/BFS_KR", Phase: "timing", DurNS: 35_000},
+		{TS: 120_000, Ev: EvArtifactHit, Job: "job-1", Cell: "SVR32/BFS_KR", Class: "stream", Key: "s1", DurNS: 100},
+		{TS: 150_000, Ev: EvCellPhase, Job: "job-1", Cell: "SVR32/BFS_KR", Phase: "decode", DurNS: 10_000},
+		{TS: 160_000, Ev: EvCellPhase, Job: "job-1", Cell: "SVR32/BFS_KR", Phase: "timing", DurNS: 35_000},
 		{TS: 170_000, Ev: EvCohortFinish, Job: "job-1", Worker: 1, N: 2, DurNS: 60_000},
 		{TS: 175_000, Ev: EvCellFinish, Job: "job-1", Cell: "SVR32/BFS_KR", Seq: 1, Worker: 1, DurNS: 70_000, Note: "replayed"},
 		{TS: 176_000, Ev: EvArtifactEvict, Class: "stream", Key: "s1", N: 4096},

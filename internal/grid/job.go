@@ -72,19 +72,17 @@ type Job struct {
 	params sim.Params
 	cells  []sim.CellRequest
 
-	mu            sync.Mutex
-	cond          *sync.Cond
-	tracker       *sim.Tracker
-	trackerClosed bool
-	state         State
-	queued        map[int]struct{} // cell index → waiting in the queue
-	running       map[int]struct{} // cell index → executing
-	pending       map[int]struct{} // cell index → not finished (queued ∪ running ∪ dropped)
-	results       []CellResult     // finished cells in completion order
-	phaseWall     sim.PhaseTimes   // finished cells' wall time by phase
-	rs            *sim.ResultSet
-	submitted     time.Time
-	finished      time.Time
+	mu        sync.Mutex
+	cond      *sync.Cond
+	state     State
+	queued    map[int]struct{} // cell index → waiting in the queue
+	running   map[int]struct{} // cell index → executing
+	pending   map[int]struct{} // cell index → not finished (queued ∪ running ∪ dropped)
+	results   []CellResult     // finished cells in completion order
+	phaseWall sim.PhaseTimes   // finished cells' wall time by phase
+	rs        *sim.ResultSet
+	submitted time.Time
+	finished  time.Time
 }
 
 func newJob(id, name string, pri int, cfgs []sim.Config, specs []workloads.Spec, p sim.Params) *Job {
@@ -123,40 +121,49 @@ func (j *Job) unqueuedLocked() []int {
 	return out
 }
 
-// startCell transitions a popped cell to running and hands the worker
-// the tracker the cell should report to. ok is false when the job was
+// queueEventsLocked reports the given cells (nil: all) queued. Caller
+// holds j.mu.
+func (j *Job) queueEventsLocked(cells []int) {
+	if cells == nil {
+		cells = make([]int, len(j.cells))
+		for i := range cells {
+			cells[i] = i
+		}
+	}
+	for _, i := range cells {
+		c := j.cells[i]
+		sim.Emit(sim.Event{Kind: sim.EvCellQueue, Job: j.ID, Label: c.Cfg.Label, Workload: c.Spec.Name, Seq: i})
+	}
+}
+
+// startCell transitions a popped cell to running and reports its start
+// by worker after wait in the queue. ok is false when the job was
 // canceled after the cell was queued; the cell stays pending.
-func (j *Job) startCell(i int) (sim.CellRequest, *sim.Tracker, bool) {
+func (j *Job) startCell(i, worker int, wait time.Duration) (sim.CellRequest, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	delete(j.queued, i)
 	if j.state == StateCanceled {
-		return sim.CellRequest{}, nil, false
+		return sim.CellRequest{}, false
 	}
 	if j.state == StateQueued {
 		j.state = StateRunning
 	}
 	j.running[i] = struct{}{}
-	return j.cells[i], j.tracker, true
+	c := j.cells[i]
+	sim.Emit(sim.Event{Kind: sim.EvCellStart, Job: j.ID, Label: c.Cfg.Label, Workload: c.Spec.Name,
+		Seq: i, Worker: worker, Dur: wait})
+	return c, true
 }
 
-// closeTrackerLocked unregisters the job's tracker from the status
-// surfaces. Caller holds j.mu.
-func (j *Job) closeTrackerLocked() {
-	if !j.trackerClosed {
-		j.tracker.Close()
-		j.trackerClosed = true
-	}
-}
-
-// finishCell banks one executed cell and returns the job-progress event
-// for the CLI hook. When this completion ends the job (done, or canceled
-// with the last running cell finished) the tracker is closed.
-func (j *Job) finishCell(i int, res sim.Result, out sim.CellOutcome) (ev sim.CellEvent) {
-	var terminal bool
+// finishCell banks one cell worker executed and reports its finish; when
+// that ends the job it reports the job done, after every cell's finish.
+func (j *Job) finishCell(i, worker int, res sim.Result, out sim.CellOutcome) {
 	c := j.cells[i]
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	sim.Emit(sim.Event{Kind: sim.EvCellFinish, Job: j.ID, Label: c.Cfg.Label, Workload: c.Spec.Name,
+		Seq: i, Worker: worker, Dur: out.Wall, N: int64(res.Instrs), Out: out})
 	delete(j.running, i)
 	delete(j.pending, i)
 	j.results = append(j.results, CellResult{
@@ -170,29 +177,14 @@ func (j *Job) finishCell(i int, res sim.Result, out sim.CellOutcome) (ev sim.Cel
 		Shared: out.Shared, Replayed: out.Replayed, Wall: out.Wall,
 	})
 	j.phaseWall.AddAll(out.Phases)
-	j.tracker.CellDone(out, res.Instrs)
 	if len(j.pending) == 0 && j.state != StateCanceled {
 		j.state = StateDone
 		j.finished = time.Now()
 		j.rs.Stats.Wall = j.finished.Sub(j.submitted)
 		j.rs.Finish()
-		terminal = true
-		journalEmit(JournalEvent{Ev: EvJobDone, Job: j.ID,
-			DurNS: j.rs.Stats.Wall.Nanoseconds()})
-	}
-	if j.state == StateCanceled && len(j.running) == 0 {
-		terminal = true
-	}
-	if terminal {
-		j.closeTrackerLocked()
+		sim.Emit(sim.Event{Kind: sim.EvJobDone, Job: j.ID, Dur: j.rs.Stats.Wall})
 	}
 	j.cond.Broadcast()
-	return sim.CellEvent{
-		Label: c.Cfg.Label, Workload: c.Spec.Name,
-		Cached: out.Cached, Shared: out.Shared, Replayed: out.Replayed,
-		Wall: out.Wall, Instrs: res.Instrs, Phases: out.Phases,
-		Done: len(j.results), Cells: len(j.cells),
-	}
 }
 
 // terminalLocked reports whether the job will make no more progress:

@@ -6,9 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/artifact"
@@ -16,15 +17,16 @@ import (
 	"repro/internal/trace"
 )
 
-// The lifecycle journal is the scheduler's structured event stream: every
-// decision the grid service makes — jobs entering and leaving, cells
-// moving through their phases, the artifact store serving or evicting —
-// becomes one JSONL line with a monotonic timestamp. The stream is the
-// ground truth the Perfetto grid trace (gridtrace.go) and the phase
-// attribution surfaces render from; with no journal installed, every
-// emission site is a single atomic nil check.
+// The lifecycle journal writes sim's event stream down: installed with
+// SetJournal, it subscribes to the stream and turns every event — jobs
+// entering and leaving, cells moving through their phases, the artifact
+// store serving or evicting — into one JSONL line with a monotonic
+// timestamp, and can keep the lines in memory for the Perfetto grid
+// trace (gridtrace.go). Folding a captured journal back into a
+// sim.StatusFold gives the status the live stream gave.
 
-// Journal event vocabulary. Field usage per family:
+// Journal event vocabulary, one name per sim event kind. Field usage per
+// family:
 //
 //	job.submit    {job, n: cells, note: job name}
 //	job.cancel    {job}
@@ -32,18 +34,19 @@ import (
 //	job.done      {job, dur_ns: submit→finish wall}
 //	cell.queue    {job, cell, seq}
 //	cell.start    {job, cell, seq, worker, dur_ns: queue wait}
-//	cell.finish   {job, cell, seq, worker, dur_ns: wall, note: outcome}
-//	cell.phase    {cell, phase, dur_ns}
+//	cell.finish   {job, cell, seq, worker, dur_ns: wall, n: instructions, note: outcome}
 //	cohort.start  {job, worker, n: width}
 //	cohort.finish {job, worker, n: width, dur_ns}
+//	phase.start   {job, cell, phase}
+//	cell.phase    {job, cell, phase, dur_ns}
 //	artifact.hit / artifact.join / artifact.produce
-//	              {cell, class, key, dur_ns}
+//	              {job, cell, class, key, dur_ns}
 //	artifact.evict{class, key, n: bytes}
 //
-// cell.phase and artifact.* events come from inside cell execution, which
-// does not know its job or worker; they carry only the cell name
-// ("label/workload") and the trace renderer re-associates them with the
-// most recently started matching cell.
+// Every event but artifact.evict carries the job it belongs to, and a
+// job's cell.finish events all come before its job.done. A running
+// cohort's phase.start and cell.phase events name the cell it speaks
+// for, its first claim (see sim.Event).
 const (
 	EvJobSubmit     = "job.submit"
 	EvJobCancel     = "job.cancel"
@@ -52,14 +55,27 @@ const (
 	EvCellQueue     = "cell.queue"
 	EvCellStart     = "cell.start"
 	EvCellFinish    = "cell.finish"
-	EvCellPhase     = "cell.phase"
 	EvCohortStart   = "cohort.start"
 	EvCohortFinish  = "cohort.finish"
+	EvPhaseStart    = "phase.start"
+	EvCellPhase     = "cell.phase"
 	EvArtifactHit   = "artifact.hit"
 	EvArtifactJoin  = "artifact.join"
 	EvArtifactProd  = "artifact.produce"
 	EvArtifactEvict = "artifact.evict"
 )
+
+// evNames spells each sim event kind.
+var evNames = [sim.NumKinds]string{
+	sim.EvJobSubmit: EvJobSubmit, sim.EvJobCancel: EvJobCancel,
+	sim.EvJobResume: EvJobResume, sim.EvJobDone: EvJobDone,
+	sim.EvCellQueue: EvCellQueue, sim.EvCellStart: EvCellStart,
+	sim.EvCellFinish: EvCellFinish, sim.EvCohortStart: EvCohortStart,
+	sim.EvCohortFinish: EvCohortFinish, sim.EvPhaseStart: EvPhaseStart,
+	sim.EvCellPhase: EvCellPhase, sim.EvArtifactHit: EvArtifactHit,
+	sim.EvArtifactJoin: EvArtifactJoin, sim.EvArtifactProduce: EvArtifactProd,
+	sim.EvArtifactEvict: EvArtifactEvict,
+}
 
 // JournalEvent is one journal line. TS is nanoseconds since the journal
 // opened, monotonic and nondecreasing across the whole stream. Zero-value
@@ -156,6 +172,9 @@ func NewJournal(cfg JournalConfig) *Journal {
 	return j
 }
 
+// observe is the journal's subscription to the event stream.
+func (j *Journal) observe(ev sim.Event) { j.record(journalEvent(ev)) }
+
 // record stamps ev and appends it to the stream and the capture buffer.
 func (j *Journal) record(ev JournalEvent) {
 	j.mu.Lock()
@@ -216,62 +235,36 @@ func (j *Journal) Close() error {
 	return j.sink.Close()
 }
 
-// activeJournal is the process-wide installed journal. Emission sites pay
-// one atomic load when none is installed.
-var activeJournal atomic.Pointer[Journal]
+// activeJournal is the installed journal, subscribed to the event
+// stream through unsubscribe.
+var activeJournal struct {
+	sync.Mutex
+	j           *Journal
+	unsubscribe func()
+}
 
-// SetJournal installs j as the process-wide journal and taps the sim
-// layer's phase/artifact hooks and the artifact store's evict hook into
-// it (nil uninstalls everything). Not safe to race with running cells;
-// install before submitting work.
+// SetJournal installs j as the process-wide journal, subscribing it to
+// sim's event stream in place of the previous one (nil uninstalls).
+// Install before submitting work: events emitted earlier are not written.
 func SetJournal(j *Journal) {
-	activeJournal.Store(j)
-	if j == nil {
-		sim.SetCellPhaseHook(nil)
-		sim.SetArtifactHook(nil)
-		sim.Artifacts().SetEvictHook(nil)
-		return
+	activeJournal.Lock()
+	defer activeJournal.Unlock()
+	if activeJournal.unsubscribe != nil {
+		activeJournal.unsubscribe()
+		activeJournal.unsubscribe = nil
 	}
-	sim.SetCellPhaseHook(func(ev sim.CellPhaseEvent) {
-		j.record(JournalEvent{Ev: EvCellPhase,
-			Cell:  cellName(ev.Label, ev.Workload),
-			Phase: ev.Phase.String(), DurNS: ev.Dur.Nanoseconds()})
-	})
-	sim.SetArtifactHook(func(ev sim.ArtifactEvent) {
-		kind := EvArtifactProd
-		switch {
-		case ev.Hit:
-			kind = EvArtifactHit
-		case ev.Waited:
-			kind = EvArtifactJoin
-		}
-		j.record(JournalEvent{Ev: kind,
-			Cell:  cellName(ev.Label, ev.Workload),
-			Class: string(ev.Key.Class), Key: ev.Key.ID,
-			DurNS: ev.Dur.Nanoseconds()})
-	})
-	// The evict hook runs with the store lock held; record only takes the
-	// journal lock and never calls back into the store.
-	sim.Artifacts().SetEvictHook(func(ev artifact.EvictEvent) {
-		j.record(JournalEvent{Ev: EvArtifactEvict,
-			Class: string(ev.Key.Class), Key: ev.Key.ID, N: ev.Bytes})
-	})
+	activeJournal.j = j
+	if j != nil {
+		activeJournal.unsubscribe = sim.Subscribe(j.observe)
+	}
 }
 
 // ActiveJournal returns the installed journal (nil if none).
-func ActiveJournal() *Journal { return activeJournal.Load() }
-
-// journalEmit records ev if a journal is installed — the one nil check
-// every scheduler-side emission site goes through.
-func journalEmit(ev JournalEvent) {
-	if j := activeJournal.Load(); j != nil {
-		j.record(ev)
-	}
+func ActiveJournal() *Journal {
+	activeJournal.Lock()
+	defer activeJournal.Unlock()
+	return activeJournal.j
 }
-
-// journalActive guards emission sites that would allocate building the
-// event (cell-name concatenation), keeping the journal-off path free.
-func journalActive() bool { return activeJournal.Load() != nil }
 
 // cellName renders the journal identity of a cell.
 func cellName(label, workload string) string {
@@ -279,6 +272,64 @@ func cellName(label, workload string) string {
 		return ""
 	}
 	return label + "/" + workload
+}
+
+// journalEvent renders a stream event as its journal line (TS unset).
+func journalEvent(ev sim.Event) JournalEvent {
+	je := JournalEvent{Ev: evNames[ev.Kind], Job: ev.Job,
+		Cell: cellName(ev.Label, ev.Workload), Seq: ev.Seq, Worker: ev.Worker,
+		Class: string(ev.Key.Class), Key: ev.Key.ID,
+		DurNS: ev.Dur.Nanoseconds(), N: ev.N, Note: ev.Note}
+	switch ev.Kind {
+	case sim.EvPhaseStart, sim.EvCellPhase:
+		je.Phase = ev.Phase.String()
+	case sim.EvCellFinish:
+		je.Note = outcomeNote(ev.Out)
+	}
+	return je
+}
+
+// outcomeNote summarizes how a cell was satisfied for the journal.
+func outcomeNote(out sim.CellOutcome) string {
+	switch {
+	case out.Cached:
+		return "cached"
+	case out.Shared:
+		return "shared"
+	case out.Replayed:
+		return "replayed"
+	}
+	return "simulated"
+}
+
+// event reads a journal line back as the stream event it was written
+// from, as far as the line records it: a finished cell's outcome comes
+// back as its note says and its wall as Dur, not its phase breakdown.
+func (ev JournalEvent) event() (sim.Event, error) {
+	k := slices.Index(evNames[:], ev.Ev)
+	if k < 0 {
+		return sim.Event{}, fmt.Errorf("unknown event %q", ev.Ev)
+	}
+	kind := sim.Kind(k)
+	out := sim.Event{Kind: kind, Job: ev.Job, Seq: ev.Seq, Worker: ev.Worker,
+		Key: artifact.Key{Class: artifact.Class(ev.Class), ID: ev.Key},
+		Dur: time.Duration(ev.DurNS), N: ev.N, Note: ev.Note}
+	if i := strings.LastIndexByte(ev.Cell, '/'); i >= 0 {
+		out.Label, out.Workload = ev.Cell[:i], ev.Cell[i+1:]
+	}
+	switch kind {
+	case sim.EvPhaseStart, sim.EvCellPhase:
+		p, err := sim.ParsePhase(ev.Phase)
+		if err != nil {
+			return sim.Event{}, err
+		}
+		out.Phase = p
+	case sim.EvCellFinish:
+		out.Note = ""
+		out.Out = sim.CellOutcome{Wall: out.Dur, Cached: ev.Note == "cached",
+			Shared: ev.Note == "shared", Replayed: ev.Note == "replayed"}
+	}
+	return out, nil
 }
 
 // JournalSummary is what ValidateJournal learned from a stream.
@@ -299,13 +350,15 @@ var knownClasses = func() map[string]bool {
 // ValidateJournal reads a JSONL journal stream and checks every line
 // against the event schema: known event names, no unknown fields, the
 // per-family required fields, parseable phases, known artifact classes,
-// and nondecreasing timestamps. CI runs this over the serve-smoke
-// journal so the schema documented in EXPERIMENTS.md stays honest.
+// nondecreasing timestamps, and no cell.finish after its job's job.done.
+// CI runs this over the serve-smoke journal so the schema documented in
+// EXPERIMENTS.md stays honest.
 func ValidateJournal(r io.Reader) (JournalSummary, error) {
 	sum := JournalSummary{Events: map[string]int{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var lastTS int64
+	done := map[string]bool{} // jobs whose job.done was read
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -325,6 +378,12 @@ func ValidateJournal(r io.Reader) (JournalSummary, error) {
 		if err := ev.validate(); err != nil {
 			return sum, fmt.Errorf("grid: journal line %d: %w", sum.Lines, err)
 		}
+		switch {
+		case ev.Ev == EvJobDone:
+			done[ev.Job] = true
+		case ev.Ev == EvCellFinish && done[ev.Job]:
+			return sum, fmt.Errorf("grid: journal line %d: cell.finish of %s after its job.done", sum.Lines, ev.Job)
+		}
 		sum.Events[ev.Ev]++
 	}
 	if err := sc.Err(); err != nil {
@@ -335,12 +394,15 @@ func ValidateJournal(r io.Reader) (JournalSummary, error) {
 
 // validate checks the per-family required fields of one event.
 func (ev JournalEvent) validate() error {
+	if _, err := ev.event(); err != nil {
+		return err
+	}
 	switch ev.Ev {
 	case EvJobSubmit, EvJobCancel, EvJobResume, EvJobDone:
 		if ev.Job == "" {
 			return fmt.Errorf("%s: missing job", ev.Ev)
 		}
-	case EvCellQueue:
+	case EvCellQueue, EvPhaseStart, EvCellPhase:
 		if ev.Job == "" || ev.Cell == "" {
 			return fmt.Errorf("%s: missing job or cell", ev.Ev)
 		}
@@ -351,13 +413,6 @@ func (ev JournalEvent) validate() error {
 		if ev.Worker <= 0 {
 			return fmt.Errorf("%s: missing worker", ev.Ev)
 		}
-	case EvCellPhase:
-		if ev.Cell == "" {
-			return fmt.Errorf("%s: missing cell", ev.Ev)
-		}
-		if _, err := sim.ParsePhase(ev.Phase); err != nil {
-			return err
-		}
 	case EvCohortStart, EvCohortFinish:
 		if ev.Job == "" || ev.Worker <= 0 {
 			return fmt.Errorf("%s: missing job or worker", ev.Ev)
@@ -366,6 +421,9 @@ func (ev JournalEvent) validate() error {
 			return fmt.Errorf("%s: cohort width %d < 2", ev.Ev, ev.N)
 		}
 	case EvArtifactHit, EvArtifactJoin, EvArtifactProd:
+		if ev.Job == "" || ev.Cell == "" {
+			return fmt.Errorf("%s: missing job or cell", ev.Ev)
+		}
 		if !knownClasses[ev.Class] {
 			return fmt.Errorf("%s: unknown artifact class %q", ev.Ev, ev.Class)
 		}
@@ -376,8 +434,6 @@ func (ev JournalEvent) validate() error {
 		if ev.N <= 0 {
 			return fmt.Errorf("%s: missing byte count", ev.Ev)
 		}
-	default:
-		return fmt.Errorf("unknown event %q", ev.Ev)
 	}
 	return nil
 }

@@ -18,8 +18,9 @@ func TestJournalEventWireFormat(t *testing.T) {
 		{TS: 0, Ev: EvJobSubmit, Job: "job-1", N: 16, Note: "smoke"},
 		{TS: 12, Ev: EvCellQueue, Job: "job-1", Cell: "SVR16/BFS_KR"},
 		{TS: 345, Ev: EvCellStart, Job: "job-1", Cell: "SVR16/BFS_KR", Seq: 3, Worker: 2, DurNS: 1500},
-		{TS: 400, Ev: EvCellPhase, Cell: "SVR16/BFS_KR", Phase: "timing", DurNS: 99},
-		{TS: 401, Ev: EvArtifactHit, Cell: `a"b/c`, Class: "result", Key: "k1", DurNS: 7},
+		{TS: 399, Ev: EvPhaseStart, Job: "job-1", Cell: "SVR16/BFS_KR", Phase: "timing"},
+		{TS: 400, Ev: EvCellPhase, Job: "job-1", Cell: "SVR16/BFS_KR", Phase: "timing", DurNS: 99},
+		{TS: 401, Ev: EvArtifactHit, Job: "job-1", Cell: `a"b/c`, Class: "result", Key: "k1", DurNS: 7},
 		{TS: 500, Ev: EvArtifactEvict, Class: "stream", Key: "k2", N: 1 << 20},
 		{TS: 600, Ev: EvCohortStart, Job: "job-1", Worker: 1, N: 4},
 	}
@@ -38,6 +39,12 @@ func TestJournalEventWireFormat(t *testing.T) {
 		}
 		if !reflect.DeepEqual(back, ev) {
 			t.Errorf("round trip changed event:\n got %+v\nwant %+v", back, ev)
+		}
+	}
+	for k := sim.Kind(0); k < sim.NumKinds; k++ {
+		ev, err := JournalEvent{Ev: evNames[k], Phase: "build"}.event()
+		if err != nil || ev.Kind != k {
+			t.Errorf("event kind %d is spelled %q, which reads back as %d (%v)", k, evNames[k], ev.Kind, err)
 		}
 	}
 }
@@ -95,9 +102,8 @@ func TestJournalSchedulerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	job.Wait()
-	// Wait returns from inside finishCell; the worker's cell.finish
-	// emission happens after it. Drain the pool before reading events.
-	s.Shutdown()
+	// Every event of the job is in by the time Wait returns: each
+	// cell.finish, then the job.done.
 	SetJournal(nil)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -134,10 +140,13 @@ func TestValidateJournalRejects(t *testing.T) {
 		"unknown field":  `{"ts":1,"ev":"job.done","job":"j","bogus":3}`,
 		"missing job":    `{"ts":1,"ev":"job.done"}`,
 		"missing worker": `{"ts":1,"ev":"cell.start","job":"j","cell":"a/b"}`,
-		"bad phase":      `{"ts":1,"ev":"cell.phase","cell":"a/b","phase":"warp"}`,
-		"bad class":      `{"ts":1,"ev":"artifact.hit","class":"tape"}`,
-		"narrow cohort":  `{"ts":1,"ev":"cohort.start","job":"j","worker":1,"n":1}`,
-		"ts regression":  "{\"ts\":5,\"ev\":\"job.cancel\",\"job\":\"j\"}\n{\"ts\":4,\"ev\":\"job.cancel\",\"job\":\"j\"}",
+		"bad phase":      `{"ts":1,"ev":"cell.phase","job":"j","cell":"a/b","phase":"warp"}`,
+		"bad class":      `{"ts":1,"ev":"artifact.hit","job":"j","cell":"a/b","class":"tape"}`,
+		"phase, no job":  `{"ts":1,"ev":"cell.phase","cell":"a/b","phase":"timing"}`,
+		"finish after done": "{\"ts\":1,\"ev\":\"job.done\",\"job\":\"j\"}\n" +
+			`{"ts":2,"ev":"cell.finish","job":"j","cell":"a/b","worker":1}`,
+		"narrow cohort": `{"ts":1,"ev":"cohort.start","job":"j","worker":1,"n":1}`,
+		"ts regression": "{\"ts\":5,\"ev\":\"job.cancel\",\"job\":\"j\"}\n{\"ts\":4,\"ev\":\"job.cancel\",\"job\":\"j\"}",
 	}
 	for name, stream := range cases {
 		if _, err := ValidateJournal(strings.NewReader(stream)); err == nil {
@@ -150,30 +159,28 @@ func TestValidateJournalRejects(t *testing.T) {
 }
 
 // TestJournalEmitOffDoesNotAllocate: with no journal installed the
-// scheduler-side emission guard must stay allocation-free — the
-// observability-off hot path costs one atomic load.
+// scheduler's emissions must stay allocation-free. Uninstalling a journal
+// takes it off the event stream, and the grid status that stays
+// subscribed folds a cell.finish without allocating.
 func TestJournalEmitOffDoesNotAllocate(t *testing.T) {
+	SetJournal(NewJournal(JournalConfig{Capture: -1}))
 	SetJournal(nil)
-	ev := JournalEvent{Ev: EvCellFinish, Job: "j", Cell: "a/b", Worker: 1}
-	if n := testing.AllocsPerRun(1000, func() {
-		if journalActive() {
-			journalEmit(ev)
-		}
-	}); n != 0 {
+	ev := sim.Event{Kind: sim.EvCellFinish, Job: "j", Label: "a", Workload: "b", Worker: 1}
+	if n := testing.AllocsPerRun(1000, func() { sim.Emit(ev) }); n != 0 {
 		t.Errorf("journal-off emission allocates %.1f times per call", n)
 	}
 }
 
-// TestJobEvents: the per-job filter keeps the job's lifecycle events and
-// its cells' anonymous phase/artifact events, and drops everything else.
+// TestJobEvents: the per-job filter keeps the job's own events, its
+// cells' phase and artifact events among them, and drops everything else.
 func TestJobEvents(t *testing.T) {
 	events := []JournalEvent{
 		{Ev: EvJobSubmit, Job: "job-1"},
 		{Ev: EvJobSubmit, Job: "job-2"},
 		{Ev: EvCellStart, Job: "job-1", Cell: "A/w", Worker: 1},
 		{Ev: EvCellStart, Job: "job-2", Cell: "B/w", Worker: 2},
-		{Ev: EvCellPhase, Cell: "A/w", Phase: "timing", DurNS: 5},
-		{Ev: EvCellPhase, Cell: "B/w", Phase: "timing", DurNS: 5},
+		{Ev: EvCellPhase, Job: "job-1", Cell: "A/w", Phase: "timing", DurNS: 5},
+		{Ev: EvCellPhase, Job: "job-2", Cell: "B/w", Phase: "timing", DurNS: 5},
 		{Ev: EvArtifactEvict, Class: "stream", Key: "k", N: 9},
 		{Ev: EvCellFinish, Job: "job-1", Cell: "A/w", Worker: 1},
 	}

@@ -2,7 +2,6 @@ package grid
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -30,24 +29,30 @@ func newSchedMetrics() *schedMetrics {
 	return m
 }
 
-// observeQueueWait records one cell's time from enqueue to worker pickup.
-func (m *schedMetrics) observeQueueWait(d time.Duration) {
+// observe is the histograms' subscription to the event stream: each of
+// the scheduler's cells observes its queue wait when it starts and its
+// per-phase durations when it finishes. Phases a cell never entered are
+// not observed, so each phase histogram's count is "cells that spent
+// time there".
+func (s *Scheduler) observe(ev sim.Event) {
+	if ev.Kind != sim.EvCellStart && ev.Kind != sim.EvCellFinish {
+		return
+	}
+	if _, ok := s.Job(ev.Job); !ok {
+		return // another scheduler's job
+	}
+	m := s.obs
 	m.mu.Lock()
-	m.queueWait.Observe(d.Microseconds())
-	m.mu.Unlock()
-}
-
-// observeCell records a finished cell's per-phase durations. Phases the
-// cell never entered are not observed, so each histogram's count is
-// "cells that spent time there".
-func (m *schedMetrics) observeCell(ph sim.PhaseTimes) {
-	m.mu.Lock()
-	for p, d := range ph {
+	defer m.mu.Unlock()
+	if ev.Kind == sim.EvCellStart {
+		m.queueWait.Observe(ev.Dur.Microseconds())
+		return
+	}
+	for p, d := range ev.Out.Phases {
 		if d > 0 {
 			m.phase[p].Observe(d.Microseconds())
 		}
 	}
-	m.mu.Unlock()
 }
 
 func (m *schedMetrics) snapshot() metrics.Snapshot {

@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -47,12 +48,12 @@ type Scheduler struct {
 	group bool // plan cohort groups (false when only a per-cell Execute stub is injected)
 	q     *queue
 
-	obs *schedMetrics // queue-wait and per-phase latency histograms
+	obs         *schedMetrics // queue-wait and per-phase latency histograms
+	unsubscribe func()        // obs's subscription to the event stream
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
 	order  []string // submission order, for listing
-	nextID int
 	closed bool
 
 	wg sync.WaitGroup // worker pool
@@ -96,6 +97,7 @@ func New(opts Options) *Scheduler {
 		jobs:  map[string]*Job{},
 		obs:   newSchedMetrics(),
 	}
+	s.unsubscribe = sim.Subscribe(s.observe)
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker(i + 1) // 1-based worker ids; 0 is the scheduler track
@@ -115,63 +117,25 @@ func (s *Scheduler) worker(id int) {
 		var (
 			started []int
 			reqs    []sim.CellRequest
-			tr      *sim.Tracker
 		)
 		for _, cell := range it.cells {
-			req, t, ok := job.startCell(cell)
+			req, ok := job.startCell(cell, id, wait)
 			if !ok {
 				continue // canceled after queueing; the cell stays pending
 			}
 			started = append(started, cell)
 			reqs = append(reqs, req)
-			tr = t
-			s.obs.observeQueueWait(wait)
-			if journalActive() {
-				journalEmit(JournalEvent{Ev: EvCellStart, Job: job.ID,
-					Cell: cellName(req.Cfg.Label, req.Spec.Name), Seq: cell,
-					Worker: id, DurNS: wait.Nanoseconds()})
-			}
 		}
 		if len(started) == 0 {
 			continue
 		}
-		cohort := len(started) > 1
-		if cohort && journalActive() {
-			journalEmit(JournalEvent{Ev: EvCohortStart, Job: job.ID,
-				Worker: id, N: int64(len(started))})
-		}
-		t0 := time.Now()
 		// A partially-canceled cohort shrinks to its surviving members;
 		// they are still siblings, so lockstep execution stays valid.
-		results, outs := s.opts.ExecuteGroup(reqs, tr)
-		if cohort && journalActive() {
-			journalEmit(JournalEvent{Ev: EvCohortFinish, Job: job.ID,
-				Worker: id, N: int64(len(started)), DurNS: time.Since(t0).Nanoseconds()})
-		}
+		results, outs := s.opts.ExecuteGroup(reqs, &sim.Tracker{Job: job.ID, Worker: id})
 		for k, cell := range started {
-			s.obs.observeCell(outs[k].Phases)
-			sim.EmitProgress(job.finishCell(cell, results[k], outs[k]))
-			if journalActive() {
-				journalEmit(JournalEvent{Ev: EvCellFinish, Job: job.ID,
-					Cell: cellName(reqs[k].Cfg.Label, reqs[k].Spec.Name), Seq: cell,
-					Worker: id, DurNS: outs[k].Wall.Nanoseconds(),
-					Note: outcomeNote(outs[k])})
-			}
+			job.finishCell(cell, id, results[k], outs[k])
 		}
 	}
-}
-
-// outcomeNote summarizes how a cell was satisfied for the journal.
-func outcomeNote(out sim.CellOutcome) string {
-	switch {
-	case out.Cached:
-		return "cached"
-	case out.Shared:
-		return "shared"
-	case out.Replayed:
-		return "replayed"
-	}
-	return "simulated"
 }
 
 // plan turns cell indexes (nil means all) into queue groups: timing
@@ -274,44 +238,43 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 	return s.submit(req.Name, req.Priority, req.Configs, specs, req.Params)
 }
 
+// jobIDs numbers jobs across every scheduler in the process, so a job's
+// ID names it alone in the one event stream.
+var jobIDs atomic.Int64
+
 func (s *Scheduler) submit(name string, pri int, cfgs []sim.Config, specs []workloads.Spec, p sim.Params) (*Job, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("grid: scheduler is shut down")
 	}
-	s.nextID++
-	id := fmt.Sprintf("job-%d", s.nextID)
+	id := fmt.Sprintf("job-%d", jobIDs.Add(1))
 	job := newJob(id, name, pri, cfgs, specs, p)
-	job.tracker = sim.NewTracker(len(job.cells))
 	s.jobs[id] = job
 	s.order = append(s.order, id)
 	s.mu.Unlock()
 
+	// The job is announced before a worker can start its cells: a popped
+	// cell waits for the job lock in startCell.
 	job.mu.Lock()
 	for i := range job.cells {
 		job.queued[i] = struct{}{}
 	}
-	job.mu.Unlock()
 	// Adjacent siblings queue as one lockstep cohort.
-	if err := s.q.push(job, s.plan(job.cells, nil)); err != nil {
-		job.mu.Lock()
+	err := s.q.push(job, s.plan(job.cells, nil))
+	if err == nil {
+		sim.Emit(sim.Event{Kind: sim.EvJobSubmit, Job: id, N: int64(len(job.cells)), Note: name})
+		job.queueEventsLocked(nil)
+	} else {
 		job.queued = map[int]struct{}{}
-		job.closeTrackerLocked()
-		job.mu.Unlock()
+	}
+	job.mu.Unlock()
+	if err != nil {
 		s.mu.Lock()
 		delete(s.jobs, id)
 		s.order = s.order[:len(s.order)-1]
 		s.mu.Unlock()
 		return nil, err
-	}
-	if journalActive() {
-		journalEmit(JournalEvent{Ev: EvJobSubmit, Job: id,
-			N: int64(len(job.cells)), Note: name})
-		for i, c := range job.cells {
-			journalEmit(JournalEvent{Ev: EvCellQueue, Job: id,
-				Cell: cellName(c.Cfg.Label, c.Spec.Name), Seq: i})
-		}
 	}
 	return job, nil
 }
@@ -364,17 +327,14 @@ func (s *Scheduler) Cancel(id string) error {
 		return fmt.Errorf("grid: job %s is already %s", id, st)
 	}
 	job.state = StateCanceled
+	sim.Emit(sim.Event{Kind: sim.EvJobCancel, Job: id})
 	job.mu.Unlock()
 
 	s.q.remove(job)
 	job.mu.Lock()
 	job.queued = map[int]struct{}{}
-	if len(job.running) == 0 {
-		job.closeTrackerLocked()
-	}
 	job.cond.Broadcast()
 	job.mu.Unlock()
-	journalEmit(JournalEvent{Ev: EvJobCancel, Job: id})
 	return nil
 }
 
@@ -388,50 +348,29 @@ func (s *Scheduler) Resume(id string) error {
 		return fmt.Errorf("grid: no job %q", id)
 	}
 	job.mu.Lock()
+	defer job.mu.Unlock()
 	if job.state != StateCanceled {
-		st := job.state
-		job.mu.Unlock()
-		return fmt.Errorf("grid: job %s is %s, not canceled", id, st)
+		return fmt.Errorf("grid: job %s is %s, not canceled", id, job.state)
 	}
 	todo := job.unqueuedLocked()
 	sort.Ints(todo)
 	if len(todo) == 0 && len(job.running) == 0 && len(job.pending) == 0 {
 		job.state = StateDone
 		job.finished = job.submitted
-		job.mu.Unlock()
 		return nil
-	}
-	job.state = StateRunning
-	if job.trackerClosed {
-		// A fresh tracker sized to the remainder; if cells of the
-		// canceled run are still draining, the original tracker is
-		// still open and keeps serving both.
-		job.tracker = sim.NewTracker(len(todo))
-		job.trackerClosed = false
 	}
 	for _, i := range todo {
 		job.queued[i] = struct{}{}
 	}
-	job.mu.Unlock()
-
+	// As in submit, the job lock keeps workers from starting the
+	// re-enqueued cells before the resume is announced.
 	if err := s.q.push(job, s.plan(job.cells, todo)); err != nil {
-		job.mu.Lock()
-		job.state = StateCanceled
 		job.queued = map[int]struct{}{}
-		if len(job.running) == 0 {
-			job.closeTrackerLocked()
-		}
-		job.mu.Unlock()
 		return err
 	}
-	if journalActive() {
-		journalEmit(JournalEvent{Ev: EvJobResume, Job: id, N: int64(len(todo))})
-		for _, i := range todo {
-			c := job.cells[i]
-			journalEmit(JournalEvent{Ev: EvCellQueue, Job: id,
-				Cell: cellName(c.Cfg.Label, c.Spec.Name), Seq: i})
-		}
-	}
+	job.state = StateRunning
+	sim.Emit(sim.Event{Kind: sim.EvJobResume, Job: id, N: int64(len(todo))})
+	job.queueEventsLocked(todo)
 	return nil
 }
 
@@ -448,6 +387,7 @@ func (s *Scheduler) Shutdown() {
 	s.mu.Unlock()
 	s.q.close()
 	s.wg.Wait()
+	s.unsubscribe()
 	for _, j := range s.Jobs() {
 		j.mu.Lock()
 		j.cond.Broadcast()

@@ -77,7 +77,7 @@ type CellOutcome struct {
 func (o CellOutcome) FromStore() bool { return o.Cached || o.Shared }
 
 // ExecuteCell resolves one cell through the artifact store: a cohort of
-// one (ExecuteCohort). tr (nil-safe) feeds the live status surfaces.
+// one (ExecuteCohort), reporting as tr's job (nil: no job).
 func ExecuteCell(req CellRequest, tr *Tracker) (Result, CellOutcome) {
 	results, outs := ExecuteCohort([]CellRequest{req}, tr)
 	return results[0], outs[0]
@@ -87,14 +87,14 @@ func ExecuteCell(req CellRequest, tr *Tracker) (Result, CellOutcome) {
 // most once across concurrent callers. Copy-on-write Clone makes
 // retention safe: cells clone the image and never write the master, so a
 // stored entry stays pristine.
-func cachedBuild(spec workloads.Spec, sc workloads.Scale, pc *phaseCtx) *workloads.Instance {
+func cachedBuild(spec workloads.Spec, sc workloads.Scale, rep *reporter) *workloads.Instance {
 	k := imageKey(spec.Name, sc)
 	t0 := time.Now()
 	v, oc := artifacts.GetOrProduce(k, func() (any, int64) {
 		inst := spec.Build(sc)
 		return inst, instanceBytes(inst)
 	})
-	pc.artifact(k, oc, time.Since(t0))
+	rep.artifact(k, oc, time.Since(t0))
 	return v.(*workloads.Instance)
 }
 
@@ -146,7 +146,7 @@ func warmKey(cfg Config) string {
 // that joined its flight the wait. The outcome reports whether this
 // caller got the checkpoint from the store (hit or joined flight) rather
 // than producing it.
-func cachedStart(spec workloads.Spec, cfg Config, p Params, r int, prev *Checkpoint, tr *Tracker, pc *phaseCtx) (*Checkpoint, artifact.Outcome) {
+func cachedStart(spec workloads.Spec, cfg Config, p Params, r int, prev *Checkpoint, rep *reporter) (*Checkpoint, artifact.Outcome) {
 	warm := ""
 	if p.warmGaps() {
 		warm = warmKey(cfg)
@@ -157,14 +157,12 @@ func cachedStart(spec workloads.Spec, cfg Config, p Params, r int, prev *Checkpo
 	v, oc := artifacts.GetOrProduce(k, func() (any, int64) {
 		n := window + p.FastForward
 		if r == 0 {
-			prev, n = imageStart(cachedBuild(spec, p.Scale, pc)), p.FastForward
+			prev, n = imageStart(cachedBuild(spec, p.Scale, rep)), p.FastForward
 		}
-		tr.ckptBegin()
+		rep.enter(PhaseFastForward)
 		t0 := time.Now()
 		ck := advance(cfg, prev, n, warm != "")
-		d := time.Since(t0)
-		tr.ckptEnd(d)
-		pc.add(PhaseFastForward, d)
+		rep.add(PhaseFastForward, time.Since(t0))
 		if r == 0 {
 			return ck, ck.Bytes()
 		}
@@ -174,8 +172,8 @@ func cachedStart(spec workloads.Spec, cfg Config, p Params, r int, prev *Checkpo
 		artifacts.Tie(k, checkpointKey(spec.Name, p.Scale, p.FastForward, window, r-1, warm), prev)
 	}
 	if oc.Waited {
-		pc.add(PhaseStoreWait, time.Since(callStart))
+		rep.add(PhaseStoreWait, time.Since(callStart))
 	}
-	pc.artifact(k, oc, time.Since(callStart))
+	rep.artifact(k, oc, time.Since(callStart))
 	return v.(*Checkpoint), oc
 }

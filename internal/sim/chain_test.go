@@ -139,7 +139,7 @@ func TestChainCheckpointBytes(t *testing.T) {
 	var ck *Checkpoint
 	var charged int64
 	for r := 0; r < p.Regions; r++ {
-		ck, _ = cachedStart(spec, cfg, p, r, ck, nil, nil)
+		ck, _ = cachedStart(spec, cfg, p, r, ck, nil)
 		mems = append(mems, ck.mem)
 		now := artifacts.Stats()[artifact.Checkpoint].Bytes
 		switch got := now - charged; {
@@ -185,32 +185,37 @@ func TestIMPFollowsRegionImage(t *testing.T) {
 }
 
 // TestChainProductionsReported: a cell that produces its chain reports
-// every link as a checkpoint production — one artifact event each, the
-// tracker's checkpoint wall — and banks each production's fast-forward
-// once, so its phases do not sum to more than its wall time.
+// every link as a checkpoint production — one artifact event each, and
+// checkpoint wall in its job's status — and banks each production's
+// fast-forward once, so its phases do not sum to more than its wall time.
 func TestChainProductionsReported(t *testing.T) {
 	defer SetRunCacheEnabled(SetRunCacheEnabled(false))
 	var mu sync.Mutex
 	produced := 0
-	SetArtifactHook(func(ev ArtifactEvent) {
-		if ev.Key.Class == artifact.Checkpoint && !ev.Hit && !ev.Waited {
+	var fold StatusFold
+	defer Subscribe(func(ev Event) {
+		if ev.Job != t.Name() {
+			return
+		}
+		fold.Apply(ev)
+		if ev.Kind == EvArtifactProduce && ev.Key.Class == artifact.Checkpoint {
 			mu.Lock()
 			produced++
 			mu.Unlock()
 		}
-	})
-	defer SetArtifactHook(nil)
+	})()
 	artifacts.Purge(artifact.Checkpoint)
 
 	p := chainTestParams()
-	tr := NewTracker(1)
-	defer tr.Close()
-	_, out := ExecuteCell(CellRequest{Cfg: SVRConfig(16), Spec: mustSpec(t, "CC_ORK"), P: p}, tr)
+	Emit(Event{Kind: EvJobSubmit, Job: t.Name(), N: 1})
+	defer Emit(Event{Kind: EvJobDone, Job: t.Name()})
+	_, out := ExecuteCell(CellRequest{Cfg: SVRConfig(16), Spec: mustSpec(t, "CC_ORK"), P: p},
+		&Tracker{Job: t.Name(), Worker: 1})
 	if produced != p.Regions {
 		t.Errorf("%d checkpoint production events, want %d", produced, p.Regions)
 	}
-	if st := tr.Status(); st.CkptWall <= 0 || st.Checkpointing != 0 {
-		t.Errorf("tracker: checkpoint wall %v, %d still checkpointing", st.CkptWall, st.Checkpointing)
+	if st := fold.Status(); st.CkptWall <= 0 || st.Checkpointing != 0 || st.Building != 0 {
+		t.Errorf("status: checkpoint wall %v, %d still checkpointing, %d building", st.CkptWall, st.Checkpointing, st.Building)
 	}
 	if out.Phases[PhaseFastForward] <= 0 {
 		t.Errorf("no fast-forward banked: %v", out.Phases)

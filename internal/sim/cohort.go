@@ -71,11 +71,21 @@ func PlanCohorts(cells []CellRequest, idx []int) [][]int {
 // hit, an identical in-flight cell is joined, and the members this
 // caller must produce run together in lockstep. Results are
 // bit-identical however a cell is served and whatever cohort it ran in.
+// Everything the group does is reported to the event stream stamped
+// with tr's job; a group of two or more is a cohort on tr's worker
+// (EvCohortStart, EvCohortFinish).
 func ExecuteCohort(reqs []CellRequest, tr *Tracker) ([]Result, []CellOutcome) {
 	n := len(reqs)
 	results := make([]Result, n)
 	outs := make([]CellOutcome, n)
 	start := time.Now()
+	var on Tracker
+	if tr != nil {
+		on = *tr
+	}
+	if n > 1 {
+		Emit(Event{Kind: EvCohortStart, Job: on.Job, Worker: on.Worker, N: int64(n)})
+	}
 
 	// Split-phase store resolution: residents are done, claims are ours
 	// to produce, joins are other workers' in-flight cells we pick up
@@ -94,7 +104,8 @@ func ExecuteCohort(reqs []CellRequest, tr *Tracker) ([]Result, []CellOutcome) {
 			results[i] = v.(Result)
 			outs[i].Cached = oc.Hit
 			outs[i].Wall = time.Since(start)
-			emitArtifact(req.Cfg.Label, req.Spec.Name, k, oc, outs[i].Wall)
+			r := reporterFor(tr, req, &outs[i].Phases)
+			r.artifact(k, oc, outs[i].Wall)
 		case !t.Owner():
 			outs[i].Shared = true
 			joins = append(joins, member{i, t})
@@ -115,8 +126,8 @@ func ExecuteCohort(reqs []CellRequest, tr *Tracker) ([]Result, []CellOutcome) {
 			m.t.Commit(results[m.idx], resultBytes(results[m.idx]))
 			outs[m.idx].Wall = share
 			req := reqs[m.idx]
-			emitArtifact(req.Cfg.Label, req.Spec.Name,
-				resultKey(req.Cfg, req.Spec.Name, req.P), artifact.Outcome{}, share)
+			r := reporterFor(tr, req, &outs[m.idx].Phases)
+			r.artifact(resultKey(req.Cfg, req.Spec.Name, req.P), artifact.Outcome{}, share)
 		}
 	}
 	for _, m := range joins {
@@ -126,13 +137,16 @@ func ExecuteCohort(reqs []CellRequest, tr *Tracker) ([]Result, []CellOutcome) {
 		// The member's wall was spent blocked on another worker's run
 		// (our own lockstep run first, then the wait itself).
 		req := reqs[m.idx]
-		jpc := &phaseCtx{label: req.Cfg.Label, workload: req.Spec.Name, ph: &outs[m.idx].Phases}
-		jpc.add(PhaseStoreWait, d)
-		jpc.artifact(resultKey(req.Cfg, req.Spec.Name, req.P), artifact.Outcome{Waited: true}, d)
+		r := reporterFor(tr, req, &outs[m.idx].Phases)
+		r.add(PhaseStoreWait, d)
+		r.artifact(resultKey(req.Cfg, req.Spec.Name, req.P), artifact.Outcome{Waited: true}, d)
 	}
 	// Stored records may carry another member's or sweep's display label.
 	for i, req := range reqs {
 		results[i].Label = req.Cfg.Label
+	}
+	if n > 1 {
+		Emit(Event{Kind: EvCohortFinish, Job: on.Job, Worker: on.Worker, N: int64(n), Dur: time.Since(start)})
 	}
 	return results, outs
 }
@@ -145,20 +159,20 @@ func runCohort(reqs []CellRequest, claims []int, results []Result, outs []CellOu
 	spec, p := first.Spec, first.P
 	t0 := time.Now()
 	// One cohort-level phase decomposition, split evenly across the
-	// claimed members when the run ends. Hook events carry the first
-	// member's label (the cohort runs on one worker under one banner).
+	// claimed members when the run ends. Its events speak for the first
+	// member (the cohort runs on one worker under one banner).
 	var cph PhaseTimes
-	pc := &phaseCtx{label: first.Cfg.Label, workload: spec.Name, ph: &cph}
-	tr.phase(+1, 0)
+	rep := reporterFor(tr, first, &cph)
+	rep.enter(PhaseBuild)
 
-	w := &walk{p: p, ms: make([]Machine, len(claims)), at: make([]*Checkpoint, len(claims)), tr: tr, pc: pc,
+	w := &walk{p: p, ms: make([]Machine, len(claims)), at: make([]*Checkpoint, len(claims)), rep: &rep,
 		next: func(cfg Config, prev *Checkpoint, r int) *Checkpoint {
-			ck, _ := cachedStart(spec, cfg, p, r, prev, tr, pc)
+			ck, _ := cachedStart(spec, cfg, p, r, prev, &rep)
 			return ck
 		}}
 	for k, ci := range claims {
 		outs[ci].Replayed = true
-		m, ck, err := newCohortMachine(reqs[ci].Cfg, spec, p, &outs[ci], tr, pc)
+		m, ck, err := newCohortMachine(reqs[ci].Cfg, spec, p, &outs[ci], &rep)
 		if err != nil {
 			panic(err)
 		}
@@ -166,7 +180,7 @@ func runCohort(reqs []CellRequest, claims []int, results []Result, outs []CellOu
 	}
 	recorded, streamFromStore := false, false
 	w.record = func(src *machineBase) *stream.Recording {
-		rec, oc := cachedRecording(spec, p, src, tr, pc)
+		rec, oc := cachedRecording(spec, p, src, &rep)
 		if !recorded {
 			recorded, streamFromStore = true, oc.FromStore()
 		}
@@ -176,18 +190,17 @@ func runCohort(reqs []CellRequest, claims []int, results []Result, outs []CellOu
 		results[claims[k]] = res
 		outs[claims[k]].StreamFromStore = streamFromStore || k > 0
 	}
-	tr.phase(-1, 0)
 
-	// Bank the unclaimed remainder as build, then apportion the cohort's
+	// Bank the unclaimed remainder as build, reported even when empty
+	// since that segment ends the run, then apportion the cohort's
 	// shared cost evenly to each produced cell.
-	if rest := time.Since(t0) - cph.Total(); rest > 0 {
-		pc.add(PhaseBuild, rest)
-	}
+	rest := max(time.Since(t0)-cph.Total(), 0)
+	cph.Add(PhaseBuild, rest)
+	rep.emit(Event{Kind: EvCellPhase, Phase: PhaseBuild, Dur: rest})
 	share := cph.Split(len(claims))
 	for _, ci := range claims {
 		outs[ci].Phases.AddAll(share)
 	}
-	tr.CohortDone(len(claims))
 }
 
 // newCohortMachine builds one cohort member at the first region start
@@ -196,14 +209,14 @@ func runCohort(reqs []CellRequest, claims []int, results []Result, outs []CellOu
 // Kinds that read architectural state (IMP, SVR) get a private image
 // for their window views; stream-pure kinds share the frozen one, at
 // every region start.
-func newCohortMachine(cfg Config, spec workloads.Spec, p Params, out *CellOutcome, tr *Tracker, pc *phaseCtx) (Machine, *Checkpoint, error) {
+func newCohortMachine(cfg Config, spec workloads.Spec, p Params, out *CellOutcome, rep *reporter) (Machine, *Checkpoint, error) {
 	var ck *Checkpoint
 	if p.FastForward > 0 {
 		var co artifact.Outcome
-		ck, co = cachedStart(spec, cfg, p, 0, nil, tr, pc)
+		ck, co = cachedStart(spec, cfg, p, 0, nil, rep)
 		out.CkptFromStore = co.FromStore()
 	} else {
-		ck = imageStart(cachedBuild(spec, p.Scale, pc))
+		ck = imageStart(cachedBuild(spec, p.Scale, rep))
 	}
 	m, err := newMachineAt(cfg, ck, readsArch(cfg.Core))
 	return m, ck, err
@@ -225,8 +238,7 @@ type walk struct {
 	at     []*Checkpoint // each member's current region start, when p.chained()
 	next   func(cfg Config, prev *Checkpoint, r int) *Checkpoint
 	record func(src *machineBase) *stream.Recording
-	tr     *Tracker
-	pc     *phaseCtx
+	rep    *reporter           // nil for Simulate's private walk
 	batch  stream.DecodedBatch // chunk buffer, reused across chunks and windows
 }
 
@@ -276,7 +288,7 @@ func (w *walk) moveTo(r int) bool {
 		if w.p.warmGaps() {
 			t0 := time.Now()
 			there := b.settle(ck.Instrs())
-			w.pc.add(PhaseFastForward, time.Since(t0))
+			w.rep.add(PhaseFastForward, time.Since(t0))
 			if there {
 				continue
 			}
@@ -333,7 +345,7 @@ func (w *walk) window(rec *stream.Recording) []Result {
 	// window instead of one per chunk.
 	var consumed uint64
 	var decode, timing time.Duration
-	w.tr.phase(-1, +1)
+	w.rep.enter(PhaseTiming)
 	for consumed < total {
 		t0 := time.Now()
 		n := w.batch.Fill(src, cohortChunkRows)
@@ -364,9 +376,8 @@ func (w *walk) window(rec *stream.Recording) []Result {
 		}
 		timing += time.Since(t1)
 	}
-	w.tr.phase(+1, -1)
-	w.pc.add(PhaseDecode, decode)
-	w.pc.add(PhaseTiming, timing)
+	w.rep.add(PhaseDecode, decode)
+	w.rep.add(PhaseTiming, timing)
 	if !measuring {
 		reset() // the program halted inside the warmup: an empty window
 	}

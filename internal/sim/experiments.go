@@ -55,19 +55,6 @@ func SetCellMetrics(on bool) bool {
 	return prev
 }
 
-// cellSeriesOn gates per-cell time-series collection into reports; the
-// CLI flips it for the -timeseries flag (alongside Params.SampleEvery,
-// which makes the cells record a series in the first place).
-var cellSeriesOn bool
-
-// SetCellSeries toggles per-cell time-series collection into reports and
-// returns the previous setting.
-func SetCellSeries(on bool) bool {
-	prev := cellSeriesOn
-	cellSeriesOn = on
-	return prev
-}
-
 func newReport(id, title string) *Report {
 	return &Report{ID: id, Title: title, Values: map[string]float64{}}
 }
@@ -117,26 +104,23 @@ func (r *Report) JSON() ([]byte, error) {
 	}{r.ID, r.Title, r.Notes, r.Values, r.Tables, r.Sched, r.CellMetrics, r.CellSeries}, "", "  ")
 }
 
-// matrix runs the cell scheduler over the grid and folds its counters
-// (and, when enabled, each cell's metric snapshot) into the report.
+// matrix runs the cell scheduler over the grid and folds its counters,
+// every time series a cell carries (Params.SampleEvery) and, when
+// enabled, each cell's metric snapshot into the report.
 func (r *Report) matrix(cfgs []Config, specs []workloads.Spec, p Params) *ResultSet {
 	rs := runMatrix(cfgs, specs, p)
 	r.Sched.add(rs.Stats)
-	if cellMetricsOn {
-		for _, c := range rs.Cells {
-			res, _ := rs.Get(c.Label, c.Workload)
+	for _, c := range rs.Cells {
+		res, _ := rs.Get(c.Label, c.Workload)
+		if cellMetricsOn {
 			r.CellMetrics = append(r.CellMetrics, CellMetrics{
 				Label: c.Label, Workload: c.Workload, Metrics: res.Metrics,
 			})
 		}
-	}
-	if cellSeriesOn {
-		for _, c := range rs.Cells {
-			if res, _ := rs.Get(c.Label, c.Workload); res.Series != nil {
-				r.CellSeries = append(r.CellSeries, CellSeries{
-					Label: c.Label, Workload: c.Workload, Series: res.Series,
-				})
-			}
+		if res.Series != nil {
+			r.CellSeries = append(r.CellSeries, CellSeries{
+				Label: c.Label, Workload: c.Workload, Series: res.Series,
+			})
 		}
 	}
 	return rs

@@ -102,7 +102,7 @@ func liveCell(t *testing.T, spec workloads.Spec, cfg Config, p Params) Result {
 	if p.FastForward == 0 {
 		return liveSimulate(testMachine(t, cfg, spec, p.Scale), p, false)
 	}
-	ck, _ := cachedStart(spec, cfg, p, 0, nil, nil, nil)
+	ck, _ := cachedStart(spec, cfg, p, 0, nil, nil)
 	m, err := NewMachineFrom(cfg, ck)
 	if err != nil {
 		t.Fatal(err)

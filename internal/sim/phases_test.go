@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -94,56 +95,77 @@ func TestPhaseTimesArithmetic(t *testing.T) {
 	}
 }
 
-// TestPhaseHooksDeliver: installed hooks see phaseCtx emissions with the
-// cell's identity, and the same add() call banks into the accumulator.
+// TestPhaseHooksDeliver: a subscriber sees a reporter's emissions
+// stamped with its job and cell, and the same add() call banks into the
+// accumulator.
 func TestPhaseHooksDeliver(t *testing.T) {
 	var mu sync.Mutex
-	var phases []CellPhaseEvent
-	var arts []ArtifactEvent
-	SetCellPhaseHook(func(ev CellPhaseEvent) {
-		mu.Lock()
-		phases = append(phases, ev)
-		mu.Unlock()
-	})
-	SetArtifactHook(func(ev ArtifactEvent) {
-		mu.Lock()
-		arts = append(arts, ev)
-		mu.Unlock()
-	})
-	defer SetCellPhaseHook(nil)
-	defer SetArtifactHook(nil)
+	var got []Event
+	defer Subscribe(func(ev Event) {
+		if ev.Job == t.Name() {
+			mu.Lock()
+			got = append(got, ev)
+			mu.Unlock()
+		}
+	})()
 
 	var pt PhaseTimes
-	pc := &phaseCtx{label: "SVR16", workload: "HJ2", ph: &pt}
-	pc.add(PhaseTiming, 5*time.Millisecond)
-	pc.add(PhaseTiming, 0) // non-positive segments are dropped
-	pc.artifact(artifact.Key{Class: artifact.Result, ID: "k"},
+	r := reporterFor(&Tracker{Job: t.Name(), Worker: 3},
+		CellRequest{Cfg: SVRConfig(16), Spec: mustSpec(t, "HJ2")}, &pt)
+	r.enter(PhaseTiming)
+	r.add(PhaseTiming, 5*time.Millisecond)
+	r.add(PhaseTiming, 0) // non-positive segments are dropped
+	r.artifact(artifact.Key{Class: artifact.Result, ID: "k"},
 		artifact.Outcome{Hit: true}, time.Millisecond)
 
-	if len(phases) != 1 || phases[0].Label != "SVR16" || phases[0].Workload != "HJ2" ||
-		phases[0].Phase != PhaseTiming || phases[0].Dur != 5*time.Millisecond {
-		t.Errorf("phase hook saw %+v", phases)
+	want := []Event{
+		{Kind: EvPhaseStart, Job: t.Name(), Label: "SVR16", Workload: "HJ2", Phase: PhaseTiming},
+		{Kind: EvCellPhase, Job: t.Name(), Label: "SVR16", Workload: "HJ2", Phase: PhaseTiming, Dur: 5 * time.Millisecond},
+		{Kind: EvArtifactHit, Job: t.Name(), Label: "SVR16", Workload: "HJ2",
+			Key: artifact.Key{Class: artifact.Result, ID: "k"}, Dur: time.Millisecond},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("subscriber saw\n%+v\nwant\n%+v", got, want)
 	}
 	if pt[PhaseTiming] != 5*time.Millisecond {
 		t.Errorf("accumulator got %v, want 5ms", pt[PhaseTiming])
 	}
-	if len(arts) != 1 || !arts[0].Hit || arts[0].Label != "SVR16" {
-		t.Errorf("artifact hook saw %+v", arts)
+}
+
+// TestEventsOffDoNotAllocate: with nothing subscribed, emitting any kind
+// of event costs one atomic load: no allocation, no lock, so the
+// scheduler is unchanged when nobody observes.
+func TestEventsOffDoNotAllocate(t *testing.T) {
+	saved := subscribers.Swap(nil)
+	defer subscribers.Store(saved)
+	k := artifact.Key{Class: artifact.Result, ID: "k"}
+	if n := testing.AllocsPerRun(1000, func() {
+		for kind := Kind(0); kind < NumKinds; kind++ {
+			Emit(Event{Kind: kind, Job: "job-1", Label: "SVR16", Workload: "HJ2",
+				Seq: 3, Worker: 1, Key: k, Dur: time.Millisecond, N: 8, Note: "n"})
+		}
+	}); n != 0 {
+		t.Errorf("emission with no subscriber allocates %.1f times per call", n)
 	}
 }
 
-// TestPhaseEmitOffDoesNotAllocate: with no hooks installed the emission
-// sites must cost one atomic load — no allocation, no lock — so cell
-// execution is unchanged when nobody observes.
+// TestPhaseEmitOffDoesNotAllocate: with nothing subscribed, a cell's
+// reporter banks its phases and reports its phase and artifact events
+// without an allocation, so cell execution is unchanged when nobody
+// observes.
 func TestPhaseEmitOffDoesNotAllocate(t *testing.T) {
-	SetCellPhaseHook(nil)
-	SetArtifactHook(nil)
+	saved := subscribers.Swap(nil)
+	defer subscribers.Store(saved)
+	var pt PhaseTimes
+	r := reporterFor(&Tracker{Job: "job-1", Worker: 1},
+		CellRequest{Cfg: SVRConfig(16), Spec: mustSpec(t, "HJ2")}, &pt)
 	k := artifact.Key{Class: artifact.Result, ID: "k"}
 	if n := testing.AllocsPerRun(1000, func() {
-		emitPhase("SVR16", "HJ2", PhaseTiming, time.Millisecond)
-		emitArtifact("SVR16", "HJ2", k, artifact.Outcome{}, time.Millisecond)
+		r.enter(PhaseTiming)
+		r.add(PhaseTiming, time.Millisecond)
+		r.artifact(k, artifact.Outcome{Waited: true}, time.Millisecond)
 	}); n != 0 {
-		t.Errorf("hook-off emission allocates %.1f times per call", n)
+		t.Errorf("reporter emission with no subscriber allocates %.1f times per call", n)
 	}
 }
 
@@ -172,51 +194,112 @@ func TestCellPhasesCoverWall(t *testing.T) {
 	}
 }
 
-// TestCurrentStatusAggregatesTrackers: concurrent jobs' trackers fold
-// into one grid view — cells, completions and phase wall all sum.
-// Deltas against the pre-test snapshot keep the test independent of
-// other open trackers.
+// TestCurrentStatusAggregatesTrackers: concurrent jobs fold into one
+// grid view — cells, completions, cohorts and phase wall all sum. Deltas
+// against the pre-test snapshot keep the test independent of other jobs
+// in flight.
 func TestCurrentStatusAggregatesTrackers(t *testing.T) {
 	base := CurrentStatus()
+	j1, j2 := t.Name()+"-1", t.Name()+"-2"
+	Emit(Event{Kind: EvJobSubmit, Job: j1, N: 4})
+	defer Emit(Event{Kind: EvJobDone, Job: j1})
+	Emit(Event{Kind: EvJobSubmit, Job: j2, N: 6})
+	defer Emit(Event{Kind: EvJobDone, Job: j2})
 
-	t1 := NewTracker(4)
-	defer t1.Close()
-	t2 := NewTracker(6)
-	defer t2.Close()
-
-	var o1, o2 CellOutcome
-	o1.Phases.Add(PhaseTiming, 3*time.Second)
-	o1.Phases.Add(PhaseBuild, time.Second)
-	o2.Phases.Add(PhaseTiming, 5*time.Second)
-	o2.Cached = true
-	t1.CellDone(o1, 1000)
-	t2.CellDone(o2, 500)
-	t2.CohortDone(3)
+	finish := func(job string, seq int, out CellOutcome, instrs int64) {
+		Emit(Event{Kind: EvCellStart, Job: job, Label: "A", Workload: "w", Seq: seq, Worker: 1})
+		Emit(Event{Kind: EvCellFinish, Job: job, Label: "A", Workload: "w", Seq: seq, Worker: 1, N: instrs, Out: out})
+	}
+	finish(j1, 0, CellOutcome{}, 1000)
+	finish(j2, 0, CellOutcome{Cached: true}, 500)
+	Emit(Event{Kind: EvCohortFinish, Job: j2, Worker: 1, N: 3})
+	Emit(Event{Kind: EvCellPhase, Job: j1, Label: "A", Workload: "w", Phase: PhaseTiming, Dur: 3 * time.Second})
+	Emit(Event{Kind: EvCellPhase, Job: j1, Label: "A", Workload: "w", Phase: PhaseBuild, Dur: time.Second})
+	Emit(Event{Kind: EvCellPhase, Job: j2, Label: "A", Workload: "w", Phase: PhaseTiming, Dur: 5 * time.Second})
+	// A cell in flight is neither queued nor done.
+	Emit(Event{Kind: EvCellStart, Job: j2, Label: "B", Workload: "w", Seq: 1, Worker: 2})
 
 	s := CurrentStatus()
 	if !s.Active {
-		t.Fatal("open trackers but CurrentStatus reports inactive")
+		t.Fatal("jobs in flight but CurrentStatus reports inactive")
 	}
-	if got := s.Cells - base.Cells; got != 10 {
-		t.Errorf("Cells delta = %d, want 10", got)
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"Cells", int64(s.Cells - base.Cells), 10},
+		{"Done", int64(s.Done - base.Done), 2},
+		{"Queued", int64(s.Queued - base.Queued), 7},
+		{"Cached", int64(s.Cached - base.Cached), 1},
+		{"Instrs", int64(s.Instrs - base.Instrs), 1500},
+		{"CohortCells", int64(s.CohortCells - base.CohortCells), 3},
+		{"PhaseWall[timing]", int64(s.PhaseWall[PhaseTiming] - base.PhaseWall[PhaseTiming]), int64(8 * time.Second)},
+		{"PhaseWall[build]", int64(s.PhaseWall[PhaseBuild] - base.PhaseWall[PhaseBuild]), int64(time.Second)},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s delta = %d, want %d", c.name, c.got, c.want)
+		}
 	}
-	if got := s.Done - base.Done; got != 2 {
-		t.Errorf("Done delta = %d, want 2", got)
+}
+
+// TestStatusFoldLifecycle: the fold's state machine on a fresh fold — a
+// running cohort counted by the phase it works in, the production
+// segments banked as checkpoint and recording wall, cancel dropping the
+// queued cells, the job leaving once its running cells drain, and
+// resume bringing it back.
+func TestStatusFoldLifecycle(t *testing.T) {
+	var f StatusFold
+	phase := func(kind Kind, p Phase, d time.Duration) {
+		f.Apply(Event{Kind: kind, Job: "j", Label: "A", Workload: "w", Phase: p, Dur: d})
 	}
-	if got := s.Cached - base.Cached; got != 1 {
-		t.Errorf("Cached delta = %d, want 1", got)
+	f.Apply(Event{Kind: EvJobSubmit, Job: "j", N: 3})
+	f.Apply(Event{Kind: EvCellStart, Job: "j", Label: "A", Workload: "w", Worker: 1})
+	f.Apply(Event{Kind: EvCellStart, Job: "j", Label: "B", Workload: "w", Seq: 1, Worker: 1})
+	type gauges struct{ queued, building, ckpt, rec, running int }
+	check := func(when string, want gauges) {
+		t.Helper()
+		s := f.Status()
+		if got := (gauges{s.Queued, s.Building, s.Checkpointing, s.Recording, s.Running}); got != want {
+			t.Errorf("%s: queued/building/checkpointing/recording/running = %+v, want %+v", when, got, want)
+		}
 	}
-	if got := s.Instrs - base.Instrs; got != 1500 {
-		t.Errorf("Instrs delta = %d, want 1500", got)
+	phase(EvPhaseStart, PhaseBuild, 0)
+	check("run begins", gauges{1, 1, 0, 0, 0})
+	phase(EvPhaseStart, PhaseFastForward, 0)
+	check("checkpointing", gauges{1, 0, 1, 0, 0})
+	phase(EvCellPhase, PhaseFastForward, 7)
+	phase(EvCellPhase, PhaseFastForward, 100) // settle: not a production
+	phase(EvPhaseStart, PhaseRecord, 0)
+	check("recording", gauges{1, 0, 0, 1, 0})
+	phase(EvCellPhase, PhaseRecord, 5)
+	phase(EvPhaseStart, PhaseTiming, 0)
+	check("in a window", gauges{1, 0, 0, 0, 1})
+	phase(EvCellPhase, PhaseDecode, 2)
+	phase(EvCellPhase, PhaseTiming, 3)
+	check("window done", gauges{1, 1, 0, 0, 0})
+	phase(EvCellPhase, PhaseBuild, 1)
+	check("run ends", gauges{1, 0, 0, 0, 0})
+	if s := f.Status(); s.CkptWall != 7 || s.RecWall != 5 || s.PhaseWall.Total() != 118 {
+		t.Errorf("checkpoint wall %d, recording wall %d, phase wall %d; want 7, 5, 118", s.CkptWall, s.RecWall, s.PhaseWall.Total())
 	}
-	if got := s.CohortCells - base.CohortCells; got != 3 {
-		t.Errorf("CohortCells delta = %d, want 3", got)
+
+	f.Apply(Event{Kind: EvJobCancel, Job: "j"})
+	if s := f.Status(); !s.Active || s.Cells != 2 || s.Queued != 0 {
+		t.Errorf("canceled with two cells running: %+v", s)
 	}
-	if got := s.PhaseWall[PhaseTiming] - base.PhaseWall[PhaseTiming]; got != 8*time.Second {
-		t.Errorf("PhaseWall[timing] delta = %v, want 8s", got)
+	f.Apply(Event{Kind: EvCellFinish, Job: "j", Label: "A", Workload: "w", Worker: 1})
+	f.Apply(Event{Kind: EvCellFinish, Job: "j", Label: "B", Workload: "w", Seq: 1, Worker: 1})
+	if s := f.Status(); s.Active {
+		t.Errorf("canceled job still in flight after its running cells finished: %+v", s)
 	}
-	if got := s.PhaseWall[PhaseBuild] - base.PhaseWall[PhaseBuild]; got != time.Second {
-		t.Errorf("PhaseWall[build] delta = %v, want 1s", got)
+	f.Apply(Event{Kind: EvCellPhase, Job: "j", Label: "A", Workload: "w", Phase: PhaseTiming, Dur: 9})
+	f.Apply(Event{Kind: EvJobResume, Job: "j", N: 1})
+	if s := f.Status(); s.Cells != 1 || s.Queued != 1 || s.Done != 0 || s.PhaseWall.Total() != 0 {
+		t.Errorf("resumed job: %+v", s)
+	}
+	f.Apply(Event{Kind: EvJobDone, Job: "j"})
+	if s := f.Status(); s.Active {
+		t.Errorf("done job still in flight: %+v", s)
 	}
 }
 

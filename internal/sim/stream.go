@@ -60,17 +60,15 @@ func RecordingStats() StreamCacheStats {
 // purely functional and leaves src where it was (recordFrom). The
 // outcome reports whether this caller got the buffer from the store
 // (hit or joined flight) rather than recording it.
-func cachedRecording(spec workloads.Spec, p Params, src *machineBase, tr *Tracker, pc *phaseCtx) (*stream.Recording, artifact.Outcome) {
+func cachedRecording(spec workloads.Spec, p Params, src *machineBase, rep *reporter) (*stream.Recording, artifact.Outcome) {
 	n := p.Warmup + p.Measure
 	k := streamKey(spec.Name, p.Scale, src.cpu.InstrCount(), n)
 	callStart := time.Now()
 	v, oc := artifacts.GetOrProduce(k, func() (any, int64) {
-		tr.recBegin()
+		rep.enter(PhaseRecord)
 		t0 := time.Now()
 		rec := recordFrom(src, n)
-		d := time.Since(t0)
-		tr.recEnd(d)
-		pc.add(PhaseRecord, d)
+		rep.add(PhaseRecord, time.Since(t0))
 
 		streamStats.Lock()
 		streamStats.recordings++
@@ -80,9 +78,9 @@ func cachedRecording(spec workloads.Spec, p Params, src *machineBase, tr *Tracke
 		return rec, int64(rec.Bytes())
 	})
 	if oc.Waited {
-		pc.add(PhaseStoreWait, time.Since(callStart))
+		rep.add(PhaseStoreWait, time.Since(callStart))
 	}
-	pc.artifact(k, oc, time.Since(callStart))
+	rep.artifact(k, oc, time.Since(callStart))
 	return v.(*stream.Recording), oc
 }
 
