@@ -199,9 +199,18 @@ func expFlags(args []string) (sim.ExpParams, []string, error) {
 var csvMode, jsonMode, metricsMode, coldMode bool
 var timeseriesPath, journalPath, gridtracePath string
 
+// reportJSON renders r as JSON; its per-cell metric snapshots ride along
+// only under -metrics.
+func reportJSON(r *sim.Report) ([]byte, error) {
+	if !metricsMode {
+		r.CellMetrics = nil
+	}
+	return r.JSON()
+}
+
 func printReport(w io.Writer, r *sim.Report) error {
 	if jsonMode {
-		blob, err := r.JSON()
+		blob, err := reportJSON(r)
 		if err != nil {
 			return err
 		}
@@ -303,7 +312,6 @@ func applyRunFlags(curExp *string) func() {
 	if coldMode {
 		prevCache = sim.SetRunCacheEnabled(false)
 	}
-	prevMetrics := sim.SetCellMetrics(metricsMode)
 	stopProgress := sim.Subscribe(progressLine(curExp))
 	stopTicker := startProgressTicker(curExp)
 	stopJournal := startRunJournal()
@@ -311,7 +319,6 @@ func applyRunFlags(curExp *string) func() {
 		stopJournal()
 		stopTicker()
 		stopProgress()
-		sim.SetCellMetrics(prevMetrics)
 		if coldMode {
 			sim.SetRunCacheEnabled(prevCache)
 		}
@@ -443,7 +450,7 @@ func cmdAll(w io.Writer, args []string) error {
 		for _, e := range sim.Experiments() {
 			curExp = e.ID
 			r := e.Run(p)
-			blob, err := r.JSON()
+			blob, err := reportJSON(r)
 			if err != nil {
 				return err
 			}

@@ -228,6 +228,23 @@ func TestMetricsCommandJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunJSONOmitsCellMetrics: a report collects every cell's snapshot,
+// but `run -json` prints them only under -metrics.
+func TestRunJSONOmitsCellMetrics(t *testing.T) {
+	out := runCmd(t, "run", "fig3", "-quick", "-json", "-workloads", "NAS-IS")
+	jsonMode = false // reset the global for other tests
+	var rep map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, out)
+	}
+	if _, ok := rep["CellMetrics"]; ok {
+		t.Error("-json without -metrics printed CellMetrics")
+	}
+	if _, ok := rep["Sched"]; !ok {
+		t.Error("-json report has no Sched")
+	}
+}
+
 // TestRunMetricsFlag checks the experiment path: `run -metrics` emits the
 // report as JSON with one registry snapshot per scheduler cell.
 func TestRunMetricsFlag(t *testing.T) {

@@ -43,9 +43,7 @@ func FuzzSubmitJob(f *testing.F) {
 	}
 	p := sim.Params{Scale: workloads.TinyScale(), Warmup: 1000, Measure: 3000}
 	f.Fuzz(func(t *testing.T, body string) {
-		s := New(Options{Workers: 1, QueueCap: 64, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
-			return stubResult(req), sim.CellOutcome{}
-		}})
+		s := New(Options{Workers: 1, QueueCap: 64, ExecuteGroup: stubExecute})
 		defer s.Shutdown()
 		w := httptest.NewRecorder()
 		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/jobs", strings.NewReader(body)))

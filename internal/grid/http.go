@@ -195,7 +195,7 @@ func (s *Scheduler) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // handleResults streams the job's cells in completion order and returns
 // once the job reaches a terminal state. Default framing is NDJSON (one
-// CellResult per line); SSE ("?format=sse" or "Accept: text/event-stream")
+// sim.CellResult per line); SSE ("?format=sse" or "Accept: text/event-stream")
 // wraps each cell in a "cell" event and finishes with a "done" event
 // carrying the job status.
 func (s *Scheduler) handleResults(w http.ResponseWriter, r *http.Request) {

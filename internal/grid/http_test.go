@@ -40,8 +40,8 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 // by config name, stream NDJSON results, poll status, list, and observe
 // the artifact/scheduler status payloads.
 func TestHTTPLifecycle(t *testing.T) {
-	s := New(Options{Workers: 2, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
-		return stubResult(req), sim.CellOutcome{Replayed: true}
+	s := New(Options{Workers: 2, ExecuteGroup: func(reqs []sim.CellRequest, _ *sim.Tracker) ([]sim.Result, []sim.CellOutcome) {
+		return stubGroup(reqs, sim.CellOutcome{Replayed: true})
 	}})
 	defer s.Shutdown()
 	srv := httptest.NewServer(s.Handler())
@@ -66,11 +66,11 @@ func TestHTTPLifecycle(t *testing.T) {
 	if ct := resp2.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("results content-type %q", ct)
 	}
-	var cells []CellResult
+	var cells []sim.CellResult
 	sc := bufio.NewScanner(resp2.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		var c CellResult
+		var c sim.CellResult
 		if err := json.Unmarshal(sc.Bytes(), &c); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -138,9 +138,7 @@ func mustGet(t *testing.T, url string) *http.Response {
 // TestHTTPSSE: the SSE framing wraps each cell in an event and finishes
 // with a done event carrying the job status.
 func TestHTTPSSE(t *testing.T) {
-	s := New(Options{Workers: 1, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
-		return stubResult(req), sim.CellOutcome{}
-	}})
+	s := New(Options{Workers: 1, ExecuteGroup: stubExecute})
 	defer s.Shutdown()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -171,10 +169,10 @@ func TestHTTPSSE(t *testing.T) {
 func TestHTTPBackpressure(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	s := New(Options{Workers: 1, QueueCap: 1, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
+	s := New(Options{Workers: 1, QueueCap: 1, ExecuteGroup: func(reqs []sim.CellRequest, _ *sim.Tracker) ([]sim.Result, []sim.CellOutcome) {
 		started <- struct{}{}
 		<-release
-		return stubResult(req), sim.CellOutcome{}
+		return stubGroup(reqs, sim.CellOutcome{})
 	}})
 	defer func() { close(release); s.Shutdown() }()
 	srv := httptest.NewServer(s.Handler())
@@ -204,9 +202,7 @@ func TestHTTPBackpressure(t *testing.T) {
 // TestHTTPSubmitBodyBounded: a submission body past the bound is refused
 // with 413 and creates no job.
 func TestHTTPSubmitBodyBounded(t *testing.T) {
-	s := New(Options{Workers: 1, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
-		return stubResult(req), sim.CellOutcome{}
-	}})
+	s := New(Options{Workers: 1, ExecuteGroup: stubExecute})
 	defer s.Shutdown()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -226,21 +222,21 @@ func TestHTTPSubmitBodyBounded(t *testing.T) {
 }
 
 // TestHTTPCancelResume exercises cancel/resume over the API while cells
-// are in flight.
+// are in flight: three workloads, three queue items.
 func TestHTTPCancelResume(t *testing.T) {
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
-	s := New(Options{Workers: 1, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
+	s := New(Options{Workers: 1, ExecuteGroup: func(reqs []sim.CellRequest, _ *sim.Tracker) ([]sim.Result, []sim.CellOutcome) {
 		started <- struct{}{}
 		<-release
-		return stubResult(req), sim.CellOutcome{}
+		return stubGroup(reqs, sim.CellOutcome{})
 	}})
 	defer s.Shutdown()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
 	st := decode[JobStatus](t, postJSON(t, srv.URL+"/api/jobs", SubmitRequest{
-		Configs: []string{"inorder", "imp", "ooo"}, Workloads: []string{"Randacc"},
+		Configs: []string{"inorder"}, Workloads: []string{"Randacc", "HJ2", "NAS-IS"},
 	}))
 	<-started
 	cst := decode[JobStatus](t, postJSON(t, srv.URL+"/api/jobs/"+st.ID+"/cancel", nil))

@@ -21,21 +21,6 @@ const (
 	StateCanceled State = "canceled"
 )
 
-// CellResult is one finished cell as streamed to clients, in completion
-// order: the scheduling metadata plus the full simulation Result.
-type CellResult struct {
-	Seq             int    // completion index within the job, from 0
-	Label           string // configuration label
-	Workload        string
-	Cached          bool // result was resident in the artifact store
-	Shared          bool // joined another job's in-flight execution
-	Replayed        bool // consumed a recorded stream
-	CkptFromStore   bool `json:",omitempty"` // warm checkpoint came from the store
-	StreamFromStore bool `json:",omitempty"` // recording came from the store
-	WallNS          int64
-	Result          sim.Result
-}
-
 // JobStatus is the poll/list view of a job.
 type JobStatus struct {
 	ID       string
@@ -78,9 +63,8 @@ type Job struct {
 	queued    map[int]struct{} // cell index → waiting in the queue
 	running   map[int]struct{} // cell index → executing
 	pending   map[int]struct{} // cell index → not finished (queued ∪ running ∪ dropped)
-	results   []CellResult     // finished cells in completion order
+	rs        sim.ResultSet    // finished cells in completion order
 	phaseWall sim.PhaseTimes   // finished cells' wall time by phase
-	rs        *sim.ResultSet
 	submitted time.Time
 	finished  time.Time
 }
@@ -94,7 +78,6 @@ func newJob(id, name string, pri int, cfgs []sim.Config, specs []workloads.Spec,
 		queued:    map[int]struct{}{},
 		running:   map[int]struct{}{},
 		pending:   map[int]struct{}{},
-		rs:        sim.NewResultSet(cfgs),
 		submitted: time.Now(),
 	}
 	j.cond = sync.NewCond(&j.mu)
@@ -166,22 +149,12 @@ func (j *Job) finishCell(i, worker int, res sim.Result, out sim.CellOutcome) {
 		Seq: i, Worker: worker, Dur: out.Wall, N: int64(res.Instrs), Out: out})
 	delete(j.running, i)
 	delete(j.pending, i)
-	j.results = append(j.results, CellResult{
-		Seq: len(j.results), Label: c.Cfg.Label, Workload: c.Spec.Name,
-		Cached: out.Cached, Shared: out.Shared, Replayed: out.Replayed,
-		CkptFromStore: out.CkptFromStore, StreamFromStore: out.StreamFromStore,
-		WallNS: out.Wall.Nanoseconds(), Result: res,
-	})
-	j.rs.AddCell(res, sim.CellStat{
-		Label: c.Cfg.Label, Workload: c.Spec.Name, Cached: out.Cached,
-		Shared: out.Shared, Replayed: out.Replayed, Wall: out.Wall,
-	})
+	j.rs.Add(c, res, out)
 	j.phaseWall.AddAll(out.Phases)
 	if len(j.pending) == 0 && j.state != StateCanceled {
 		j.state = StateDone
 		j.finished = time.Now()
 		j.rs.Stats.Wall = j.finished.Sub(j.submitted)
-		j.rs.Finish()
 		sim.Emit(sim.Event{Kind: sim.EvJobDone, Job: j.ID, Dur: j.rs.Stats.Wall})
 	}
 	j.cond.Broadcast()
@@ -200,13 +173,14 @@ func (j *Job) terminalLocked() bool {
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	cells := j.rs.Cells()
 	st := JobStatus{
 		ID: j.ID, Name: j.Name, Priority: j.Priority, State: j.state,
-		Cells: len(j.cells), Done: len(j.results),
+		Cells: len(j.cells), Done: len(cells),
 		Queued: len(j.queued), Running: len(j.running),
 		SubmittedAt: j.submitted, PhaseWall: j.phaseWall,
 	}
-	for _, r := range j.results {
+	for _, r := range cells {
 		if r.Cached {
 			st.CachedCells++
 		}
@@ -232,7 +206,7 @@ func (j *Job) Status() JobStatus {
 // Result returns the i-th finished cell (completion order), blocking
 // until it exists, the job reaches a terminal state without producing
 // it, or ctx is canceled. ok is false in the latter two cases.
-func (j *Job) Result(ctx context.Context, i int) (CellResult, bool) {
+func (j *Job) Result(ctx context.Context, i int) (sim.CellResult, bool) {
 	stop := context.AfterFunc(ctx, func() {
 		j.mu.Lock()
 		j.cond.Broadcast()
@@ -241,13 +215,13 @@ func (j *Job) Result(ctx context.Context, i int) (CellResult, bool) {
 	defer stop()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for len(j.results) <= i && !j.terminalLocked() && ctx.Err() == nil {
+	for len(j.rs.Cells()) <= i && !j.terminalLocked() && ctx.Err() == nil {
 		j.cond.Wait()
 	}
-	if len(j.results) > i {
-		return j.results[i], true
+	if cells := j.rs.Cells(); len(cells) > i {
+		return cells[i], true
 	}
-	return CellResult{}, false
+	return sim.CellResult{}, false
 }
 
 // Wait blocks until the job is done (or canceled and drained) and
@@ -258,13 +232,5 @@ func (j *Job) Wait() *sim.ResultSet {
 	for !j.terminalLocked() {
 		j.cond.Wait()
 	}
-	return j.rs
-}
-
-// ResultSet returns the job's (possibly still filling) result set.
-// Callers must not mutate it before the job is done.
-func (j *Job) ResultSet() *sim.ResultSet {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.rs
+	return &j.rs
 }

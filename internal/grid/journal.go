@@ -29,7 +29,7 @@ import (
 // family:
 //
 //	job.submit    {job, n: cells, note: job name}
-//	job.cancel    {job}
+//	job.cancel    {job, note: "shutdown" when a shutdown abandoned its queued cells}
 //	job.resume    {job, n: re-enqueued cells}
 //	job.done      {job, dur_ns: submit→finish wall}
 //	cell.queue    {job, cell, seq}

@@ -92,9 +92,7 @@ func TestJournalSchedulerLifecycle(t *testing.T) {
 	SetJournal(j)
 	defer SetJournal(nil)
 
-	s := New(Options{Workers: 1, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
-		return stubResult(req), sim.CellOutcome{}
-	}})
+	s := New(Options{Workers: 1, ExecuteGroup: stubExecute})
 	defer s.Shutdown()
 	job, err := s.Submit(JobRequest{Name: "lifecycle", Configs: labeled("A"),
 		Workloads: []string{"Randacc", "HJ2"}, Params: sim.QuickParams()})

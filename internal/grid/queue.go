@@ -2,6 +2,7 @@ package grid
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -20,6 +21,9 @@ func (e *ErrQueueFull) Error() string {
 	return fmt.Sprintf("grid: queue full: %d cells queued of %d capacity, %d more requested",
 		e.Queued, e.Capacity, e.Requested)
 }
+
+// errShutDown refuses work once the scheduler is shutting down.
+var errShutDown = errors.New("grid: scheduler is shut down")
 
 // item is one schedulable unit: a job plus the indexes of the cells it
 // covers — a single cell, or a whole timing cohort the worker steps in
@@ -82,7 +86,7 @@ func (q *queue) push(job *Job, groups [][]int) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return fmt.Errorf("grid: scheduler is shut down")
+		return errShutDown
 	}
 	if q.cells+n > q.cap {
 		return &ErrQueueFull{Queued: q.cells, Capacity: q.cap, Requested: n}

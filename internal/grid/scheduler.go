@@ -32,21 +32,17 @@ type Options struct {
 	// QueueCap bounds the number of queued cells across all jobs
 	// (default 4096); Submit returns *ErrQueueFull past it.
 	QueueCap int
-	// Execute runs one cell (default sim.ExecuteCell; tests inject a
-	// stub to exercise scheduling without simulating).
-	Execute func(sim.CellRequest, *sim.Tracker) (sim.Result, sim.CellOutcome)
-	// ExecuteGroup runs one schedulable group — a timing cohort of
-	// sibling cells stepped in lockstep, or a single cell. Default
-	// sim.ExecuteCohort; when only Execute is injected, groups fall
-	// back to a per-cell loop over it.
+	// ExecuteGroup runs one queue item: a group sim.PlanCohorts formed,
+	// sibling cells stepped in lockstep or a lone cell (default
+	// sim.ExecuteCohort; tests inject a stub to exercise scheduling
+	// without simulating).
 	ExecuteGroup func([]sim.CellRequest, *sim.Tracker) ([]sim.Result, []sim.CellOutcome)
 }
 
 // Scheduler owns the queue, the worker pool and the job table.
 type Scheduler struct {
-	opts  Options
-	group bool // plan cohort groups (false when only a per-cell Execute stub is injected)
-	q     *queue
+	opts Options
+	q    *queue
 
 	obs         *schedMetrics // queue-wait and per-phase latency histograms
 	unsubscribe func()        // obs's subscription to the event stream
@@ -67,35 +63,14 @@ func New(opts Options) *Scheduler {
 	if opts.QueueCap <= 0 {
 		opts.QueueCap = 4096
 	}
-	// A per-cell Execute stub (tests) keeps per-cell scheduling: cells
-	// queue and cancel one at a time, exactly as before cohorts. The
-	// real executor — or an injected ExecuteGroup — schedules whole
-	// cohorts as units.
-	group := opts.ExecuteGroup != nil || opts.Execute == nil
 	if opts.ExecuteGroup == nil {
-		if opts.Execute != nil {
-			ex := opts.Execute
-			opts.ExecuteGroup = func(reqs []sim.CellRequest, tr *sim.Tracker) ([]sim.Result, []sim.CellOutcome) {
-				results := make([]sim.Result, len(reqs))
-				outs := make([]sim.CellOutcome, len(reqs))
-				for i, r := range reqs {
-					results[i], outs[i] = ex(r, tr)
-				}
-				return results, outs
-			}
-		} else {
-			opts.ExecuteGroup = sim.ExecuteCohort
-		}
-	}
-	if opts.Execute == nil {
-		opts.Execute = sim.ExecuteCell
+		opts.ExecuteGroup = sim.ExecuteCohort
 	}
 	s := &Scheduler{
-		opts:  opts,
-		group: group,
-		q:     newQueue(opts.QueueCap),
-		jobs:  map[string]*Job{},
-		obs:   newSchedMetrics(),
+		opts: opts,
+		q:    newQueue(opts.QueueCap),
+		jobs: map[string]*Job{},
+		obs:  newSchedMetrics(),
 	}
 	s.unsubscribe = sim.Subscribe(s.observe)
 	for i := 0; i < opts.Workers; i++ {
@@ -136,25 +111,6 @@ func (s *Scheduler) worker(id int) {
 			job.finishCell(cell, id, results[k], outs[k])
 		}
 	}
-}
-
-// plan turns cell indexes (nil means all) into queue groups: timing
-// cohorts for the real executor, one cell per group for per-cell stubs.
-func (s *Scheduler) plan(cells []sim.CellRequest, idx []int) [][]int {
-	if s.group {
-		return sim.PlanCohorts(cells, idx)
-	}
-	if idx == nil {
-		idx = make([]int, len(cells))
-		for i := range idx {
-			idx[i] = i
-		}
-	}
-	groups := make([][]int, len(idx))
-	for k, i := range idx {
-		groups[k] = []int{i}
-	}
-	return groups
 }
 
 // JobRequest is a submission: a grid of full machine configurations
@@ -243,39 +199,33 @@ func (s *Scheduler) Submit(req JobRequest) (*Job, error) {
 var jobIDs atomic.Int64
 
 func (s *Scheduler) submit(name string, pri int, cfgs []sim.Config, specs []workloads.Spec, p sim.Params) (*Job, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("grid: scheduler is shut down")
-	}
 	id := fmt.Sprintf("job-%d", jobIDs.Add(1))
 	job := newJob(id, name, pri, cfgs, specs, p)
-	s.jobs[id] = job
-	s.order = append(s.order, id)
-	s.mu.Unlock()
-
-	// The job is announced before a worker can start its cells: a popped
-	// cell waits for the job lock in startCell.
+	// The job lock keeps a worker from starting a popped cell before the
+	// job is registered and announced (startCell takes it). Registering
+	// only once the push succeeded, under the same s.mu hold as the
+	// shutdown check, leaves nothing to roll back.
 	job.mu.Lock()
+	defer job.mu.Unlock()
+	s.mu.Lock()
+	err := errShutDown
+	if !s.closed {
+		// Adjacent siblings queue as one lockstep cohort.
+		err = s.q.push(job, sim.PlanCohorts(job.cells, nil))
+	}
+	if err == nil {
+		s.jobs[id] = job
+		s.order = append(s.order, id)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	for i := range job.cells {
 		job.queued[i] = struct{}{}
 	}
-	// Adjacent siblings queue as one lockstep cohort.
-	err := s.q.push(job, s.plan(job.cells, nil))
-	if err == nil {
-		sim.Emit(sim.Event{Kind: sim.EvJobSubmit, Job: id, N: int64(len(job.cells)), Note: name})
-		job.queueEventsLocked(nil)
-	} else {
-		job.queued = map[int]struct{}{}
-	}
-	job.mu.Unlock()
-	if err != nil {
-		s.mu.Lock()
-		delete(s.jobs, id)
-		s.order = s.order[:len(s.order)-1]
-		s.mu.Unlock()
-		return nil, err
-	}
+	sim.Emit(sim.Event{Kind: sim.EvJobSubmit, Job: id, N: int64(len(job.cells)), Note: name})
+	job.queueEventsLocked(nil)
 	return job, nil
 }
 
@@ -364,7 +314,7 @@ func (s *Scheduler) Resume(id string) error {
 	}
 	// As in submit, the job lock keeps workers from starting the
 	// re-enqueued cells before the resume is announced.
-	if err := s.q.push(job, s.plan(job.cells, todo)); err != nil {
+	if err := s.q.push(job, sim.PlanCohorts(job.cells, todo)); err != nil {
 		job.queued = map[int]struct{}{}
 		return err
 	}
@@ -379,10 +329,12 @@ func (s *Scheduler) QueueDepth() int { return s.q.depth() }
 
 // Shutdown drains the scheduler: no new submissions, queued cells are
 // abandoned where they are (SaveState persists them), running cells
-// finish. It blocks until the worker pool exits, then wakes every
-// streaming/waiting client.
+// finish. It blocks until the worker pool exits, reports each job it
+// abandoned as canceled by the shutdown (so the grid status stops
+// counting it in flight), then wakes every streaming/waiting client.
 func (s *Scheduler) Shutdown() {
 	s.mu.Lock()
+	again := s.closed
 	s.closed = true
 	s.mu.Unlock()
 	s.q.close()
@@ -390,6 +342,9 @@ func (s *Scheduler) Shutdown() {
 	s.unsubscribe()
 	for _, j := range s.Jobs() {
 		j.mu.Lock()
+		if !again && (j.state == StateQueued || j.state == StateRunning) {
+			sim.Emit(sim.Event{Kind: sim.EvJobCancel, Job: j.ID, Note: "shutdown"})
+		}
 		j.cond.Broadcast()
 		j.mu.Unlock()
 	}

@@ -33,15 +33,31 @@ func stubResult(req sim.CellRequest) sim.Result {
 	return sim.Result{Workload: req.Spec.Name, Label: req.Cfg.Label, Instrs: req.P.Measure}
 }
 
+// stubGroup fabricates every member's result of a queue item, each
+// served as out.
+func stubGroup(reqs []sim.CellRequest, out sim.CellOutcome) ([]sim.Result, []sim.CellOutcome) {
+	results := make([]sim.Result, len(reqs))
+	outs := make([]sim.CellOutcome, len(reqs))
+	for i, r := range reqs {
+		results[i], outs[i] = stubResult(r), out
+	}
+	return results, outs
+}
+
+// stubExecute is an ExecuteGroup that simulates nothing.
+func stubExecute(reqs []sim.CellRequest, _ *sim.Tracker) ([]sim.Result, []sim.CellOutcome) {
+	return stubGroup(reqs, sim.CellOutcome{})
+}
+
 // TestPriorityOrdering: with one worker pinned by a running cell, later
 // submissions drain strictly by priority (high first), not FIFO.
 func TestPriorityOrdering(t *testing.T) {
 	started := make(chan string, 8)
 	release := make(chan struct{})
-	s := New(Options{Workers: 1, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
-		started <- req.Cfg.Label
+	s := New(Options{Workers: 1, ExecuteGroup: func(reqs []sim.CellRequest, _ *sim.Tracker) ([]sim.Result, []sim.CellOutcome) {
+		started <- reqs[0].Cfg.Label
 		<-release
-		return stubResult(req), sim.CellOutcome{}
+		return stubGroup(reqs, sim.CellOutcome{})
 	}})
 	defer s.Shutdown()
 
@@ -78,9 +94,9 @@ func TestPriorityOrdering(t *testing.T) {
 // rejected atomically with the typed error.
 func TestQueueBackpressure(t *testing.T) {
 	release := make(chan struct{})
-	s := New(Options{Workers: 1, QueueCap: 3, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
+	s := New(Options{Workers: 1, QueueCap: 3, ExecuteGroup: func(reqs []sim.CellRequest, _ *sim.Tracker) ([]sim.Result, []sim.CellOutcome) {
 		<-release
-		return stubResult(req), sim.CellOutcome{}
+		return stubGroup(reqs, sim.CellOutcome{})
 	}})
 	defer func() { close(release); s.Shutdown() }()
 
@@ -116,22 +132,65 @@ func TestQueueBackpressure(t *testing.T) {
 	_ = pin
 }
 
+// TestRejectedSubmitKeepsJobList: a submit the queue rejects leaves the
+// job list as it was, whatever a concurrent accepted submit did between
+// its registration and its push. The test holds the queue's lock so that
+// both submits are under way before either pushes, the rejected one
+// first.
+func TestRejectedSubmitKeepsJobList(t *testing.T) {
+	s := New(Options{Workers: 1, QueueCap: 2, ExecuteGroup: stubExecute})
+	defer s.Shutdown()
+	p := sim.QuickParams()
+	var big []sim.Config
+	for _, l := range []string{"a", "b", "c"} {
+		big = append(big, labeled(l)[0])
+	}
+
+	s.q.mu.Lock()
+	base := jobIDs.Load()
+	errs := make(chan error, 2)
+	submit := func(cfgs []sim.Config) {
+		_, err := s.Submit(JobRequest{Configs: cfgs, Workloads: []string{"Randacc"}, Params: p})
+		errs <- err
+	}
+	go submit(big) // three cells: more than the queue holds
+	waitFor(t, "the rejected submit to take its ID", func() bool { return jobIDs.Load() == base+1 })
+	go submit(labeled("small"))
+	waitFor(t, "the accepted submit to take its ID", func() bool { return jobIDs.Load() == base+2 })
+	s.q.mu.Unlock()
+
+	var full *ErrQueueFull
+	rejected := 0
+	for i := 0; i < 2; i++ {
+		if err := <-errs; errors.As(err, &full) {
+			rejected++
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rejected != 1 {
+		t.Fatalf("%d submits rejected, want 1", rejected)
+	}
+	jobs := s.Jobs()
+	if len(jobs) != 1 || jobs[0] == nil || jobs[0].cfgs[0].Label != "small" {
+		t.Fatalf("job list %v, want the accepted job once", jobs)
+	}
+	jobs[0].Wait()
+}
+
 // TestCancelResume: canceling mid-cell lets the running cell finish and
 // drops the queued remainder; resume re-enqueues exactly that remainder
-// and completes the job.
+// and completes the job. Three workloads make three queue items.
 func TestCancelResume(t *testing.T) {
 	release := make(chan struct{})
-	s := New(Options{Workers: 1, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
+	s := New(Options{Workers: 1, ExecuteGroup: func(reqs []sim.CellRequest, _ *sim.Tracker) ([]sim.Result, []sim.CellOutcome) {
 		<-release
-		return stubResult(req), sim.CellOutcome{}
+		return stubGroup(reqs, sim.CellOutcome{})
 	}})
 	defer s.Shutdown()
 
-	var cfgs []sim.Config
-	for _, l := range []string{"c0", "c1", "c2"} {
-		cfgs = append(cfgs, labeled(l)[0])
-	}
-	j, err := s.Submit(JobRequest{Name: "cr", Configs: cfgs, Workloads: []string{"Randacc"}, Params: sim.QuickParams()})
+	j, err := s.Submit(JobRequest{Name: "cr", Configs: labeled("c"), Workloads: []string{"Randacc", "HJ2", "NAS-IS"},
+		Params: sim.QuickParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +220,8 @@ func TestCancelResume(t *testing.T) {
 	if st.State != StateDone || st.Done != 3 {
 		t.Fatalf("after resume: %+v", st)
 	}
-	if len(rs.Cells) != 3 {
-		t.Fatalf("result set has %d cells, want 3", len(rs.Cells))
+	if n := len(rs.Cells()); n != 3 {
+		t.Fatalf("result set has %d cells, want 3", n)
 	}
 	if err := s.Resume(j.ID); err == nil {
 		t.Error("resume of a done job should fail")
@@ -229,7 +288,7 @@ func TestCrossJobDedup(t *testing.T) {
 	}
 
 	for _, j := range jobs {
-		rs := j.ResultSet()
+		rs := j.Wait()
 		for _, cfg := range cfgs {
 			for _, wl := range wls {
 				got, ok1 := rs.Get(cfg.Label, wl)
@@ -274,8 +333,8 @@ func TestEightMachinesPlanOneCohort(t *testing.T) {
 	rs := s.RunMatrix(cfgs, specs, sim.Params{Scale: workloads.TinyScale(), Warmup: 1_000, Measure: 10_000})
 	s.Shutdown()
 	SetJournal(nil)
-	if len(rs.Cells) != len(cfgs) {
-		t.Fatalf("result set has %d cells, want %d", len(rs.Cells), len(cfgs))
+	if n := len(rs.Cells()); n != len(cfgs) {
+		t.Fatalf("result set has %d cells, want %d", n, len(cfgs))
 	}
 	var widths []int64
 	for _, ev := range jn.Events() {
@@ -293,22 +352,22 @@ func TestEightMachinesPlanOneCohort(t *testing.T) {
 func TestSaveLoadState(t *testing.T) {
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
-	s := New(Options{Workers: 1, Execute: func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
+	s := New(Options{Workers: 1, ExecuteGroup: func(reqs []sim.CellRequest, _ *sim.Tracker) ([]sim.Result, []sim.CellOutcome) {
 		started <- struct{}{}
 		<-release
-		return stubResult(req), sim.CellOutcome{}
+		return stubGroup(reqs, sim.CellOutcome{})
 	}})
-	// Two cells on one worker: the first drains during shutdown, the
+	// Two cohorts on one worker: the first drains during shutdown, the
 	// second is still queued — so the job is unfinished and persists.
 	if _, err := s.Submit(JobRequest{Name: "keep", Priority: 2,
-		Configs: []sim.Config{sim.SVRConfig(16), sim.SVRConfig(32)}, Workloads: []string{"Randacc"},
+		Configs: []sim.Config{sim.SVRConfig(16), sim.SVRConfig(32)}, Workloads: []string{"Randacc", "HJ2"},
 		Params: sim.QuickParams()}); err != nil {
 		t.Fatal(err)
 	}
-	<-started // the first cell is in flight
+	<-started // the first cohort is in flight
 	go func() {
-		// Let Shutdown close the queue before the in-flight cell can
-		// finish, so the worker exits instead of taking the second cell.
+		// Let Shutdown close the queue before the in-flight cohort can
+		// finish, so the worker exits instead of taking the second one.
 		time.Sleep(100 * time.Millisecond)
 		release <- struct{}{}
 	}()
@@ -319,10 +378,7 @@ func TestSaveLoadState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	done := func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
-		return stubResult(req), sim.CellOutcome{}
-	}
-	s2 := New(Options{Workers: 1, Execute: done})
+	s2 := New(Options{Workers: 1, ExecuteGroup: stubExecute})
 	defer s2.Shutdown()
 	n, err := s2.LoadState(path)
 	if err != nil {
@@ -363,10 +419,7 @@ func TestSaveStateAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	done := func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
-		return stubResult(req), sim.CellOutcome{}
-	}
-	s := New(Options{Workers: 1, Execute: done})
+	s := New(Options{Workers: 1, ExecuteGroup: stubExecute})
 	s.Shutdown()
 	rename := renameFile
 	renameFile = func(string, string) error { return errors.New("crash before rename") }
@@ -386,7 +439,7 @@ func TestSaveStateAtomic(t *testing.T) {
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
 		t.Errorf("state dir holds %d entries after a failed save (err %v), want only the state file", len(entries), err)
 	}
-	s2 := New(Options{Workers: 1, Execute: done})
+	s2 := New(Options{Workers: 1, ExecuteGroup: stubExecute})
 	defer s2.Shutdown()
 	if n, err := s2.LoadState(path); err != nil || n != 1 {
 		t.Fatalf("previous state: restored %d jobs, err %v; want 1", n, err)
@@ -449,9 +502,6 @@ func TestKillDuringSave(t *testing.T) {
 	t.Logf("seed %d", seed)
 	rng := rand.New(rand.NewSource(seed))
 	path := filepath.Join(t.TempDir(), "state.json")
-	done := func(req sim.CellRequest, _ *sim.Tracker) (sim.Result, sim.CellOutcome) {
-		return stubResult(req), sim.CellOutcome{}
-	}
 	for iter := 0; iter < 8; iter++ {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestKillDuringSave$")
 		cmd.Env = append(os.Environ(), "GRID_TEST_SAVE_LOOP="+path)
@@ -493,7 +543,7 @@ func TestKillDuringSave(t *testing.T) {
 		default:
 			t.Fatalf("kill %d: state file is neither saved state (%d bytes)", iter, len(got))
 		}
-		s := New(Options{Workers: 1, Execute: done})
+		s := New(Options{Workers: 1, ExecuteGroup: stubExecute})
 		n, err := s.LoadState(path)
 		s.Shutdown()
 		if err != nil || n != want {

@@ -1,10 +1,8 @@
 package grid
 
 import (
-	"os"
-	"os/exec"
+	"bytes"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,25 +11,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
-
-// inFreshProcess reports whether the calling test runs alone in a process
-// of its own; if not, it runs the test that way and reports the outcome
-// through t. A test comparing sim.CurrentStatus, which folds every job in
-// the process, with the jobs it ran needs one: earlier tests leave behind
-// jobs that their shut-down schedulers never finish.
-func inFreshProcess(t *testing.T) bool {
-	t.Helper()
-	if os.Getenv("GRID_TEST_FRESH") == t.Name() {
-		return true
-	}
-	cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$", "-test.v", "-test.timeout=5m")
-	cmd.Env = append(os.Environ(), "GRID_TEST_FRESH="+t.Name())
-	out, err := cmd.CombinedOutput()
-	if err != nil || !strings.Contains(string(out), "--- PASS: "+t.Name()) {
-		t.Fatalf("%s in a fresh process: %v\n%s", t.Name(), err, out)
-	}
-	return false
-}
 
 // gate parks each cohort of the job named name where its timing phase
 // begins — a subscriber blocking the emitting worker — until the cohort's
@@ -105,6 +84,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// freshStore empties the artifact store, so a test's cells, checkpoints
+// and recordings are produced, not served from an earlier test's runs.
+func freshStore() {
+	for _, c := range artifact.Classes() {
+		sim.Artifacts().Purge(c)
+	}
+}
+
 // resultJoins counts the result lookups that joined another caller's
 // production.
 func resultJoins() int64 { return sim.Artifacts().Stats()[artifact.Result].Waited }
@@ -121,9 +108,7 @@ func submitNamed(t *testing.T, s *Scheduler, name string, cfgs []sim.Config, wls
 // TestStatusQueuedCountsCells: a cohort in flight holds all of its cells,
 // not one; the scheduler's queue depth in /api/status is the jobs'.
 func TestStatusQueuedCountsCells(t *testing.T) {
-	if !inFreshProcess(t) {
-		return
-	}
+	freshStore()
 	var cfgs []sim.Config
 	for _, name := range []string{"inorder", "imp", "ooo", "svr8", "svr16", "svr32", "svr64", "svr128"} {
 		cfg, err := ParseConfig(name)
@@ -152,15 +137,76 @@ func TestStatusQueuedCountsCells(t *testing.T) {
 	}
 }
 
+// TestShutdownDropsAbandonedJobs: a shutdown abandons the jobs whose
+// cells are still queued, and reports each canceled, so the grid status
+// stops counting it in flight; the journal of it stays schema-valid.
+func TestShutdownDropsAbandonedJobs(t *testing.T) {
+	var buf bytes.Buffer
+	jn := NewJournal(JournalConfig{Writer: &buf, Capture: -1})
+	SetJournal(jn)
+	defer SetJournal(nil)
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	s := New(Options{Workers: 1, ExecuteGroup: func(reqs []sim.CellRequest, _ *sim.Tracker) ([]sim.Result, []sim.CellOutcome) {
+		started <- struct{}{}
+		<-release
+		return stubGroup(reqs, sim.CellOutcome{})
+	}})
+	// The first job's first cohort pins the worker; its second and the
+	// whole second job stay queued.
+	a := submitNamed(t, s, "A", labeled("A"), []string{"Randacc", "HJ2"}, sim.QuickParams())
+	<-started
+	b := submitNamed(t, s, "B", labeled("B"), []string{"Randacc"}, sim.QuickParams())
+	if st := sim.CurrentStatus(); st.Queued == 0 {
+		t.Fatalf("nothing queued before the shutdown: %+v", st)
+	}
+	go func() {
+		// Release the pinned cohort once Shutdown closed the queue, so
+		// the worker exits instead of taking a queued cohort.
+		for closed := false; !closed; time.Sleep(time.Millisecond) {
+			s.q.mu.Lock()
+			closed = s.q.closed
+			s.q.mu.Unlock()
+		}
+		close(release)
+	}()
+	s.Shutdown()
+	SetJournal(nil)
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if st := sim.CurrentStatus(); st.Active || st.Cells != 0 || st.Queued != 0 {
+		t.Errorf("after shutdown the status still counts jobs in flight: %+v", st)
+	}
+	for _, j := range []*Job{a, b} {
+		if st := j.Status(); st.State == StateDone || st.State == StateCanceled || st.Queued == 0 {
+			t.Errorf("job %s: %+v, want it unfinished with cells queued", j.Name, st)
+		}
+	}
+	if _, err := ValidateJournal(&buf); err != nil {
+		t.Errorf("journal of the shutdown fails its schema: %v", err)
+	}
+	var fold sim.StatusFold
+	for _, je := range jn.Events() {
+		ev, err := je.event()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fold.Apply(ev)
+	}
+	if st := fold.Status(); st.Active {
+		t.Errorf("the journal folds to jobs still in flight: %+v", st)
+	}
+}
+
 // TestStatusReplaysFromJournal: the status is one fold over the event
 // stream, so folding the journal captured so far into a fresh fold gives
 // CurrentStatus, mid-flight: two jobs, a cohort of two inside its window
 // after a checkpointed start, another cohort finished, and cells of the
 // second job joined from the first — one finished, one waiting.
 func TestStatusReplaysFromJournal(t *testing.T) {
-	if !inFreshProcess(t) {
-		return
-	}
+	freshStore()
 	jn := NewJournal(JournalConfig{Capture: -1})
 	SetJournal(jn)
 	defer SetJournal(nil)
@@ -224,6 +270,7 @@ func TestStatusReplaysFromJournal(t *testing.T) {
 // the job whose results it was served, nor the wait and join of a job
 // that joined its cell in flight.
 func TestJobTraceShowsOnlyItsJob(t *testing.T) {
+	freshStore()
 	jn := NewJournal(JournalConfig{Capture: -1})
 	SetJournal(jn)
 	defer SetJournal(nil)

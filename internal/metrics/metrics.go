@@ -1,6 +1,6 @@
-// Package metrics provides the typed event-counting primitives — Counter,
-// Gauge, and power-of-two-bucketed Histogram — and the Registry that every
-// timing component publishes its statistics through.
+// Package metrics provides the power-of-two-bucketed Histogram and the
+// Registry that every timing component publishes its statistics through:
+// adopted plain counter fields, computed gauges and histograms.
 //
 // The registry solves a silent-correctness trap: the warmup/measure split
 // of sim.Simulate requires every event counter in the machine to be zeroed
@@ -10,46 +10,13 @@
 // Registry.Reset() covers all of them; a reflection guard test
 // (internal/sim) fails if a counter-like field ever escapes the registry.
 //
-// All primitives are plain value types updated by direct field access —
-// the hot paths (cache lookups, DRAM bookings, SVI lane issue) pay one
-// integer add or, for histograms, a bit-length and three adds, with no
-// allocation, locking, or map traffic.
+// Counters are plain fields and histograms plain values, updated by
+// direct access — the hot paths (cache lookups, DRAM bookings, SVI lane
+// issue) pay one integer add or, for histograms, a bit-length and three
+// adds, with no allocation, locking, or map traffic.
 package metrics
 
 import "math/bits"
-
-// Counter is a monotonically increasing event count. The zero value is
-// ready to use.
-type Counter struct{ v int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds delta.
-func (c *Counter) Add(delta int64) { c.v += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v }
-
-// MarshalJSON renders the counter as a bare number.
-func (c Counter) MarshalJSON() ([]byte, error) { return appendInt(nil, c.v), nil }
-
-// Gauge is an instantaneous level (occupancy, pending entries). Unlike a
-// Counter it is not zeroed by Registry.Reset: a gauge describes state, not
-// events in the measurement window.
-type Gauge struct{ v int64 }
-
-// Set stores the current level.
-func (g *Gauge) Set(v int64) { g.v = v }
-
-// Add adjusts the level by delta.
-func (g *Gauge) Add(delta int64) { g.v += delta }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v }
-
-// MarshalJSON renders the gauge as a bare number.
-func (g Gauge) MarshalJSON() ([]byte, error) { return appendInt(nil, g.v), nil }
 
 // histBuckets is the bucket count: bits.Len64 of a non-negative int64 is
 // at most 63, so bucket indices span [0, 63].
@@ -282,23 +249,4 @@ func (s HistogramSnapshot) Add(o HistogramSnapshot) HistogramSnapshot {
 		}
 	}
 	return out
-}
-
-// appendInt is strconv.AppendInt without the import weight.
-func appendInt(dst []byte, v int64) []byte {
-	if v < 0 {
-		dst = append(dst, '-')
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(dst, buf[i:]...)
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -38,16 +39,67 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+func TestHistogramQuantileInterpolated(t *testing.T) {
+	var h Histogram
+	// 100 observations spread evenly over bucket le=127 (values 64..127):
+	// interpolation should land p50 near the middle of the bucket.
+	for i := 0; i < 100; i++ {
+		h.Observe(64 + int64(i)*63/99)
+	}
+	p50 := h.Quantile(0.50)
+	if p50 < 64 || p50 > 127 {
+		t.Fatalf("p50 = %.1f, outside the only occupied bucket [64,127]", p50)
+	}
+	if math.Abs(p50-95.5) > 16 {
+		t.Errorf("p50 = %.1f, want near the bucket midpoint 95.5", p50)
+	}
+	// The snapshot estimate must agree with the live histogram.
+	if est := h.Snapshot().QuantileEst(0.50); math.Abs(est-p50) > 1e-9 {
+		t.Errorf("QuantileEst = %.3f, Quantile = %.3f", est, p50)
+	}
+	// p100 stays within the bucket.
+	if p100 := h.Quantile(1.0); p100 > 127 {
+		t.Errorf("p100 = %.1f > 127", p100)
+	}
+}
+
+func TestHistogramQuantileOrderingAndEdges(t *testing.T) {
+	var h Histogram
+	if h.Quantile(0.5) != 0 {
+		t.Errorf("empty histogram quantile = %f", h.Quantile(0.5))
+	}
+	h.Observe(0)
+	if h.Quantile(0.5) != 0 {
+		t.Errorf("all-zero histogram p50 = %f", h.Quantile(0.5))
+	}
+	for _, v := range []int64{3, 70, 70, 70, 500, 9000} {
+		h.Observe(v)
+	}
+	// Quantiles must be monotone in q and bounded by the extreme buckets.
+	prev := -1.0
+	for _, q := range []float64{0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0} {
+		v := h.Quantile(q)
+		if v < prev {
+			t.Errorf("quantile(%.2f) = %.1f < quantile at lower q %.1f", q, v, prev)
+		}
+		prev = v
+	}
+	if p50 := h.Quantile(0.5); p50 < 64 || p50 > 127 {
+		t.Errorf("p50 = %.1f, want inside [64,127] (the three 70s)", p50)
+	}
+	if p100 := h.Quantile(1.0); p100 < 8192 || p100 > 16383 {
+		t.Errorf("p100 = %.1f, want inside the 9000 bucket [8192,16383]", p100)
+	}
+}
+
 func TestRegistryAdoptAndReset(t *testing.T) {
 	r := New()
 	var plain int64 = 7
 	var uplain uint64 = 9
+	var level int64 = 5
 	r.Int64("plain", "adopted int64", &plain)
 	r.Uint64("uplain", "adopted uint64", &uplain)
-	c := r.NewCounter("typed", "typed counter")
-	c.Add(3)
-	g := r.NewGauge("level", "a level")
-	g.Set(5)
+	r.GaugeFunc("level", "a level", func() int64 { return level })
 	r.GaugeFunc("computed", "computed level", func() int64 { return 11 })
 	h := r.NewHistogram("lat", "a latency")
 	h.Observe(4)
@@ -61,7 +113,7 @@ func TestRegistryAdoptAndReset(t *testing.T) {
 	})
 
 	s := r.Snapshot()
-	if s.Counters["plain"] != 7 || s.Counters["uplain"] != 9 || s.Counters["typed"] != 3 {
+	if s.Counters["plain"] != 7 || s.Counters["uplain"] != 9 {
 		t.Fatalf("counters = %v", s.Counters)
 	}
 	if s.Gauges["level"] != 5 || s.Gauges["computed"] != 11 {
@@ -75,12 +127,11 @@ func TestRegistryAdoptAndReset(t *testing.T) {
 	if !hookRan {
 		t.Fatal("OnReset hook did not run")
 	}
-	if plain != 0 || uplain != 0 || c.Value() != 0 || h.Count() != 0 {
-		t.Fatalf("reset left counters: plain=%d uplain=%d typed=%d hist=%d",
-			plain, uplain, c.Value(), h.Count())
+	if plain != 0 || uplain != 0 || h.Count() != 0 {
+		t.Fatalf("reset left counters: plain=%d uplain=%d hist=%d", plain, uplain, h.Count())
 	}
-	if g.Value() != 5 {
-		t.Fatalf("reset zeroed gauge: %d", g.Value())
+	if g := r.Snapshot().Gauges["level"]; g != 5 {
+		t.Fatalf("gauge after reset = %d, want 5", g)
 	}
 	// The earlier snapshot must be unaffected by the reset.
 	if s.Counters["plain"] != 7 {
@@ -105,18 +156,20 @@ func TestSnapshotDelta(t *testing.T) {
 	var n int64
 	r.Int64("n", "", &n)
 	h := r.NewHistogram("h", "")
-	g := r.NewGauge("g", "")
+	var g int64
+	r.GaugeFunc("g", "", func() int64 { return g })
 
 	n = 10
 	h.Observe(2)
-	g.Set(4)
+	g = 4
 	before := r.Snapshot()
 
 	n = 25
 	h.Observe(2)
 	h.Observe(100)
-	g.Set(6)
-	d := r.Snapshot().Delta(before)
+	g = 6
+	after := r.Snapshot()
+	d := after.Delta(before)
 
 	if d.Counters["n"] != 15 {
 		t.Errorf("delta counter = %d, want 15", d.Counters["n"])
@@ -132,6 +185,12 @@ func TestSnapshotDelta(t *testing.T) {
 		if b.Le == 3 && b.Count != 1 {
 			t.Errorf("delta bucket le=3 count = %d, want 1", b.Count)
 		}
+	}
+
+	// An idle interval: nothing counted, gauges still at their level.
+	idle := r.Snapshot().Delta(after)
+	if idle.Counters["n"] != 0 || idle.Histograms["h"].Count != 0 || idle.Gauges["g"] != 6 {
+		t.Errorf("idle delta = %+v, want zero counts and gauge 6", idle)
 	}
 }
 

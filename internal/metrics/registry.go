@@ -36,18 +36,16 @@ type entry struct {
 	desc Desc
 	i64  *int64       // counter adopted from a plain struct field
 	u64  *uint64      // counter adopted from a plain struct field
-	ctr  *Counter     // typed counter
-	g    *Gauge       // typed gauge
 	gfn  func() int64 // computed gauge
 	hist *Histogram
 }
 
 // Registry is the single reset/collect point for every metric a machine
-// owns. Components register at construction time — either by adopting an
-// existing plain counter field (Int64/Uint64) or by allocating a typed
-// primitive (NewCounter/NewGauge/NewHistogram) — and sim.Simulate's
-// warmup boundary becomes one Reset() call instead of a hand-maintained
-// chain of per-component ResetStats methods.
+// owns. Components register at construction time — adopting an existing
+// plain counter field (Int64/Uint64), a gauge computed from live state
+// (GaugeFunc) or a histogram (NewHistogram) — and sim.Simulate's warmup
+// boundary becomes one Reset() call instead of a hand-maintained chain
+// of per-component ResetStats methods.
 //
 // A Registry is not safe for concurrent use; each machine owns one, and
 // the cell-parallel scheduler never shares a machine across goroutines.
@@ -82,20 +80,6 @@ func (r *Registry) Uint64(name, help string, p *uint64) {
 	r.add(entry{desc: Desc{name, help, KindCounter}, u64: p})
 }
 
-// NewCounter registers and returns a typed counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{}
-	r.add(entry{desc: Desc{name, help, KindCounter}, ctr: c})
-	return c
-}
-
-// NewGauge registers and returns a typed gauge (not zeroed by Reset).
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.add(entry{desc: Desc{name, help, KindGauge}, g: g})
-	return g
-}
-
 // GaugeFunc registers a gauge computed on demand from live state.
 func (r *Registry) GaugeFunc(name, help string, f func() int64) {
 	r.add(entry{desc: Desc{name, help, KindGauge}, gfn: f})
@@ -114,16 +98,6 @@ func (r *Registry) NewHistogram(name, help string) *Histogram {
 // registration order and may read the just-zeroed metrics.
 func (r *Registry) OnReset(f func()) { r.hooks = append(r.hooks, f) }
 
-// Describe returns the descriptors of all registered metrics in
-// registration order.
-func (r *Registry) Describe() []Desc {
-	out := make([]Desc, len(r.entries))
-	for i, e := range r.entries {
-		out[i] = e.desc
-	}
-	return out
-}
-
 // Reset zeroes every counter and histogram (gauges describe state and are
 // left alone), then runs the OnReset hooks. This is the warmup/measure
 // boundary: after Reset, the registry reflects only events in the new
@@ -135,8 +109,6 @@ func (r *Registry) Reset() {
 			*e.i64 = 0
 		case e.u64 != nil:
 			*e.u64 = 0
-		case e.ctr != nil:
-			e.ctr.v = 0
 		case e.hist != nil:
 			*e.hist = Histogram{}
 		}
@@ -165,10 +137,6 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Counters[e.desc.Name] = *e.i64
 		case e.u64 != nil:
 			s.Counters[e.desc.Name] = int64(*e.u64)
-		case e.ctr != nil:
-			s.Counters[e.desc.Name] = e.ctr.v
-		case e.g != nil:
-			s.Gauges[e.desc.Name] = e.g.v
 		case e.gfn != nil:
 			s.Gauges[e.desc.Name] = e.gfn()
 		case e.hist != nil:

@@ -15,7 +15,7 @@ import (
 // This file is the cell-execution core of the scheduler: one grid cell
 // (config × workload × window) resolved through the unified artifact
 // store. Every caller — the serial matrix runner, the grid service's
-// workers, a test — goes through ExecuteCohort (ExecuteCell is a cohort
+// workers, a test — goes through ExecuteCohort (a lone cell is a cohort
 // of one), so single-shot and served modes cannot drift: there is
 // exactly one code path from a cell request to a Result, and exactly one
 // set of caches behind it.
@@ -75,13 +75,6 @@ type CellOutcome struct {
 // FromStore reports whether the cell's result came out of the unified
 // store rather than a simulation run by this caller.
 func (o CellOutcome) FromStore() bool { return o.Cached || o.Shared }
-
-// ExecuteCell resolves one cell through the artifact store: a cohort of
-// one (ExecuteCohort), reporting as tr's job (nil: no job).
-func ExecuteCell(req CellRequest, tr *Tracker) (Result, CellOutcome) {
-	results, outs := ExecuteCohort([]CellRequest{req}, tr)
-	return results[0], outs[0]
-}
 
 // cachedBuild returns the memoized image for (spec, sc), building it at
 // most once across concurrent callers. Copy-on-write Clone makes

@@ -112,7 +112,7 @@ func TestConcurrentCellsShareOneChain(t *testing.T) {
 		wg.Add(1)
 		go func(i int, cfg Config) {
 			defer wg.Done()
-			results[i], _ = ExecuteCell(CellRequest{Cfg: cfg, Spec: spec, P: p}, nil)
+			results[i], _ = executeOne(CellRequest{Cfg: cfg, Spec: spec, P: p}, nil)
 		}(i, cfg)
 	}
 	wg.Wait()
@@ -209,7 +209,7 @@ func TestChainProductionsReported(t *testing.T) {
 	p := chainTestParams()
 	Emit(Event{Kind: EvJobSubmit, Job: t.Name(), N: 1})
 	defer Emit(Event{Kind: EvJobDone, Job: t.Name()})
-	_, out := ExecuteCell(CellRequest{Cfg: SVRConfig(16), Spec: mustSpec(t, "CC_ORK"), P: p},
+	_, out := executeOne(CellRequest{Cfg: SVRConfig(16), Spec: mustSpec(t, "CC_ORK"), P: p},
 		&Tracker{Job: t.Name(), Worker: 1})
 	if produced != p.Regions {
 		t.Errorf("%d checkpoint production events, want %d", produced, p.Regions)

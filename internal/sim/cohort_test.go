@@ -28,12 +28,18 @@ func cohortTestConfigs() []Config {
 	return []Config{a, b, c, d, e, f, g}
 }
 
-// soloCell runs one cell as a cohort of one (ExecuteCell), result
-// memoization off so it really simulates.
+// executeOne resolves one cell through ExecuteCohort, as a cohort of one.
+func executeOne(req CellRequest, tr *Tracker) (Result, CellOutcome) {
+	results, outs := ExecuteCohort([]CellRequest{req}, tr)
+	return results[0], outs[0]
+}
+
+// soloCell runs one cell as a cohort of one, result memoization off so
+// it really simulates.
 func soloCell(t *testing.T, spec workloads.Spec, cfg Config, p Params) Result {
 	t.Helper()
 	defer SetRunCacheEnabled(SetRunCacheEnabled(false))
-	res, out := ExecuteCell(CellRequest{Cfg: cfg, Spec: spec, P: p}, nil)
+	res, out := executeOne(CellRequest{Cfg: cfg, Spec: spec, P: p}, nil)
 	if out.Cached || out.Shared {
 		t.Fatalf("%s: solo cell served from the store", cfg.Label)
 	}

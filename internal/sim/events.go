@@ -26,7 +26,7 @@ type Kind uint8
 // The event kinds, in the journal's vocabulary.
 const (
 	EvJobSubmit       Kind = iota // Job, N: cells, Note: the job's name
-	EvJobCancel                   // Job
+	EvJobCancel                   // Job, Note: "shutdown" when the scheduler shut down under it
 	EvJobResume                   // Job, N: re-enqueued cells
 	EvJobDone                     // Job, Dur: submit→finish wall
 	EvCellQueue                   // Job, cell, Seq

@@ -12,9 +12,9 @@ import (
 )
 
 // Report is the output of one experiment: printable tables plus named
-// scalar values the tests assert against, and the scheduler counters of
-// every grid the experiment ran. When cell-metric collection is on
-// (SetCellMetrics), every scheduler cell's registry snapshot rides along.
+// scalar values the tests assert against, the scheduler counters of
+// every grid the experiment ran, and each grid cell's registry snapshot
+// and time series (when it carries one).
 type Report struct {
 	ID          string
 	Title       string
@@ -39,20 +39,6 @@ type CellSeries struct {
 	Label    string
 	Workload string
 	Series   *TimeSeries
-}
-
-// cellMetricsOn gates per-cell snapshot collection into reports; the CLI
-// flips it for the -metrics flag. Collection is cheap (the snapshots
-// already exist on every Result), but the JSON it adds is bulky, so it
-// stays opt-in.
-var cellMetricsOn bool
-
-// SetCellMetrics toggles per-cell metric collection into reports and
-// returns the previous setting.
-func SetCellMetrics(on bool) bool {
-	prev := cellMetricsOn
-	cellMetricsOn = on
-	return prev
 }
 
 func newReport(id, title string) *Report {
@@ -105,22 +91,31 @@ func (r *Report) JSON() ([]byte, error) {
 }
 
 // matrix runs the cell scheduler over the grid and folds its counters,
-// every time series a cell carries (Params.SampleEvery) and, when
-// enabled, each cell's metric snapshot into the report.
+// each cell's metric snapshot and every time series a cell carries
+// (Params.SampleEvery) into the report, cells in (workload, label) order.
 func (r *Report) matrix(cfgs []Config, specs []workloads.Spec, p Params) *ResultSet {
 	rs := runMatrix(cfgs, specs, p)
 	r.Sched.add(rs.Stats)
-	for _, c := range rs.Cells {
-		res, _ := rs.Get(c.Label, c.Workload)
-		if cellMetricsOn {
-			r.CellMetrics = append(r.CellMetrics, CellMetrics{
-				Label: c.Label, Workload: c.Workload, Metrics: res.Metrics,
-			})
-		}
-		if res.Series != nil {
-			r.CellSeries = append(r.CellSeries, CellSeries{
-				Label: c.Label, Workload: c.Workload, Series: res.Series,
-			})
+	wls := make([]string, len(specs))
+	for i, spec := range specs {
+		wls[i] = spec.Name
+	}
+	labels := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		labels[i] = cfg.Label
+	}
+	sort.Strings(wls)
+	sort.Strings(labels)
+	for _, wl := range wls {
+		for _, label := range labels {
+			res, ok := rs.Get(label, wl)
+			if !ok {
+				continue
+			}
+			r.CellMetrics = append(r.CellMetrics, CellMetrics{Label: label, Workload: wl, Metrics: res.Metrics})
+			if res.Series != nil {
+				r.CellSeries = append(r.CellSeries, CellSeries{Label: label, Workload: wl, Series: res.Series})
+			}
 		}
 	}
 	return rs

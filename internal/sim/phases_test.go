@@ -177,7 +177,7 @@ func TestCellPhasesCoverWall(t *testing.T) {
 	ResetRunCache()
 	defer ResetRunCache()
 	req := CellRequest{Cfg: SVRConfig(16), Spec: mustSpec(t, "Randacc"), P: QuickParams()}
-	_, out := ExecuteCell(req, nil)
+	_, out := executeOne(req, nil)
 	if out.Cached || out.Shared {
 		t.Fatalf("expected a fresh simulation, got %+v", out)
 	}

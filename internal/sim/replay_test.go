@@ -127,7 +127,7 @@ func TestReplayMatchesLiveCheckpointed(t *testing.T) {
 			cfg := MachineConfig(kind)
 			for _, p := range []Params{single, two} {
 				live := liveCell(t, spec, cfg, p)
-				got, out := ExecuteCell(CellRequest{Cfg: cfg, Spec: spec, P: p}, nil)
+				got, out := executeOne(CellRequest{Cfg: cfg, Spec: spec, P: p}, nil)
 				if out.Cached || out.Shared || !out.Replayed {
 					t.Fatalf("regions=%d: cell not simulated from a recording: %+v", p.Regions, out)
 				}
@@ -155,7 +155,7 @@ func TestMatrixReplayMatchesLive(t *testing.T) {
 	if want := len(cfgs) * len(specs); rs.Stats.Replayed != want {
 		t.Errorf("replayed %d cells, want %d", rs.Stats.Replayed, want)
 	}
-	for _, c := range rs.Cells {
+	for _, c := range rs.Cells() {
 		if !c.Replayed {
 			t.Errorf("cell %s/%s: Replayed=false, want true", c.Label, c.Workload)
 		}

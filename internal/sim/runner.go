@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,16 +19,6 @@ import (
 // bit-identical to a fresh run and `svrsim all` stops re-simulating the
 // standard-configs × evaluation-set grid that Figs 1, 11, 12 and 13
 // share.
-
-// CellStat is the scheduling record of one grid cell.
-type CellStat struct {
-	Label    string
-	Workload string
-	Cached   bool
-	Shared   bool // joined another job's in-flight execution of the same cell
-	Replayed bool // timed from a recorded stream (every simulated cell is)
-	Wall     time.Duration
-}
 
 // SchedStats aggregates scheduler counters: how many cells an experiment
 // ran, how many the store served (resident or joined in flight), how
@@ -51,57 +39,66 @@ func (s *SchedStats) add(o SchedStats) {
 	s.Wall += o.Wall
 }
 
-// ResultSet is the typed output of one scheduler invocation: the (config
-// × workload) grid of Results plus per-cell scheduling metadata.
+// CellResult is one finished cell of a grid, as the grid service streams
+// it: its place in completion order, how it was served, and its full
+// simulation Result.
+type CellResult struct {
+	Seq             int    // completion index within the grid, from 0
+	Label           string // configuration label
+	Workload        string
+	Cached          bool // result was resident in the artifact store
+	Shared          bool // joined another job's in-flight execution
+	Replayed        bool // consumed a recorded stream
+	CkptFromStore   bool `json:",omitempty"` // warm checkpoint came from the store
+	StreamFromStore bool `json:",omitempty"` // recording came from the store
+	WallNS          int64
+	Result          Result
+}
+
+// ResultSet is the record of one grid's finished cells: each cell once,
+// in completion order, indexed by (configuration label, workload) for
+// the figures, with the scheduler counters over them. The zero value is
+// an empty set. Both matrix runners (the serial default and the grid
+// service) record through Add, so their output is structurally
+// identical.
 type ResultSet struct {
+	cells []CellResult
 	rows  map[string]map[string]Result
-	Cells []CellStat
 	Stats SchedStats
 }
 
-// NewResultSet returns an empty set shaped for the given configuration
-// labels; AddCell fills it and Finish seals it. The matrix runners (the
-// serial default and the grid service) share this assembly so their output
-// is structurally identical.
-func NewResultSet(cfgs []Config) *ResultSet {
-	rs := &ResultSet{rows: make(map[string]map[string]Result, len(cfgs))}
-	for _, cfg := range cfgs {
-		rs.rows[cfg.Label] = map[string]Result{}
+// Add records one finished cell of c served as out. Callers serialize
+// Add calls; Stats.Wall is the caller's to set.
+func (rs *ResultSet) Add(c CellRequest, res Result, out CellOutcome) {
+	label, wl := c.Cfg.Label, c.Spec.Name
+	rs.cells = append(rs.cells, CellResult{
+		Seq: len(rs.cells), Label: label, Workload: wl,
+		Cached: out.Cached, Shared: out.Shared, Replayed: out.Replayed,
+		CkptFromStore: out.CkptFromStore, StreamFromStore: out.StreamFromStore,
+		WallNS: out.Wall.Nanoseconds(), Result: res,
+	})
+	if rs.rows == nil {
+		rs.rows = map[string]map[string]Result{}
 	}
-	return rs
-}
-
-// AddCell records one finished cell. Callers serialize AddCell calls.
-func (rs *ResultSet) AddCell(res Result, st CellStat) {
-	row, ok := rs.rows[st.Label]
-	if !ok {
-		row = map[string]Result{}
-		rs.rows[st.Label] = row
+	if rs.rows[label] == nil {
+		rs.rows[label] = map[string]Result{}
 	}
-	row[st.Workload] = res
-	rs.Cells = append(rs.Cells, st)
+	rs.rows[label][wl] = res
 	rs.Stats.Cells++
-	if st.Cached {
+	if out.Cached {
 		rs.Stats.Cached++
 	}
-	if st.Shared {
+	if out.Shared {
 		rs.Stats.Shared++
 	}
-	if st.Replayed {
+	if out.Replayed {
 		rs.Stats.Replayed++
 	}
 }
 
-// Finish seals the set: cells are sorted into the deterministic
-// (workload, label) order the renderers expect.
-func (rs *ResultSet) Finish() {
-	sort.Slice(rs.Cells, func(i, j int) bool {
-		if rs.Cells[i].Workload != rs.Cells[j].Workload {
-			return rs.Cells[i].Workload < rs.Cells[j].Workload
-		}
-		return rs.Cells[i].Label < rs.Cells[j].Label
-	})
-}
+// Cells returns the finished cells in completion order. Callers must not
+// modify the slice.
+func (rs *ResultSet) Cells() []CellResult { return rs.cells }
 
 // Row returns the per-workload results of one configuration label.
 func (rs *ResultSet) Row(label string) map[string]Result { return rs.rows[label] }
@@ -110,43 +107,6 @@ func (rs *ResultSet) Row(label string) map[string]Result { return rs.rows[label]
 func (rs *ResultSet) Get(label, workload string) (Result, bool) {
 	res, ok := rs.rows[label][workload]
 	return res, ok
-}
-
-// Labels returns the configuration labels of the set, sorted.
-func (rs *ResultSet) Labels() []string {
-	out := make([]string, 0, len(rs.rows))
-	for l := range rs.rows {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// JSON renders the set machine-readably: every cell's full Result record
-// with its scheduling metadata.
-func (rs *ResultSet) JSON() ([]byte, error) {
-	type cellJSON struct {
-		Label    string
-		Workload string
-		Cached   bool
-		Shared   bool `json:",omitempty"`
-		Replayed bool
-		WallNS   int64
-		Result   Result
-	}
-	out := struct {
-		Stats SchedStats
-		Cells []cellJSON
-	}{Stats: rs.Stats}
-	for _, c := range rs.Cells {
-		res := rs.rows[c.Label][c.Workload]
-		out.Cells = append(out.Cells, cellJSON{
-			Label: c.Label, Workload: c.Workload,
-			Cached: c.Cached, Shared: c.Shared, Replayed: c.Replayed,
-			WallNS: c.Wall.Nanoseconds(), Result: res,
-		})
-	}
-	return json.MarshalIndent(out, "", "  ")
 }
 
 // MatrixRunner executes one (configs × workloads) grid and returns its
@@ -213,7 +173,7 @@ func RunMatrixSerial(cfgs []Config, specs []workloads.Spec, p Params) *ResultSet
 	cells := MatrixCells(cfgs, specs, p)
 	tr := &Tracker{Job: fmt.Sprintf("serial-%d", serialJobs.Add(1)), Worker: 1}
 	Emit(Event{Kind: EvJobSubmit, Job: tr.Job, N: int64(len(cells))})
-	rs := NewResultSet(cfgs)
+	rs := &ResultSet{}
 	for _, group := range PlanCohorts(cells, nil) {
 		reqs := make([]CellRequest, len(group))
 		for k, ci := range group {
@@ -226,14 +186,10 @@ func RunMatrixSerial(cfgs []Config, specs []workloads.Spec, p Params) *ResultSet
 			res, out := results[k], outs[k]
 			Emit(Event{Kind: EvCellFinish, Job: tr.Job, Worker: tr.Worker, Seq: group[k],
 				Label: c.Cfg.Label, Workload: c.Spec.Name, Dur: out.Wall, N: int64(res.Instrs), Out: out})
-			rs.AddCell(res, CellStat{
-				Label: c.Cfg.Label, Workload: c.Spec.Name, Cached: out.Cached,
-				Shared: out.Shared, Replayed: out.Replayed, Wall: out.Wall,
-			})
+			rs.Add(c, res, out)
 		}
 	}
 	rs.Stats.Wall = time.Since(start)
-	rs.Finish()
 	Emit(Event{Kind: EvJobDone, Job: tr.Job, Dur: rs.Stats.Wall})
 	return rs
 }

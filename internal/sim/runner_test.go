@@ -140,9 +140,6 @@ func TestResultSetAccessors(t *testing.T) {
 	rs := runMatrix([]Config{MachineConfig(InO), SVRConfig(16)},
 		[]workloads.Spec{spec}, QuickParams())
 
-	if got := rs.Labels(); !reflect.DeepEqual(got, []string{"SVR16", "in-order"}) {
-		t.Errorf("Labels() = %v", got)
-	}
 	if _, ok := rs.Get("SVR16", "HJ2"); !ok {
 		t.Error("Get missed an existing cell")
 	}
@@ -152,19 +149,14 @@ func TestResultSetAccessors(t *testing.T) {
 	if row := rs.Row("in-order"); len(row) != 1 || row["HJ2"].Instrs == 0 {
 		t.Errorf("Row(in-order) = %+v", row)
 	}
-	blob, err := rs.JSON()
-	if err != nil {
-		t.Fatal(err)
+	cells := rs.Cells()
+	if rs.Stats.Cells != 2 || len(cells) != 2 {
+		t.Fatalf("%d cells recorded, stats %+v", len(cells), rs.Stats)
 	}
-	var decoded struct {
-		Stats SchedStats
-		Cells []struct{ Label, Workload string }
-	}
-	if err := json.Unmarshal(blob, &decoded); err != nil {
-		t.Fatalf("invalid ResultSet JSON: %v", err)
-	}
-	if decoded.Stats.Cells != 2 || len(decoded.Cells) != 2 {
-		t.Errorf("JSON cells: %+v", decoded)
+	for i, c := range cells {
+		if res, _ := rs.Get(c.Label, c.Workload); c.Seq != i || c.Workload != "HJ2" || !reflect.DeepEqual(c.Result, res) {
+			t.Errorf("cell %d: %+v", i, c)
+		}
 	}
 }
 

@@ -100,16 +100,16 @@ func stackDelta(cur, prev stats.CPIStack) stats.CPIStack {
 // Create it right after the warmup reset.
 type seriesSampler struct {
 	m         Machine
-	s         *metrics.Sampler
 	ts        *TimeSeries
 	base      int64
+	prev      metrics.Snapshot
 	prevStack stats.CPIStack
 	prevInstr uint64
 	prevCyc   int64
 }
 
 func newSeriesSampler(m Machine, every uint64) *seriesSampler {
-	return &seriesSampler{m: m, s: metrics.NewSampler(m.Registry()), base: m.Now(),
+	return &seriesSampler{m: m, prev: m.Registry().Snapshot(), base: m.Now(),
 		ts: &TimeSeries{Interval: every, Columns: seriesColumns()}, prevStack: m.Stack()}
 }
 
@@ -120,11 +120,11 @@ func (s *seriesSampler) tick() {
 	if instr == s.prevInstr {
 		return
 	}
-	sample := s.s.Tick(instr, cyc)
+	cur := s.m.Registry().Snapshot()
 	stack := s.m.Stack()
-	s.ts.Rows = append(s.ts.Rows, seriesRow(sample.Delta, stackDelta(stack, s.prevStack),
+	s.ts.Rows = append(s.ts.Rows, seriesRow(cur.Delta(s.prev), stackDelta(stack, s.prevStack),
 		instr-s.prevInstr, cyc-s.prevCyc, instr, cyc))
-	s.prevStack, s.prevInstr, s.prevCyc = stack, instr, cyc
+	s.prev, s.prevStack, s.prevInstr, s.prevCyc = cur, stack, instr, cyc
 }
 
 // WriteCSVHeader writes the column-name line, with optional fixed columns

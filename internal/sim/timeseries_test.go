@@ -100,6 +100,17 @@ func TestSimulateSampledSeriesShape(t *testing.T) {
 		t.Errorf("last row instrs %v != result instrs %d",
 			ts.Rows[len(ts.Rows)-1][col["instrs"]], res.Instrs)
 	}
+	// Each interval counts from where the previous one ended, the first
+	// from the warmup reset: the intervals' counts add up to the window's.
+	for c, name := range map[string]string{"svr_rounds": "svr.rounds", "svr_svis": "svr.svis"} {
+		var sum float64
+		for _, row := range ts.Rows {
+			sum += row[col[c]]
+		}
+		if want := res.Metrics.Counters[name]; want == 0 || sum != float64(want) {
+			t.Errorf("%s sums to %v over the intervals, window counted %d", c, sum, want)
+		}
+	}
 }
 
 func TestTimeSeriesCSV(t *testing.T) {

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -60,15 +59,14 @@ func WriteChromeTrace(w io.Writer, events []Event, width int) error {
 	memBase := width            // lane tids are 0..width-1
 	svrTid := width + memTracks // after the memory track pool
 
-	out := make([]chromeEvent, 0, len(events)+width+memTracks+2)
-	out = append(out, metaEvent("process_name", 0, map[string]any{"name": "svrsim"}))
+	b := NewChromeBuilder("svrsim")
 	for l := 0; l < width; l++ {
-		out = append(out, metaEvent("thread_name", l, map[string]any{"name": fmt.Sprintf("lane %d", l)}))
+		b.Thread(l, fmt.Sprintf("lane %d", l))
 	}
 	for m := 0; m < memTracks; m++ {
-		out = append(out, metaEvent("thread_name", memBase+m, map[string]any{"name": fmt.Sprintf("memory %d", m)}))
+		b.Thread(memBase+m, fmt.Sprintf("memory %d", m))
 	}
-	out = append(out, metaEvent("thread_name", svrTid, map[string]any{"name": "svr engine"}))
+	b.Thread(svrTid, "svr engine")
 
 	// A load's fill time arrives as a separate KindComplete record with
 	// the same Seq; index them so issue slices get true durations.
@@ -93,46 +91,34 @@ func WriteChromeTrace(w io.Writer, events []Event, width int) error {
 			if haveFill && fill.Cycle > ev.Cycle {
 				dur = fill.Cycle - ev.Cycle
 			}
-			out = append(out, chromeEvent{Name: ev.Text, Cat: chromeCatCore, Ph: "X",
-				Ts: ev.Cycle, Dur: dur, Pid: chromePid, Tid: lane,
-				Args: map[string]any{"pc": ev.PC, "seq": ev.Seq}})
+			b.Slice(lane, ev.Text, chromeCatCore, ev.Cycle, dur, map[string]any{"pc": ev.PC, "seq": ev.Seq})
 			// A fill from beyond L1 gets a memory-track slice plus a flow
 			// arrow from the issuing lane to the fill.
 			if haveFill && fill.Text != "L1" && fill.Text != "commit" && fill.Cycle > ev.Cycle {
 				mt := memBase + memCursor%memTracks
 				memCursor++
-				out = append(out,
-					chromeEvent{Name: "miss " + fill.Text, Cat: chromeCatMem, Ph: "X",
-						Ts: ev.Cycle, Dur: fill.Cycle - ev.Cycle, Pid: chromePid, Tid: mt,
-						Args: map[string]any{"pc": ev.PC, "seq": ev.Seq, "addr": fill.Arg}},
-					chromeEvent{Name: "fill", Cat: chromeCatMem, Ph: "s",
-						Ts: ev.Cycle, Pid: chromePid, Tid: lane, ID: ev.Seq},
-					chromeEvent{Name: "fill", Cat: chromeCatMem, Ph: "f", BP: "e",
-						Ts: fill.Cycle, Pid: chromePid, Tid: mt, ID: ev.Seq})
+				b.Slice(mt, "miss "+fill.Text, chromeCatMem, ev.Cycle, dur,
+					map[string]any{"pc": ev.PC, "seq": ev.Seq, "addr": fill.Arg})
+				b.FlowStart(lane, "fill", chromeCatMem, ev.Cycle, ev.Seq)
+				b.FlowEnd(mt, "fill", chromeCatMem, fill.Cycle, ev.Seq)
 			}
 		case KindComplete:
 			// Folded into the issue slice above.
 		case KindPRMEnter:
 			prmRound++
-			out = append(out, chromeEvent{Name: "PRM round", Cat: chromeCatSVR, Ph: "b",
-				Ts: ev.Cycle, Pid: chromePid, Tid: svrTid, ID: prmRound,
-				Args: map[string]any{"detail": ev.Text, "lanes": ev.Arg}})
+			b.AsyncBegin(svrTid, "PRM round", chromeCatSVR, ev.Cycle, prmRound,
+				map[string]any{"detail": ev.Text, "lanes": ev.Arg})
 		case KindPRMExit:
 			if prmRound == 0 {
 				continue // exit with no captured enter (window truncation)
 			}
-			out = append(out, chromeEvent{Name: "PRM round", Cat: chromeCatSVR, Ph: "e",
-				Ts: ev.Cycle, Pid: chromePid, Tid: svrTid, ID: prmRound,
-				Args: map[string]any{"detail": ev.Text}})
+			b.AsyncEnd(svrTid, "PRM round", chromeCatSVR, ev.Cycle, prmRound, map[string]any{"detail": ev.Text})
 		default: // SVI, mask, ban, retarget: point-in-time annotations
-			out = append(out, chromeEvent{Name: ev.Kind.String(), Cat: chromeCatSVR, Ph: "i",
-				Ts: ev.Cycle, Pid: chromePid, Tid: svrTid, S: "t",
-				Args: map[string]any{"detail": ev.Text, "pc": ev.PC, "seq": ev.Seq}})
+			b.Instant(svrTid, ev.Kind.String(), chromeCatSVR, ev.Cycle,
+				map[string]any{"detail": ev.Text, "pc": ev.PC, "seq": ev.Seq})
 		}
 	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: out})
+	return b.Write(w)
 }
 
 // metaEvent builds an "M" metadata record naming a process or thread.
