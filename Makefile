@@ -35,6 +35,7 @@ fuzz:
 	$(GO) test -fuzz FuzzInstrString -fuzztime 15s ./internal/isa/
 	$(GO) test -fuzz FuzzReadWrite -fuzztime 15s ./internal/mem/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s ./internal/stream/
+	$(GO) test -run '^$$' -fuzz FuzzFastForwardMatchesStep -fuzztime 30s ./internal/stream/
 	$(GO) test -run '^$$' -fuzz FuzzCacheMatchesReference -fuzztime 30s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzTLBMatchesReference -fuzztime 30s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzSubmitJob -fuzztime 30s ./internal/grid/

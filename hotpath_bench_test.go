@@ -77,10 +77,10 @@ func BenchmarkHierarchyAccessHit(b *testing.B) {
 
 func BenchmarkFastForward(b *testing.B) {
 	cpu := emu.New(stepProg(), mem.New())
-	cpu.FastForward(1 << 14) // fault in the working set
+	cpu.FastForward(1<<14, nil) // fault in the working set
 	b.ReportAllocs()
 	b.ResetTimer()
-	cpu.FastForward(uint64(b.N))
+	cpu.FastForward(uint64(b.N), nil)
 }
 
 // warmStart is where the warmed fast-forward benchmarks start timing in
@@ -141,8 +141,8 @@ func BenchmarkFastForwardWarm(b *testing.B) {
 // GC tax on billions of instructions.
 func TestFastForwardDoesNotAllocate(t *testing.T) {
 	cpu := emu.New(stepProg(), mem.New())
-	cpu.FastForward(1 << 14) // fault every page the kernel addresses
-	if allocs := testing.AllocsPerRun(1000, func() { cpu.FastForward(1) }); allocs != 0 {
+	cpu.FastForward(1<<14, nil) // fault every page the kernel addresses
+	if allocs := testing.AllocsPerRun(1000, func() { cpu.FastForward(1, nil) }); allocs != 0 {
 		t.Fatalf("emu.FastForward allocates %.1f objects per instruction; the fast-forward loop must be allocation-free", allocs)
 	}
 }

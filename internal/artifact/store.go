@@ -294,52 +294,19 @@ func (s *Store) dropLocked(k Key, evicted bool) {
 // production is joined (Waited), and otherwise this caller runs produce
 // and the result is stored. When k's class is disabled there is no
 // residency and no flight-sharing — every caller produces privately,
-// which is exactly what a deliberately cold run wants.
+// which is exactly what a deliberately cold run wants. It is Begin,
+// then Wait on a join or produce and Commit on a claim.
 func (s *Store) GetOrProduce(k Key, produce func() (v any, bytes int64)) (any, Outcome) {
-	s.mu.Lock()
-	cc := s.class(k.Class)
-	if cc.disabled {
-		cc.misses++
-		s.mu.Unlock()
-		v, _ := produce()
-		s.mu.Lock()
-		s.class(k.Class).produced++
-		s.mu.Unlock()
-		return v, Outcome{}
+	v, out, t := s.Begin(k)
+	switch {
+	case t == nil:
+		return v, out
+	case !t.Owner():
+		return t.Wait(), out
 	}
-	if e, ok := s.entries[k]; ok {
-		cc.hits++
-		s.touch(k)
-		v := e.v
-		s.mu.Unlock()
-		return v, Outcome{Hit: true}
-	}
-	cc.misses++
-	if c, ok := s.flight[k]; ok {
-		cc.waited++
-		s.mu.Unlock()
-		t0 := time.Now()
-		<-c.done
-		s.addWait(k.Class, time.Since(t0))
-		return c.v, Outcome{Waited: true}
-	}
-	c := &call{done: make(chan struct{})}
-	s.flight[k] = c
-	s.mu.Unlock()
-
 	v, bytes := produce()
-
-	s.mu.Lock()
-	cc = s.class(k.Class)
-	cc.produced++
-	if !cc.disabled { // the class may have been disabled mid-production
-		s.insert(k, v, bytes)
-	}
-	delete(s.flight, k)
-	s.mu.Unlock()
-	c.v = v
-	close(c.done)
-	return v, Outcome{}
+	t.Commit(v, bytes)
+	return v, out
 }
 
 // Ticket is the handle of a split-phase lookup (Begin): either this
@@ -416,7 +383,7 @@ func (t *Ticket) Abandon() {
 }
 
 // Begin is the split-phase form of GetOrProduce. It returns exactly one
-// of three shapes, with the same counter semantics as GetOrProduce:
+// of three shapes:
 //
 //   - resident value: (v, Outcome{Hit: true}, nil) — nothing to do;
 //   - join: (nil, Outcome{Waited: true}, t) with !t.Owner() — call
@@ -425,7 +392,7 @@ func (t *Ticket) Abandon() {
 //     then t.Commit it.
 //
 // When k's class is disabled every caller gets a private claim ticket
-// (no residency, no flight-sharing), exactly like GetOrProduce.
+// (no residency, no flight-sharing).
 func (s *Store) Begin(k Key) (any, Outcome, *Ticket) {
 	s.mu.Lock()
 	cc := s.class(k.Class)

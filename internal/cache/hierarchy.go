@@ -164,14 +164,23 @@ func (h *Hierarchy) translate(addr uint64, at int64) int64 {
 	if h.DTLB.Lookup(addr) {
 		return at // D-TLB hit is pipelined with the L1 access
 	}
-	if h.STLB.Lookup(addr) {
-		h.DTLB.Insert(addr)
+	if h.tlbMiss(h.DTLB, addr) {
 		return at + h.Cfg.STLBLatency
 	}
-	done := h.Walkers.Walk(at + h.Cfg.STLBLatency)
-	h.STLB.Insert(addr)
-	h.DTLB.Insert(addr)
-	return done
+	return h.Walkers.Walk(at + h.Cfg.STLBLatency)
+}
+
+// tlbMiss installs addr's translation in l1, a first-level TLB that just
+// missed: an S-TLB lookup and, when that misses too, the S-TLB insert a
+// page walk ends with. It reports whether the S-TLB hit; the timed paths
+// book the walk.
+func (h *Hierarchy) tlbMiss(l1 *TLB, addr uint64) (stlbHit bool) {
+	stlbHit = h.STLB.Lookup(addr)
+	if !stlbHit {
+		h.STLB.Insert(addr)
+	}
+	l1.Insert(addr)
+	return stlbHit
 }
 
 // fetchLine brings the line for addr to L1 (and L2 if it came from DRAM),
@@ -180,47 +189,56 @@ func (h *Hierarchy) translate(addr uint64, at int64) int64 {
 // fill-complete time and the service level.
 func (h *Hierarchy) fetchLine(addr uint64, write bool, at int64, origin Origin, demand bool) Result {
 	start, mshr := h.L1D.MSHRAcquire(addr, at)
-	probeAt := start + h.Cfg.L1Latency
-
-	var fill int64
-	var lvl Level
-	if hit, _ := h.L2.Lookup(addr, false, demand); hit {
-		fill = probeAt + h.Cfg.L2Latency
-		lvl = LevelL2
-	} else {
-		fill = h.DRAM.Access(probeAt + h.Cfg.L2Latency)
-		lvl = LevelMem
-		h.DRAMLoads[origin]++
-		pfOrigin := Origin(-1)
-		if !demand {
-			pfOrigin = origin
-			h.Tracker.Mark(addr, origin)
-		}
-		if v := h.L2.Fill(addr, false, pfOrigin); v.Valid {
-			h.Tracker.Evict(v.Addr)
-			if v.Dirty {
-				h.DRAM.Access(fill)
-				h.Writebacks++
-			}
-		}
+	fill, lvl := start+h.Cfg.L1Latency+h.Cfg.L2Latency, LevelL2
+	l2Hit, writebacks := h.fillData(addr, write, origin, demand)
+	if !l2Hit {
+		fill, lvl = h.DRAM.Access(fill), LevelMem
 	}
+	for ; writebacks > 0; writebacks-- {
+		h.DRAM.Access(fill)
+	}
+	h.L1D.MSHRComplete(mshr, fill)
+	return Result{CompleteAt: fill, Level: lvl}
+}
 
+// fillData installs addr's line in the L1-D after a miss there: from
+// the L2 or, when that misses too, from DRAM into both, counting the
+// line against origin and tagging a prefetch (non-demand) fill. Victims
+// leave the tracker; a dirty L1-D victim falls back to the L2. It
+// reports whether the L2 hit and how many dirty lines went back to DRAM;
+// the timed path books the line fetch and those write-backs.
+func (h *Hierarchy) fillData(addr uint64, write bool, origin Origin, demand bool) (l2Hit bool, writebacks int) {
 	pfOrigin := Origin(-1)
 	if !demand {
 		pfOrigin = origin
 	}
-	if v := h.L1D.Fill(addr, write && demand, pfOrigin); v.Valid && v.Dirty {
-		// Dirty L1 victim falls back to L2.
-		if v2 := h.L2.Fill(v.Addr, true, -1); v2.Valid {
-			h.Tracker.Evict(v2.Addr)
-			if v2.Dirty {
-				h.DRAM.Access(fill)
-				h.Writebacks++
-			}
+	l2Hit, _ = h.L2.Lookup(addr, false, demand)
+	if !l2Hit {
+		h.DRAMLoads[origin]++
+		if !demand {
+			h.Tracker.Mark(addr, origin)
 		}
+		writebacks = h.fillL2(addr, false, pfOrigin)
 	}
-	h.L1D.MSHRComplete(mshr, fill)
-	return Result{CompleteAt: fill, Level: lvl}
+	if v := h.L1D.Fill(addr, write && demand, pfOrigin); v.Valid && v.Dirty {
+		writebacks += h.fillL2(v.Addr, true, -1)
+	}
+	return l2Hit, writebacks
+}
+
+// fillL2 installs a line in the L2 and returns 1 if its victim was dirty
+// and went back to DRAM, else 0.
+func (h *Hierarchy) fillL2(addr uint64, dirty bool, origin Origin) int {
+	v := h.L2.Fill(addr, dirty, origin)
+	if !v.Valid {
+		return 0
+	}
+	h.Tracker.Evict(v.Addr)
+	if !v.Dirty {
+		return 0
+	}
+	h.Writebacks++
+	return 1
 }
 
 // Access performs a demand load or store issued at cycle at by the
@@ -302,14 +320,11 @@ func (h *Hierarchy) Prefetch(addr uint64, at int64, origin Origin) Result {
 // fetch-ahead); a miss stalls the front end for the fill.
 func (h *Hierarchy) FetchInstr(addr uint64, at int64) (bubble int64) {
 	if !h.ITLB.Lookup(addr) {
-		if h.STLB.Lookup(addr) {
-			bubble += h.Cfg.STLBLatency
+		if h.tlbMiss(h.ITLB, addr) {
+			bubble = h.Cfg.STLBLatency
 		} else {
-			done := h.Walkers.Walk(at + h.Cfg.STLBLatency)
-			h.STLB.Insert(addr)
-			bubble += done - at
+			bubble = h.Walkers.Walk(at+h.Cfg.STLBLatency) - at
 		}
-		h.ITLB.Insert(addr)
 	}
 	line := addr &^ (LineSize - 1)
 	if hit, _ := h.L1I.Lookup(addr, false, true); hit {
@@ -321,21 +336,30 @@ func (h *Hierarchy) FetchInstr(addr uint64, at int64) (bubble int64) {
 	// front end requested the next line while draining its fetch queue —
 	// so only discontinuous misses (cold jumps) stall fetch.
 	sequential := line == h.lastILine+LineSize
-	fillStart := at + bubble + h.Cfg.L1Latency
-	var fill int64
-	if hit, _ := h.L2.Lookup(addr, false, true); hit {
-		fill = fillStart + h.Cfg.L2Latency
-	} else {
-		fill = h.DRAM.Access(fillStart + h.Cfg.L2Latency)
-		h.IFetchLoads++
+	fill := at + bubble + h.Cfg.L1Latency + h.Cfg.L2Latency
+	if !h.fillInstr(addr) {
+		fill = h.DRAM.Access(fill)
 	}
-	h.L1I.Fill(addr, false, -1)
-	h.L1I.Fill(line+LineSize, false, -1) // next-line prefetch
-	h.lastILine = line
 	if sequential {
 		return bubble
 	}
 	return fill - at
+}
+
+// fillInstr fills the L1-I after a miss on addr's line, from the L2 or,
+// counted, from DRAM, prefetches the next line alongside and makes the
+// line the last one fetched. It reports whether the L2 hit; the timed
+// path books the DRAM fetch.
+func (h *Hierarchy) fillInstr(addr uint64) (l2Hit bool) {
+	l2Hit, _ = h.L2.Lookup(addr, false, true)
+	if !l2Hit {
+		h.IFetchLoads++
+	}
+	line := addr &^ (LineSize - 1)
+	h.L1I.Fill(addr, false, -1)
+	h.L1I.Fill(line+LineSize, false, -1) // next-line prefetch
+	h.lastILine = line
+	return l2Hit
 }
 
 // TotalDRAMLoads sums line fetches across origins, including the

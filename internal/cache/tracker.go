@@ -120,14 +120,6 @@ func (t *Tracker) grow() {
 	}
 }
 
-// Clear drops all outstanding tags in place, keeping the table's storage
-// so a reused tracker does not re-grow it, and zeroes the per-origin stats.
-func (t *Tracker) Clear() {
-	clear(t.keys)
-	t.n = 0
-	t.Stats = [NumOrigins]PFStats{}
-}
-
 // Mark tags a line fetched from DRAM by a prefetch of the given origin.
 func (t *Tracker) Mark(addr uint64, origin Origin) {
 	lineAddr := addr &^ (LineSize - 1)

@@ -1,31 +1,31 @@
 package cache
 
-import (
-	"sort"
-	"unsafe"
-)
+import "unsafe"
 
-// This file is the functional-warming mirror of the timed demand paths:
-// each Warm* method replays exactly the tag/LRU/victim state updates of
-// its counterpart (Access, Prefetch, FetchInstr) while skipping
-// everything occupancy-based — MSHRs, the page-walker pool and the DRAM
-// channel are never consulted or mutated. Cache, TLB and prefetch-tag
-// contents after a warmed fast-forward therefore match a detailed run
-// over the same instruction stream bit for bit, with one rare exception
-// the timed path cannot avoid: a line evicted while its fill is still
-// MSHR-inflight is re-fetch-free in the timed model (the secondary miss
-// merges with the fill) but re-filled here. Counters accumulated while
-// warming (hits, misses, DRAM loads) are discarded by the
-// Registry.Reset at the measurement boundary, as in any warmup.
+// This file is functional warming: each Warm* method makes exactly the
+// tag/LRU/victim state updates of its timed counterpart (Access,
+// Prefetch, FetchInstr) by calling the same code on a miss (tlbMiss,
+// fillData, fillInstr), and skips everything occupancy-based — MSHRs,
+// the page-walker pool and the DRAM channel are never consulted or
+// mutated. Cache, TLB and prefetch-tag contents after a warmed
+// fast-forward therefore match a detailed run over the same instruction
+// stream bit for bit, with one rare exception the timed path cannot
+// avoid: a line evicted while its fill is still MSHR-inflight is
+// re-fetch-free in the timed model (the secondary miss merges with the
+// fill) but re-filled here. Counters accumulated while warming (hits,
+// misses, DRAM loads) are discarded by the Registry.Reset at the
+// measurement boundary, as in any warmup.
 
-// WarmAccess replays the state effects of a demand Access: translation
+// WarmAccess makes the state updates of a demand Access: translation
 // inserts, prefetch-tag touch, L1-D lookup/fill chain and the stride
 // prefetcher's reaction.
 func (h *Hierarchy) WarmAccess(pc int, addr uint64, write bool) {
-	h.warmTranslate(addr)
+	if !h.DTLB.Lookup(addr) {
+		h.tlbMiss(h.DTLB, addr)
+	}
 	h.Tracker.Touch(addr)
 	if hit, _ := h.L1D.Lookup(addr, write, true); !hit {
-		h.warmFetchLine(addr, write, OriginDemand, true)
+		h.fillData(addr, write, OriginDemand, true)
 	}
 	if h.Stride != nil && !write {
 		h.pfBuf = h.Stride.Observe(pc, addr, h.pfBuf[:0])
@@ -35,40 +35,33 @@ func (h *Hierarchy) WarmAccess(pc int, addr uint64, write bool) {
 	}
 }
 
-// WarmPrefetch replays the state effects of a prefetch issued by origin.
+// WarmPrefetch makes the state updates of a prefetch issued by origin.
 func (h *Hierarchy) WarmPrefetch(addr uint64, origin Origin) {
-	h.warmTranslate(addr)
-	if h.L1D.Refresh(addr) {
-		return
+	if !h.DTLB.Lookup(addr) {
+		h.tlbMiss(h.DTLB, addr)
 	}
-	h.warmFetchLine(addr, false, origin, false)
+	if !h.L1D.Refresh(addr) {
+		h.fillData(addr, false, origin, false)
+	}
 }
 
-// WarmFetchInstr replays the state effects of an instruction fetch:
-// I-TLB inserts and the L1-I fill pair (missed line plus next-line
-// prefetch). It reports whether the fetched line is certain to stay in
-// the L1-I and I-TLB until a fetch from another line: fetches hit only
-// the instruction side, so only this fetch's own next-line fill could
-// evict it, and that happens only in an L1-I of a single line. While
-// it holds, further fetches from the line are hits that WarmFetchHits
-// can replay in one update.
+// WarmFetchInstr makes the state updates of an instruction fetch: I-TLB
+// inserts and the L1-I fill pair (missed line plus next-line prefetch).
+// It reports whether the fetched line is certain to stay in the L1-I and
+// I-TLB until a fetch from another line: fetches hit only the
+// instruction side, so only this fetch's own next-line fill could evict
+// it, and that happens only in an L1-I of a single line. While it holds,
+// further fetches from the line are hits that WarmFetchHits can replay
+// in one update.
 func (h *Hierarchy) WarmFetchInstr(addr uint64) (resident bool) {
 	if !h.ITLB.Lookup(addr) {
-		if !h.STLB.Lookup(addr) {
-			h.STLB.Insert(addr)
-		}
-		h.ITLB.Insert(addr)
+		h.tlbMiss(h.ITLB, addr)
 	}
-	line := addr &^ (LineSize - 1)
-	h.lastILine = line
 	if hit, _ := h.L1I.Lookup(addr, false, true); hit {
+		h.lastILine = addr &^ (LineSize - 1)
 		return true
 	}
-	if hit, _ := h.L2.Lookup(addr, false, true); !hit {
-		h.IFetchLoads++
-	}
-	h.L1I.Fill(addr, false, -1)
-	h.L1I.Fill(line+LineSize, false, -1) // next-line prefetch
+	h.fillInstr(addr)
 	return len(h.L1I.sets) > 1
 }
 
@@ -82,51 +75,6 @@ func (h *Hierarchy) WarmFetchHits(addr uint64, n uint64) {
 		panic("cache: folded instruction fetches missed")
 	}
 	h.lastILine = addr &^ (LineSize - 1)
-}
-
-// warmTranslate mirrors translate's TLB state updates without walker
-// occupancy.
-func (h *Hierarchy) warmTranslate(addr uint64) {
-	if h.DTLB.Lookup(addr) {
-		return
-	}
-	if h.STLB.Lookup(addr) {
-		h.DTLB.Insert(addr)
-		return
-	}
-	h.STLB.Insert(addr)
-	h.DTLB.Insert(addr)
-}
-
-// warmFetchLine mirrors fetchLine's L2/L1-D fill and prefetch-tag
-// updates without MSHR or DRAM-channel occupancy.
-func (h *Hierarchy) warmFetchLine(addr uint64, write bool, origin Origin, demand bool) {
-	if hit, _ := h.L2.Lookup(addr, false, demand); !hit {
-		h.DRAMLoads[origin]++
-		pfOrigin := Origin(-1)
-		if !demand {
-			pfOrigin = origin
-			h.Tracker.Mark(addr, origin)
-		}
-		if v := h.L2.Fill(addr, false, pfOrigin); v.Valid {
-			h.Tracker.Evict(v.Addr)
-			if v.Dirty {
-				h.Writebacks++
-			}
-		}
-	}
-	pfOrigin := Origin(-1)
-	if !demand {
-		pfOrigin = origin
-	}
-	if v := h.L1D.Fill(addr, write && demand, pfOrigin); v.Valid && v.Dirty {
-		if v2 := h.L2.Fill(v.Addr, true, -1); v2.Valid {
-			h.Tracker.Evict(v2.Addr)
-			if v2.Dirty {
-				h.Writebacks++
-			}
-		}
-	}
 }
 
 // HierarchyState is a deep snapshot of the warm-relevant hierarchy
@@ -250,40 +198,4 @@ func restoreTLB(t *TLB, s tlbState) {
 	copy(t.lastUse, s.lastUse)
 	t.clock = s.clock
 	t.fastVPN, t.fastIdx = 0, 0
-}
-
-// LineInfo describes one valid cache line for state-comparison tests.
-type LineInfo struct {
-	Addr  uint64 // line-aligned address
-	Dirty bool
-}
-
-// Lines returns every valid line's address and dirty bit, sorted by
-// address — a timing-free view for warming-fidelity tests.
-func (c *Cache) Lines() []LineInfo {
-	var out []LineInfo
-	for i, t := range c.tagp {
-		if t != 0 {
-			set := uint64(i) / uint64(c.ways)
-			out = append(out, LineInfo{
-				Addr:  ((t-1)<<c.setBits | set) << LineBits,
-				Dirty: c.sets[i].dirty,
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
-}
-
-// VPNs returns every valid entry's virtual page number, sorted — the
-// TLB counterpart of Lines.
-func (t *TLB) VPNs() []uint64 {
-	var out []uint64
-	for _, k := range t.vpns {
-		if k != 0 {
-			out = append(out, k-1)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

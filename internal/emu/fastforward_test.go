@@ -70,7 +70,7 @@ func TestFastForwardMatchesStep(t *testing.T) {
 		}
 
 		ff := New(prog, m2)
-		ran := ff.FastForward(n)
+		ran := ff.FastForward(n, nil)
 		if ran != stepped {
 			t.Fatalf("n=%d: FastForward ran %d, Step ran %d", n, ran, stepped)
 		}
@@ -129,7 +129,7 @@ func (r *recordingWarmer) WarmBranch(pc int, taken bool) {
 // architectural state. With folding on, the expected stream applies the
 // Warmer contract to the trace: a fetch inside the range the run's
 // WarmFetch returned is counted, and the count is reported before the
-// next WarmFetch and at the end of every FastForwardWarm call.
+// next WarmFetch and at the end of every warmed FastForward call.
 func TestFastForwardWarmStream(t *testing.T) {
 	for _, fold := range []int{0, 1, 4, 16} {
 		for _, chunk := range []uint64{1 << 20, 7, 1} {
@@ -178,7 +178,7 @@ func TestFastForwardWarmStream(t *testing.T) {
 			ff := New(prog, m2)
 			var ran uint64
 			for {
-				k := ff.FastForwardWarm(chunk, w)
+				k := ff.FastForward(chunk, w)
 				ran += k
 				if k < chunk {
 					break
@@ -214,7 +214,7 @@ func TestSaveLoadArchRoundTrip(t *testing.T) {
 	prog, m1, dst := scatterSetup(t)
 
 	c1 := New(prog, m1)
-	c1.FastForward(333)
+	c1.FastForward(333, nil)
 	snap := c1.SaveArch()
 	m2 := m1.Clone()
 
@@ -224,8 +224,8 @@ func TestSaveLoadArchRoundTrip(t *testing.T) {
 		t.Fatal("LoadArch did not reproduce the saved state")
 	}
 
-	n1 := c1.FastForward(1 << 20)
-	n2 := c2.FastForward(1 << 20)
+	n1 := c1.FastForward(1<<20, nil)
+	n2 := c2.FastForward(1<<20, nil)
 	if n1 != n2 {
 		t.Fatalf("continuations ran %d vs %d instructions", n1, n2)
 	}
@@ -240,10 +240,10 @@ func TestSaveLoadArchRoundTrip(t *testing.T) {
 }
 
 // TestFastForwardPureOpsMatchEvalALU pins the ALU cases inlined into the
-// dispatch switches of both fast-forward loops to EvalALU, op by op: for
-// every pure opcode and a grid of operand values, a one-instruction
-// program must leave exactly EvalALU's result in the destination
-// register.
+// fast-forward loop's dispatch switch, unwarmed and warmed, to EvalALU,
+// op by op: for every pure opcode and a grid of operand values, a
+// one-instruction program must leave exactly EvalALU's result in the
+// destination register.
 func TestFastForwardPureOpsMatchEvalALU(t *testing.T) {
 	operands := []int64{0, 1, -1, 5, 12, -12, 63, 64, 1 << 40, -(1 << 40)}
 	for opv := 0; opv < 256; opv++ {
@@ -264,9 +264,9 @@ func TestFastForwardPureOpsMatchEvalALU(t *testing.T) {
 					c.SetReg(3, b)
 					var ran uint64
 					if warm {
-						ran = c.FastForwardWarm(1, &recordingWarmer{})
+						ran = c.FastForward(1, &recordingWarmer{})
 					} else {
-						ran = c.FastForward(1)
+						ran = c.FastForward(1, nil)
 					}
 					if ran != 1 {
 						t.Fatalf("op %v warm=%v: ran %d", op, warm, ran)
@@ -284,12 +284,12 @@ func TestFastForwardPureOpsMatchEvalALU(t *testing.T) {
 func TestFastForwardHaltedNoop(t *testing.T) {
 	prog, m, _ := scatterSetup(t)
 	c := New(prog, m)
-	c.FastForward(1 << 20)
+	c.FastForward(1<<20, nil)
 	if !c.Halted() {
 		t.Fatal("program did not halt")
 	}
 	before := c.SaveArch()
-	if ran := c.FastForward(100); ran != 0 {
+	if ran := c.FastForward(100, nil); ran != 0 {
 		t.Fatalf("halted CPU ran %d instructions", ran)
 	}
 	if c.SaveArch() != before {

@@ -67,6 +67,7 @@ type Job struct {
 	phaseWall sim.PhaseTimes   // finished cells' wall time by phase
 	submitted time.Time
 	finished  time.Time
+	abandoned bool // Shutdown reported the job canceled; no cell will start
 }
 
 func newJob(id, name string, pri int, cfgs []sim.Config, specs []workloads.Spec, p sim.Params) *Job {
@@ -161,12 +162,13 @@ func (j *Job) finishCell(i, worker int, res sim.Result, out sim.CellOutcome) {
 }
 
 // terminalLocked reports whether the job will make no more progress:
-// done, or canceled with no cell still executing. Caller holds j.mu.
+// done, or canceled or abandoned by Shutdown with no cell still
+// executing. Caller holds j.mu.
 func (j *Job) terminalLocked() bool {
 	if j.state == StateDone {
 		return true
 	}
-	return j.state == StateCanceled && len(j.running) == 0
+	return (j.state == StateCanceled || j.abandoned) && len(j.running) == 0
 }
 
 // Status snapshots the job.
@@ -224,8 +226,9 @@ func (j *Job) Result(ctx context.Context, i int) (sim.CellResult, bool) {
 	return sim.CellResult{}, false
 }
 
-// Wait blocks until the job is done (or canceled and drained) and
-// returns its ResultSet. The set is only complete when the job finished.
+// Wait blocks until the job is done (or canceled, or abandoned by
+// Shutdown, and drained) and returns its ResultSet. The set is only
+// complete when the job finished.
 func (j *Job) Wait() *sim.ResultSet {
 	j.mu.Lock()
 	defer j.mu.Unlock()

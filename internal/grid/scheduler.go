@@ -331,7 +331,9 @@ func (s *Scheduler) QueueDepth() int { return s.q.depth() }
 // abandoned where they are (SaveState persists them), running cells
 // finish. It blocks until the worker pool exits, reports each job it
 // abandoned as canceled by the shutdown (so the grid status stops
-// counting it in flight), then wakes every streaming/waiting client.
+// counting it in flight) and marks it abandoned, then wakes every
+// streaming/waiting client: Wait returns the cells that finished, and
+// Result stops past the last of them.
 func (s *Scheduler) Shutdown() {
 	s.mu.Lock()
 	again := s.closed
@@ -344,6 +346,7 @@ func (s *Scheduler) Shutdown() {
 		j.mu.Lock()
 		if !again && (j.state == StateQueued || j.state == StateRunning) {
 			sim.Emit(sim.Event{Kind: sim.EvJobCancel, Job: j.ID, Note: "shutdown"})
+			j.abandoned = true
 		}
 		j.cond.Broadcast()
 		j.mu.Unlock()

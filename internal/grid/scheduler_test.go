@@ -3,6 +3,7 @@ package grid
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -399,6 +400,55 @@ func TestSaveLoadState(t *testing.T) {
 	// Missing file: nothing to restore, no error.
 	if n, err := s2.LoadState(path + ".missing"); err != nil || n != 0 {
 		t.Errorf("missing state file: n=%d err=%v", n, err)
+	}
+}
+
+// TestWaitReturnsAfterShutdown: Shutdown abandons a job's queued cells,
+// so Wait must return the cells that finished instead of blocking for
+// the abandoned ones, and Result must stop past the last of them.
+func TestWaitReturnsAfterShutdown(t *testing.T) {
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	s := New(Options{Workers: 1, ExecuteGroup: func(reqs []sim.CellRequest, _ *sim.Tracker) ([]sim.Result, []sim.CellOutcome) {
+		started <- struct{}{}
+		<-release
+		return stubGroup(reqs, sim.CellOutcome{})
+	}})
+	j, err := s.Submit(JobRequest{Name: "abandoned", Configs: labeled("c"), Workloads: []string{"Randacc", "HJ2"},
+		Params: sim.QuickParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started // the worker is pinned inside the first cell
+	shut := make(chan struct{})
+	go func() {
+		s.Shutdown()
+		close(shut)
+	}()
+	// Release the worker once the queue is closed, so it exits instead
+	// of taking the second cell.
+	for closed := false; !closed; time.Sleep(time.Millisecond) {
+		s.q.mu.Lock()
+		closed = s.q.closed
+		s.q.mu.Unlock()
+	}
+	close(release)
+	<-shut
+
+	waited := make(chan *sim.ResultSet, 1)
+	go func() { waited <- j.Wait() }()
+	select {
+	case rs := <-waited:
+		if n := len(rs.Cells()); n != 1 {
+			t.Fatalf("Wait returned %d cells, want the 1 that finished", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("Wait still blocked 5 s after Shutdown: %+v", j.Status())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, ok := j.Result(ctx, 1); ok || ctx.Err() != nil {
+		t.Fatalf("Result(1) = %v after Shutdown (ctx err %v), want an immediate miss", ok, ctx.Err())
 	}
 }
 

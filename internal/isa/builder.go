@@ -35,15 +35,6 @@ func (b *Builder) AllocReg() Reg {
 	return r
 }
 
-// AllocRegs hands out n fresh registers.
-func (b *Builder) AllocRegs(n int) []Reg {
-	rs := make([]Reg, n)
-	for i := range rs {
-		rs[i] = b.AllocReg()
-	}
-	return rs
-}
-
 // PC returns the index the next emitted instruction will have.
 func (b *Builder) PC() int { return len(b.code) }
 

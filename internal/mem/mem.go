@@ -358,12 +358,6 @@ func (m *Memory) ReadI64(addr uint64) int64 { return int64(m.Read(addr, 8)) }
 // WriteI64 stores a signed 64-bit value.
 func (m *Memory) WriteI64(addr uint64, v int64) { m.Write(addr, uint64(v), 8) }
 
-// ReadU32 reads an unsigned 32-bit value.
-func (m *Memory) ReadU32(addr uint64) uint32 { return uint32(m.Read(addr, 4)) }
-
-// WriteU32 stores an unsigned 32-bit value.
-func (m *Memory) WriteU32(addr uint64, v uint32) { m.Write(addr, uint64(v), 4) }
-
 // ReadF64 reads a float64.
 func (m *Memory) ReadF64(addr uint64) float64 {
 	return math.Float64frombits(m.Read(addr, 8))

@@ -128,11 +128,12 @@ func (w *hierWarmer) WarmStore(pc int, addr uint64)  { w.h.WarmAccess(pc, addr, 
 func (w *hierWarmer) WarmBranch(pc int, taken bool)  { w.bp.Predict(pc, taken) }
 
 func (b *machineBase) FastForward(n uint64, warm bool) bool {
-	if !warm {
-		return b.cpu.FastForward(n) == n
+	var w emu.Warmer // an untyped nil: no warming
+	if warm {
+		b.warmed = true
+		w = &b.warmer
 	}
-	b.warmed = true
-	return b.cpu.FastForwardWarm(n, &b.warmer) == n
+	return b.cpu.FastForward(n, w) == n
 }
 
 // settleQuantum is how far settle warms between looks at the tags.

@@ -42,7 +42,7 @@ func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := SimulateFrom(m2, p)
+		got := simulate(m2, p, true)
 
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("regions=%d: restored run differs from uninterrupted run:\nwant %+v\ngot  %+v",
@@ -77,7 +77,7 @@ func TestCheckpointSiblingsIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := SimulateFrom(refM, p)
+	ref := simulate(refM, p, true)
 
 	const siblings = 3
 	var wg sync.WaitGroup
@@ -92,7 +92,7 @@ func TestCheckpointSiblingsIndependent(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			results[i] = SimulateFrom(m, p)
+			results[i] = simulate(m, p, true)
 		}(i)
 	}
 	wg.Wait()
@@ -136,72 +136,51 @@ func TestSchedulerCheckpointDeterminism(t *testing.T) {
 	}
 }
 
-// collectWarmView flattens the hierarchy tag state a warmed fast-forward
-// claims to reproduce: cache lines (address + dirty), TLB VPNs and the
-// branch-predictor tables.
-type warmView struct {
-	l1d, l1i, l2     []cache.LineInfo
-	dtlb, itlb, stlb []uint64
-}
-
-func hierView(h *cache.Hierarchy) warmView {
-	return warmView{
-		l1d:  h.L1D.Lines(),
-		l1i:  h.L1I.Lines(),
-		l2:   h.L2.Lines(),
-		dtlb: h.DTLB.VPNs(),
-		itlb: h.ITLB.VPNs(),
-		stlb: h.STLB.VPNs(),
-	}
-}
-
 // TestFunctionalWarmingFidelity: after N instructions, a functionally
-// warmed hierarchy must hold the same cache lines (tags and dirty bits),
-// TLB entries and branch-predictor tables as the detailed timing model —
-// warming replays the same access stream through the same tag-mutating
-// code paths. Timing counters are out of scope (they reset at the
-// measure boundary anyway).
+// warmed hierarchy must hold exactly the state the detailed timing model
+// leaves, because warming runs the timed paths' own fill code on every
+// miss: every cache way's tag, LRU stamp, dirty, touched and prefetch
+// bits, the LRU clocks, TLB slots and stamps, stride entries,
+// outstanding prefetch tags and the last fetched instruction line, plus
+// the branch-predictor tables and the DRAM line and write-back counts.
+// Occupancy (MSHRs, walkers, the DRAM channel) and the other counters
+// are out of scope: warming has no timing, and the counters reset at
+// the measure boundary anyway.
 func TestFunctionalWarmingFidelity(t *testing.T) {
 	const n = 60_000
-	for _, wl := range []string{"BFS_KR", "Randacc"} {
-		spec := mustSpec(t, wl)
-		master := spec.Build(QuickParams().Scale)
-		cfg := MachineConfig(InO)
+	dramCounters := []string{"dram.loads.inst", "dram.writebacks"}
+	for o := cache.Origin(0); o < cache.NumOrigins; o++ {
+		dramCounters = append(dramCounters, "dram.loads."+o.String())
+	}
+	for _, kind := range []CoreKind{InO, OoO} {
+		cfg := MachineConfig(kind)
+		for _, wl := range []string{"BFS_KR", "Randacc", "HJ8", "NAS-IS", "PR_UR"} {
+			master := mustSpec(t, wl).Build(QuickParams().Scale)
+			det, err := NewMachine(cfg, cloneInstance(master))
+			if err != nil {
+				t.Fatal(err)
+			}
+			det.Step(n)
+			warm, err := NewMachine(cfg, cloneInstance(master))
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm.FastForward(n, true)
 
-		det, err := NewMachine(cfg, cloneInstance(master))
-		if err != nil {
-			t.Fatal(err)
-		}
-		det.Step(n)
-
-		warm, err := NewMachine(cfg, cloneInstance(master))
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm.FastForward(n, true)
-
-		dm, wm := det.(*inOrderMachine), warm.(*inOrderMachine)
-		dv, wv := hierView(dm.h), hierView(wm.h)
-		if !reflect.DeepEqual(dv.l1d, wv.l1d) {
-			t.Errorf("%s: L1D contents diverge: detailed %d lines, warmed %d", wl, len(dv.l1d), len(wv.l1d))
-		}
-		if !reflect.DeepEqual(dv.l1i, wv.l1i) {
-			t.Errorf("%s: L1I contents diverge: detailed %d lines, warmed %d", wl, len(dv.l1i), len(wv.l1i))
-		}
-		if !reflect.DeepEqual(dv.l2, wv.l2) {
-			t.Errorf("%s: L2 contents diverge: detailed %d lines, warmed %d", wl, len(dv.l2), len(wv.l2))
-		}
-		if !reflect.DeepEqual(dv.dtlb, wv.dtlb) {
-			t.Errorf("%s: DTLB diverges: detailed %d entries, warmed %d", wl, len(dv.dtlb), len(wv.dtlb))
-		}
-		if !reflect.DeepEqual(dv.itlb, wv.itlb) {
-			t.Errorf("%s: ITLB diverges: detailed %d entries, warmed %d", wl, len(dv.itlb), len(wv.itlb))
-		}
-		if !reflect.DeepEqual(dv.stlb, wv.stlb) {
-			t.Errorf("%s: STLB diverges: detailed %d entries, warmed %d", wl, len(dv.stlb), len(wv.stlb))
-		}
-		if !dm.core.BP.StateEqual(wm.core.BP) {
-			t.Errorf("%s: branch-predictor tables diverge", wl)
+			name := cfg.Label + "/" + wl
+			db, wb := det.base(), warm.base()
+			if !reflect.DeepEqual(db.h.WarmState(), wb.h.WarmState()) {
+				t.Errorf("%s: warmed hierarchy state diverges from the detailed run's", name)
+			}
+			dc, wc := db.h.Reg.Snapshot().Counters, wb.h.Reg.Snapshot().Counters
+			for _, c := range dramCounters {
+				if d, ok := dc[c]; !ok || wc[c] != d {
+					t.Errorf("%s: %s = %d detailed, %d warmed", name, c, d, wc[c])
+				}
+			}
+			if !db.bp.StateEqual(wb.bp) {
+				t.Errorf("%s: branch-predictor tables diverge", name)
+			}
 		}
 	}
 }

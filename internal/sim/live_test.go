@@ -41,7 +41,7 @@ func liveStep(m Machine, n uint64) bool {
 
 // liveSimulate is Simulate executed live: the same region schedule,
 // warmup → reset → measure sequence and interval sampling. atFirst marks
-// a machine restored at its first region start (SimulateFrom).
+// a machine restored at its first region start, as for simulate.
 func liveSimulate(m Machine, p Params, atFirst bool) Result {
 	if p.FastForward == 0 && p.Regions <= 1 {
 		return liveWindow(m, p)

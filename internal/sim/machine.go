@@ -130,11 +130,9 @@ func readsArch(kind CoreKind) bool { return kind == IMP || kind == SVR }
 // cachedStart does.
 func Simulate(m Machine, p Params) Result { return simulate(m, p, false) }
 
-// SimulateFrom is Simulate for a machine already positioned at its first
-// region start (restored from a post-fast-forward checkpoint): the first
-// fast-forward is skipped, everything else is identical.
-func SimulateFrom(m Machine, p Params) Result { return simulate(m, p, true) }
-
+// simulate is Simulate; with atFirst the machine is already at its first
+// region start (restored from a post-fast-forward checkpoint), so the
+// first fast-forward is skipped.
 func simulate(m Machine, p Params, atFirst bool) Result {
 	w := &walk{p: p, ms: []Machine{m}, record: func(src *machineBase) *stream.Recording {
 		return recordFrom(src, p.Warmup+p.Measure)

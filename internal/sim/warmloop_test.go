@@ -9,9 +9,9 @@ import (
 	"repro/internal/isa"
 )
 
-// referenceWarm is the per-instruction warm loop FastForwardWarm must
-// match: it steps the emulator one instruction at a time and reports
-// each instruction's fetch, then its own event, straight to the
+// referenceWarm is the per-instruction warm loop a warmed FastForward
+// must match: it steps the emulator one instruction at a time and
+// reports each instruction's fetch, then its own event, straight to the
 // hierarchy and predictor, with no folding.
 func referenceWarm(b *machineBase, n uint64) {
 	var rec emu.DynInstr

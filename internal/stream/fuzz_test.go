@@ -2,6 +2,8 @@ package stream
 
 import (
 	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 
 	"repro/internal/emu"
@@ -91,13 +93,11 @@ func seedRegs(cpu *emu.CPU, data []byte) {
 	cpu.SetReg(5, dataBase+2*mem.PageSize)
 }
 
-// FuzzRoundTrip executes a synthesized program (bounded steps), encodes
-// the dynamic stream, and requires the decode to reproduce every record
-// bit-exactly — including page-straddling addresses and taken/not-taken
-// branch runs, which the seed corpus covers explicitly.
-func FuzzRoundTrip(f *testing.F) {
-	// Seed: tight taken/not-taken branch loop.
-	branchy := []byte{}
+// fuzzSeeds are the seed inputs of the fuzz targets here: a tight
+// taken/not-taken branch loop, and page-straddling loads and stores
+// through r2 (set just below a page boundary by seedRegs).
+func fuzzSeeds() [][]byte {
+	var branchy, straddle []byte
 	for _, line := range [][8]byte{
 		{16, 1, 0, 0, 100, 0, 0, 0}, // li r1, 100
 		{16, 2, 0, 0, 0, 0, 0, 0},   // li r2, 0
@@ -108,10 +108,6 @@ func FuzzRoundTrip(f *testing.F) {
 	} {
 		branchy = append(branchy, line[:]...)
 	}
-	f.Add(branchy)
-	// Seed: page-straddling loads/stores through r2 (set just below a
-	// page boundary by seedRegs).
-	straddle := []byte{}
 	for _, line := range [][8]byte{
 		{25, 6, 2, 0, 0, 0, 3, 0}, // ld64 r6, [r2+0] — straddles the page
 		{28, 0, 2, 6, 4, 0, 3, 0}, // st64 r6, [r2+4]
@@ -121,7 +117,17 @@ func FuzzRoundTrip(f *testing.F) {
 	} {
 		straddle = append(straddle, line[:]...)
 	}
-	f.Add(straddle)
+	return [][]byte{branchy, straddle}
+}
+
+// FuzzRoundTrip executes a synthesized program (bounded steps), encodes
+// the dynamic stream, and requires the decode to reproduce every record
+// bit-exactly — including page-straddling addresses and taken/not-taken
+// branch runs, which the seed corpus covers explicitly.
+func FuzzRoundTrip(f *testing.F) {
+	for _, seed := range fuzzSeeds() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog := synthesize(data)
@@ -159,6 +165,170 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if rs.Err() != nil {
 			t.Fatal(rs.Err())
+		}
+	})
+}
+
+// warmEvent is one emu.Warmer callback; kind 'h' is a run of n folded
+// fetches.
+type warmEvent struct {
+	kind  byte // 'f' fetch, 'h' folded fetches, 'l' load, 's' store, 'b' branch
+	pc    int
+	addr  uint64
+	taken bool
+	n     uint64
+}
+
+// recordingWarmer records every callback. With fold > 0 it offers the
+// aligned block of fold pcs around each fetched pc for folding.
+type recordingWarmer struct {
+	fold int
+	evs  []warmEvent
+}
+
+func (r *recordingWarmer) WarmFetch(pc int) (lo, hi int) {
+	r.evs = append(r.evs, warmEvent{kind: 'f', pc: pc})
+	if r.fold == 0 {
+		return 0, 0
+	}
+	lo = pc - pc%r.fold
+	return lo, lo + r.fold
+}
+func (r *recordingWarmer) WarmFetchHits(pc int, n uint64) {
+	r.evs = append(r.evs, warmEvent{kind: 'h', pc: pc, n: n})
+}
+func (r *recordingWarmer) WarmLoad(pc int, addr uint64) {
+	r.evs = append(r.evs, warmEvent{kind: 'l', pc: pc, addr: addr})
+}
+func (r *recordingWarmer) WarmStore(pc int, addr uint64) {
+	r.evs = append(r.evs, warmEvent{kind: 's', pc: pc, addr: addr})
+}
+func (r *recordingWarmer) WarmBranch(pc int, taken bool) {
+	r.evs = append(r.evs, warmEvent{kind: 'b', pc: pc, taken: taken})
+}
+
+// foldedStream is the warm event stream Step's records imply: each
+// record's fetch, then its load, store or branch event, with fetches
+// folded as the Warmer contract says. A fetch inside the range the run's
+// first fetch offered (fold-aligned blocks; none for fold 0) is counted,
+// and the count is reported before the next unfolded fetch and where a
+// fast-forward call returns, after record i for every i+1 in ends.
+func foldedStream(recs []emu.DynInstr, fold int, ends map[int]bool) []warmEvent {
+	var out []warmEvent
+	runPC, lo, hi := 0, 0, 0
+	var hits uint64
+	flush := func() {
+		if hits > 0 {
+			out = append(out, warmEvent{kind: 'h', pc: runPC, n: hits})
+			hits = 0
+		}
+	}
+	for i, rec := range recs {
+		if rec.PC >= lo && rec.PC < hi {
+			hits++
+		} else {
+			flush()
+			out = append(out, warmEvent{kind: 'f', pc: rec.PC})
+			runPC = rec.PC
+			if fold > 0 {
+				lo = rec.PC - rec.PC%fold
+				hi = lo + fold
+			}
+		}
+		switch rec.Instr.Kind() {
+		case isa.KindLoad:
+			out = append(out, warmEvent{kind: 'l', pc: rec.PC, addr: rec.Addr})
+		case isa.KindStore:
+			out = append(out, warmEvent{kind: 's', pc: rec.PC, addr: rec.Addr})
+		case isa.KindBranch:
+			out = append(out, warmEvent{kind: 'b', pc: rec.PC, taken: rec.Taken})
+		}
+		if ends[i+1] {
+			flush()
+			lo, hi = 0, 0
+		}
+	}
+	flush()
+	return out
+}
+
+// FuzzFastForwardMatchesStep runs a synthesized program three ways:
+// Step, FastForward without a Warmer, and FastForward with a recording
+// Warmer, both fast-forwards in chunks and with a fetch-folding width
+// the input chooses. Both must leave Step's architectural state and
+// memory, and the warmed run must report exactly the
+// fetch/load/store/branch stream Step's records imply under that
+// folding.
+func FuzzFastForwardMatchesStep(f *testing.F) {
+	for _, seed := range fuzzSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		prog := synthesize(data)
+		if prog == nil {
+			t.Skip()
+		}
+		const maxSteps = 4096
+		run := func() *emu.CPU {
+			cpu := emu.New(prog, newTestMem())
+			seedRegs(cpu, data)
+			return cpu
+		}
+		ref := run()
+		recs := collect(ref, maxSteps)
+
+		h := fnv.New64a()
+		h.Write(data)
+		rng := rand.New(rand.NewSource(int64(h.Sum64())))
+		fold := []int{0, 1, 2, 4, 16}[rng.Intn(5)]
+		var chunks []uint64
+		ends := map[int]bool{}
+		for left := maxSteps; left > 0; {
+			k := min(left, 1+rng.Intn(1<<rng.Intn(13)))
+			chunks = append(chunks, uint64(k))
+			left -= k
+			ends[maxSteps-left] = true
+		}
+
+		plain, warm := run(), run()
+		w := &recordingWarmer{fold: fold}
+		var ranPlain, ranWarm uint64
+		for _, k := range chunks {
+			ranPlain += plain.FastForward(k, nil)
+			ranWarm += warm.FastForward(k, w)
+		}
+		for _, c := range []struct {
+			name string
+			ran  uint64
+			cpu  *emu.CPU
+		}{{"unwarmed", ranPlain, plain}, {"warmed", ranWarm, warm}} {
+			if c.ran != uint64(len(recs)) {
+				t.Fatalf("%s fast-forward ran %d instructions, Step %d", c.name, c.ran, len(recs))
+			}
+			if got, want := c.cpu.SaveArch(), ref.SaveArch(); got != want {
+				t.Fatalf("%s fast-forward arch state diverges:\n got  %+v\n step %+v", c.name, got, want)
+			}
+			if got, want := c.cpu.Mem.Pages(), ref.Mem.Pages(); got != want {
+				t.Fatalf("%s fast-forward touched %d pages, Step %d", c.name, got, want)
+			}
+			for _, rec := range recs {
+				if rec.Instr.Kind() != isa.KindStore {
+					continue
+				}
+				got := c.cpu.Mem.Read(rec.Addr, rec.Instr.Size)
+				if want := ref.Mem.Read(rec.Addr, rec.Instr.Size); got != want {
+					t.Fatalf("%s fast-forward memory at %#x = %#x, Step %#x", c.name, rec.Addr, got, want)
+				}
+			}
+		}
+		want := foldedStream(recs, fold, ends)
+		if len(w.evs) != len(want) {
+			t.Fatalf("fold %d: warm stream has %d events, Step's records imply %d", fold, len(w.evs), len(want))
+		}
+		for i := range want {
+			if w.evs[i] != want[i] {
+				t.Fatalf("fold %d: event %d: warm %+v, Step %+v", fold, i, w.evs[i], want[i])
+			}
 		}
 	})
 }
