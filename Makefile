@@ -39,6 +39,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCacheMatchesReference -fuzztime 30s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzTLBMatchesReference -fuzztime 30s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzSubmitJob -fuzztime 30s ./internal/grid/
+	$(GO) test -run '^$$' -fuzz FuzzLoadState -fuzztime 30s ./internal/grid/
+	$(GO) test -run '^$$' -fuzz FuzzValidateJournal -fuzztime 30s ./internal/grid/
 
 fmt:
 	gofmt -w .

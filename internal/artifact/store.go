@@ -1,11 +1,12 @@
 // Package artifact is the unified content-addressed store behind the
-// experiment scheduler: workload images, post-fast-forward checkpoints,
-// recorded instruction streams and memoized cell results all live in one
-// keyed, byte-budgeted LRU with per-class hit/miss/evict accounting and
-// singleflight production. Before this package each of those caches was
-// a private map inside internal/sim; unifying them gives concurrent
-// tenants of the grid service one shared pool of warm state, one memory
-// budget, and one observable set of counters.
+// experiment scheduler: generated graph inputs, workload images,
+// post-fast-forward checkpoints, recorded instruction streams and
+// memoized cell results all live in one keyed, byte-budgeted LRU with
+// per-class hit/miss/evict accounting and singleflight production.
+// Before this package each of those caches was a private map inside
+// internal/sim or internal/graphs; unifying them gives concurrent tenants
+// of the grid service one shared pool of warm state, one memory budget,
+// and one observable set of counters.
 package artifact
 
 import (
@@ -24,6 +25,7 @@ type Class string
 
 // The artifact classes the simulator stores.
 const (
+	Graph      Class = "graph"      // generated graph inputs (CSR)
 	Image      Class = "image"      // built workload memory images
 	Checkpoint Class = "checkpoint" // post-fast-forward machine checkpoints
 	Stream     Class = "stream"     // recorded instruction streams
@@ -36,7 +38,15 @@ const (
 )
 
 // Classes lists every class in stable display order.
-func Classes() []Class { return []Class{Image, Checkpoint, Stream, Result} }
+func Classes() []Class { return []Class{Graph, Image, Checkpoint, Stream, Result} }
+
+// shared is the process-wide store. Every layer that caches an artifact
+// reaches it through Shared, so graphs, images, checkpoints, streams and
+// results share one budget and one LRU order.
+var shared = New(512 << 20)
+
+// Shared returns the process-wide store.
+func Shared() *Store { return shared }
 
 // Key addresses one artifact: its class plus a content hash (or any
 // canonical encoding of everything the artifact's bytes depend on).

@@ -9,8 +9,9 @@ package graphs
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
+	"slices"
+
+	"repro/internal/artifact"
 )
 
 // CSR is a graph in compressed sparse row format (Fig 2): Offsets[u] is
@@ -21,6 +22,10 @@ type CSR struct {
 	Offsets   []uint32 // len NumNodes+1
 	Neighbors []uint32
 }
+
+// Bytes is what the CSR's two arrays hold, the graph's charge in the
+// artifact store.
+func (g *CSR) Bytes() int64 { return 4 * int64(len(g.Offsets)+len(g.Neighbors)) }
 
 // NumEdges returns the (directed) edge count.
 func (g *CSR) NumEdges() int { return len(g.Neighbors) }
@@ -42,8 +47,9 @@ func (g *CSR) MaxDegree() int {
 	return m
 }
 
-// fromEdges builds a CSR from an edge list, sorting and deduplicating
-// neighbors per vertex (self-loops are kept; GAP kernels tolerate them).
+// fromEdges builds a CSR from an edge list, sorting each vertex's
+// neighbors. Duplicate edges and self-loops are kept; GAP kernels
+// tolerate both.
 func fromEdges(name string, n int, src, dst []uint32) *CSR {
 	deg := make([]uint32, n+1)
 	for _, s := range src {
@@ -62,8 +68,7 @@ func fromEdges(name string, n int, src, dst []uint32) *CSR {
 	}
 	// Sort each adjacency list for locality realism (GAP does the same).
 	for u := 0; u < n; u++ {
-		seg := neigh[off[u]:off[u+1]]
-		sort.Slice(seg, func(a, b int) bool { return seg[a] < seg[b] })
+		slices.Sort(neigh[off[u]:off[u+1]])
 	}
 	return &CSR{Name: name, NumNodes: n, Offsets: off, Neighbors: neigh}
 }
@@ -90,29 +95,35 @@ func Kronecker(name string, scale, edgeFactor int, seed int64) *CSR {
 	rng := rand.New(rand.NewSource(seed))
 	n := 1 << scale
 	m := n * edgeFactor
-	const a, b, c = 0.57, 0.19, 0.19
 	src := make([]uint32, m)
 	dst := make([]uint32, m)
 	for i := 0; i < m; i++ {
-		var u, v int
+		var u, v uint32
 		for bit := 0; bit < scale; bit++ {
-			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left quadrant: no bits set
-			case r < a+b:
-				v |= 1 << bit
-			case r < a+b+c:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
+			q := quadrant(rng.Float64())
+			u |= (q >> 1) << bit
+			v |= (q & 1) << bit
 		}
-		src[i] = uint32(u)
-		dst[i] = uint32(v)
+		src[i] = u
+		dst[i] = v
 	}
 	return fromEdges(name, n, src, dst)
+}
+
+// quadrant picks the R-MAT quadrant of one uniform draw r without a
+// branch: it counts the thresholds r has reached, so 0 is top-left (no
+// bit set), 1 sets the destination's bit, 2 the source's and 3 both.
+func quadrant(r float64) uint32 {
+	const a, b, c = 0.57, 0.19, 0.19
+	return b2i(r >= a) + b2i(r >= a+b) + b2i(r >= a+b+c)
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it a SETcc.
+func b2i(t bool) uint32 {
+	if t {
+		return 1
+	}
+	return 0
 }
 
 // PowerLaw generates a graph whose out-degrees follow a discrete
@@ -168,29 +179,27 @@ const (
 // Inputs lists the five graph inputs in paper order.
 var Inputs = []Input{KR, LJN, ORK, TW, UR}
 
-// buildCache memoizes generated graphs: the five GAP kernels reuse the
-// same five inputs, and experiment sweeps rebuild workloads repeatedly.
-// CSR graphs are treated as read-only after construction.
-var buildCache = struct {
-	sync.Mutex
-	m map[string]*CSR
-}{m: make(map[string]*CSR)}
-
 // Build constructs the named input at the given scale (vertex count
 // target; generators round to their natural sizes). Each input keeps its
 // characteristic shape: KR and the real-world stand-ins are skewed, UR is
-// flat, TW has the heaviest hubs, ORK the highest density. Results are
-// memoized; callers must not mutate them.
+// flat, TW has the heaviest hubs, ORK the highest density. The five GAP
+// kernels share each input, so a graph is an artifact of the
+// process-wide store, keyed by (input, n, seed) and charged its CSR
+// bytes: built once however many callers ask at a time, with different
+// graphs building in parallel, and evicted under the store's budget.
+// Callers must not mutate the result.
 func Build(in Input, n int, seed int64) *CSR {
-	key := fmt.Sprintf("%s/%d/%d", in, n, seed)
-	buildCache.Lock()
-	defer buildCache.Unlock()
-	if g, ok := buildCache.m[key]; ok {
-		return g
-	}
-	g := build(in, n, seed)
-	buildCache.m[key] = g
-	return g
+	v, _ := artifact.Shared().GetOrProduce(key(in, n, seed), func() (any, int64) {
+		g := build(in, n, seed)
+		return g, g.Bytes()
+	})
+	return v.(*CSR)
+}
+
+// key addresses a graph in the store: generators are pure functions of
+// (input, n, seed).
+func key(in Input, n int, seed int64) artifact.Key {
+	return artifact.Key{Class: artifact.Graph, ID: fmt.Sprintf("%s|n%d|s%d", in, n, seed)}
 }
 
 func build(in Input, n int, seed int64) *CSR {

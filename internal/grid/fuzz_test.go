@@ -1,11 +1,15 @@
 package grid
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -70,6 +74,93 @@ func FuzzSubmitJob(f *testing.F) {
 		}
 		for _, cfg := range req.Configs {
 			sim.Run(spec, cfg, p)
+		}
+	})
+}
+
+// FuzzLoadState loads arbitrary bytes as a server's state file into a
+// scheduler whose cells are stubs. A corrupt file must give an error,
+// never a panic or a hang; a file that loads must have restored every
+// job it lists, and each must run to completion.
+func FuzzLoadState(f *testing.F) {
+	valid, err := json.Marshal(persistedState{Jobs: []persistedJob{{
+		Name: "restored", Priority: 2, Configs: labeled("A"),
+		Workloads: []string{"NAS-IS", "HJ2"}, Params: sim.QuickParams(),
+	}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(`{"Jobs":[]}`))
+	f.Add([]byte(`{"Jobs":[{"Configs":[{"Label":"x"}],"Workloads":["NAS-IS"]}]}`))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		path := filepath.Join(t.TempDir(), "state.json")
+		if err := os.WriteFile(path, blob, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		s := New(Options{Workers: 1, QueueCap: 64, ExecuteGroup: stubExecute})
+		defer s.Shutdown()
+		n, err := s.LoadState(path)
+		if err != nil {
+			return
+		}
+		var st persistedState
+		if err := json.Unmarshal(blob, &st); err != nil {
+			t.Fatalf("loaded a file that does not decode: %v", err)
+		}
+		if n != len(st.Jobs) || len(s.Jobs()) != n {
+			t.Fatalf("restored %d jobs (%d listed) from a file of %d", n, len(s.Jobs()), len(st.Jobs))
+		}
+		for _, j := range s.Jobs() {
+			done := make(chan struct{})
+			go func() { j.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("restored job %s never finished", j.ID)
+			}
+		}
+	})
+}
+
+// FuzzValidateJournal checks arbitrary bytes as a journal. Any input
+// gives an error or a summary, never a panic; a summary counts every
+// non-blank line once, each under its event.
+func FuzzValidateJournal(f *testing.F) {
+	var buf bytes.Buffer
+	j := NewJournal(JournalConfig{Writer: &buf, Capture: -1})
+	SetJournal(j)
+	s := New(Options{Workers: 1, ExecuteGroup: stubExecute})
+	job, err := s.Submit(JobRequest{Name: "seed", Configs: labeled("A"),
+		Workloads: []string{"Randacc", "HJ2"}, Params: sim.QuickParams()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	job.Wait()
+	s.Shutdown()
+	SetJournal(nil)
+	if err := j.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"ts":1,"ev":"artifact.evict","class":"graph","n":4096}`))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		sum, err := ValidateJournal(bytes.NewReader(blob))
+		if err != nil {
+			return
+		}
+		lines := 0
+		for _, l := range bytes.Split(blob, []byte("\n")) {
+			if len(bytes.TrimSpace(l)) > 0 {
+				lines++
+			}
+		}
+		events := 0
+		for _, n := range sum.Events {
+			events += n
+		}
+		if sum.Lines != lines || events != lines {
+			t.Fatalf("summary counts %d lines and %d events of %d", sum.Lines, events, lines)
 		}
 	})
 }

@@ -14,7 +14,11 @@
 // SVR taint tracker follows.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // Reg identifies one of the 32 architectural registers.
 type Reg uint8
@@ -266,18 +270,20 @@ func (p *Program) LabelPC(name string) (int, bool) {
 }
 
 // Disasm renders the whole program, one instruction per line, with
-// label annotations.
+// label annotations; labels bound to one PC print in name order.
 func (p *Program) Disasm() string {
 	byPC := make(map[int][]string)
 	for name, pc := range p.labels {
 		byPC[pc] = append(byPC[pc], name)
 	}
-	out := ""
+	var out strings.Builder
 	for pc, in := range p.Code {
-		for _, l := range byPC[pc] {
-			out += l + ":\n"
+		labels := byPC[pc]
+		slices.Sort(labels)
+		for _, l := range labels {
+			out.WriteString(l + ":\n")
 		}
-		out += fmt.Sprintf("  %4d: %s\n", pc, in)
+		fmt.Fprintf(&out, "  %4d: %s\n", pc, in)
 	}
-	return out
+	return out.String()
 }

@@ -8,13 +8,14 @@ import (
 	"repro/internal/workloads"
 )
 
-// The process-wide artifact store unifies what used to be four private
-// caches: the workload build cache (PR 3), the shared post-fast-forward
-// checkpoints (PR 5), the recorded instruction streams (PR 6), and the
-// memoized cell-result cache (PR 1). One content-addressed, byte-budgeted
-// LRU means concurrent grid jobs share warm state across tenants and the
-// service layer gets hit/miss/evict observability for free.
-var artifacts = artifact.New(512 << 20)
+// artifacts is the process-wide store (artifact.Shared). It holds the
+// workload images, the shared post-fast-forward checkpoints, the
+// recorded instruction streams and the memoized cell results beside the
+// graph inputs the images are built from. One content-addressed,
+// byte-budgeted LRU means concurrent grid jobs share warm state across
+// tenants and the service layer gets hit/miss/evict observability for
+// free.
+var artifacts = artifact.Shared()
 
 // Artifacts exposes the process-wide store to the service layer and the
 // status surfaces.

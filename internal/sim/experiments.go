@@ -196,13 +196,20 @@ func sweepWorkloads(p ExpParams) []workloads.Spec {
 	return out
 }
 
+// sortedKeys returns m's keys in order. Every sum over a map walks them,
+// so a report's floats are the same from run to run.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // normIPCs returns per-workload IPC of cfg normalized to the baseline.
 func normIPCs(base, other map[string]Result) []float64 {
-	names := make([]string, 0, len(base))
-	for n := range base {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := sortedKeys(base)
 	out := make([]float64, 0, len(names))
 	for _, n := range names {
 		b, o := base[n], other[n]
@@ -222,7 +229,8 @@ func hmeanSpeedup(base, other map[string]Result) float64 {
 // meanNormEnergy returns mean energy-per-instruction normalized to base.
 func meanNormEnergy(base, other map[string]Result) float64 {
 	var xs []float64
-	for n, b := range base {
+	for _, n := range sortedKeys(base) {
+		b := base[n]
 		if o, ok := other[n]; ok && b.Energy.NJPerInstr > 0 {
 			xs = append(xs, o.Energy.NJPerInstr/b.Energy.NJPerInstr)
 		}
@@ -247,9 +255,9 @@ var groupOrder = []string{"BC", "BFS", "CC", "PR", "SSSP", "HPC-DB"}
 func groupMeans(vals map[string]float64) map[string]float64 {
 	sums := map[string]float64{}
 	counts := map[string]float64{}
-	for name, v := range vals {
+	for _, name := range sortedKeys(vals) {
 		g := workloadGroup(name)
-		sums[g] += v
+		sums[g] += vals[name]
 		counts[g]++
 	}
 	out := map[string]float64{}

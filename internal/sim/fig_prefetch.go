@@ -76,8 +76,8 @@ func runFig13a(p ExpParams) *Report {
 			v := 0.0
 			if g == "Avg." {
 				sum, n := 0.0, 0
-				for _, x := range gm {
-					sum += x
+				for _, g := range sortedKeys(gm) {
+					sum += gm[g]
 					n++
 				}
 				if n > 0 {
@@ -107,8 +107,9 @@ func runFig13b(p ExpParams) *Report {
 	t := stats.NewTable("config", "core(data)", "core(inst)", "stride-pf", "technique", "total (x baseline)")
 	for _, c := range cfgs {
 		var demand, ifetch, stride, tech, baseTotal float64
-		for name, res := range m.Row(c.Label) {
-			b := base[name]
+		row := m.Row(c.Label)
+		for _, name := range sortedKeys(row) {
+			res, b := row[name], base[name]
 			bt := float64(b.DRAMLoads[cache.OriginDemand] + b.DRAMLoads[cache.OriginStride] + b.IFetchLoads)
 			if bt == 0 {
 				continue

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/cache"
@@ -327,5 +328,33 @@ func TestSVRDRAMLoadOriginsTracked(t *testing.T) {
 	}
 	if res.SVRStats.Rounds == 0 {
 		t.Error("no PRM rounds recorded")
+	}
+}
+
+// TestReportJSONStable: a report renders the same JSON bytes every time,
+// whatever order Go walks its maps in. Fig 1's energy means, Fig 3's and
+// Fig 13a's group means and Fig 13b's coverage shares each fold
+// per-workload floats, so each sums in workload-name order. The
+// scheduler counters carry wall time and are left out.
+func TestReportJSONStable(t *testing.T) {
+	for _, id := range []string{"fig1", "fig3", "fig13a", "fig13b"} {
+		e, err := GetExperiment(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first []byte
+		for i := 0; i < 5; i++ {
+			r := e.Run(quick())
+			r.Sched = SchedStats{}
+			b, err := r.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = b
+			} else if !bytes.Equal(b, first) {
+				t.Fatalf("%s: render %d differs from the first", id, i)
+			}
+		}
 	}
 }
