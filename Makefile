@@ -34,8 +34,11 @@ fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/isa/
 	$(GO) test -fuzz FuzzInstrString -fuzztime 15s ./internal/isa/
 	$(GO) test -fuzz FuzzReadWrite -fuzztime 15s ./internal/mem/
+	$(GO) test -run '^$$' -fuzz FuzzCOWAliasing -fuzztime 15s ./internal/mem/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s ./internal/stream/
 	$(GO) test -run '^$$' -fuzz FuzzFastForwardMatchesStep -fuzztime 30s ./internal/stream/
+	$(GO) test -run '^$$' -fuzz FuzzArchStateMatchesLive -fuzztime 30s ./internal/stream/
+	$(GO) test -run '^$$' -fuzz FuzzCohortChunks -fuzztime 30s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzCacheMatchesReference -fuzztime 30s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzTLBMatchesReference -fuzztime 30s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzSubmitJob -fuzztime 30s ./internal/grid/

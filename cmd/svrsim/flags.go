@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/grid"
@@ -11,7 +10,7 @@ import (
 )
 
 // The process-wide grid scheduler. Every subcommand that executes a
-// (config × workload) matrix — run, all, compare, serve — is a
+// (config × workload) matrix — run, all, cell, serve — is a
 // thin client of this one scheduler core: scheduler() installs it as the
 // sim matrix runner, so experiment grids, ad-hoc comparisons and served
 // jobs share the same queue, worker pool and artifact store.
@@ -31,8 +30,8 @@ func scheduler() *grid.Scheduler {
 	return sched
 }
 
-// gridFlags is the window/grid flag block of run and all:
-// -quick/-scale/-measure/-warmup/-ff/-regions/-ckpt/-workloads.
+// gridFlags is the window flag block of run, all and cell:
+// -quick/-scale/-measure/-warmup/-ff/-regions/-ckpt.
 type gridFlags struct {
 	quick   *bool
 	scale   *string
@@ -41,10 +40,9 @@ type gridFlags struct {
 	ff      *uint64
 	regions *int
 	ckpt    *bool
-	wls     *string
 }
 
-// addGridFlags registers the shared grid flags on fs.
+// addGridFlags registers the shared window flags on fs.
 func addGridFlags(fs *flag.FlagSet) *gridFlags {
 	return &gridFlags{
 		quick:   fs.Bool("quick", false, "small inputs, short windows"),
@@ -54,27 +52,22 @@ func addGridFlags(fs *flag.FlagSet) *gridFlags {
 		ff:      fs.Uint64("ff", 0, "functionally fast-forward (with warming) this many instructions before each region"),
 		regions: fs.Int("regions", 0, "detailed regions per cell, stitched by fast-forward"),
 		ckpt:    fs.Bool("ckpt", false, "replace detailed warmup with a shared functionally-warmed fast-forward checkpoint"),
-		wls:     fs.String("workloads", "", "comma-separated workload filter"),
 	}
 }
 
-// params folds the parsed flags into simulation parameters and the
-// workload filter. With no scale flag the window is DefaultParams.
-func (g *gridFlags) params() (sim.Params, []string, error) {
-	p := sim.DefaultParams()
-	switch *g.scale {
-	case "":
+// params folds the parsed flags into simulation parameters. With no
+// scale flag the window is DefaultParams, or QuickParams under -quick.
+func (g *gridFlags) params() (sim.Params, error) {
+	scale := *g.scale
+	if scale == "" {
+		scale = "default"
 		if *g.quick {
-			p = sim.QuickParams()
+			scale = "quick"
 		}
-	case "quick":
-		p = sim.QuickParams()
-	case "default":
-		p = sim.DefaultParams()
-	case "paper":
-		p = sim.PaperParams()
-	default:
-		return sim.Params{}, nil, fmt.Errorf("unknown -scale %q (want quick, default, or paper)", *g.scale)
+	}
+	p, ok := sim.Preset(scale)
+	if !ok {
+		return sim.Params{}, fmt.Errorf("unknown -scale %q (want quick, default, or paper)", *g.scale)
 	}
 	if *g.measure > 0 {
 		p.Measure = *g.measure
@@ -92,11 +85,7 @@ func (g *gridFlags) params() (sim.Params, []string, error) {
 	if *g.ckpt {
 		foldCheckpoint(&p)
 	}
-	var wls []string
-	if *g.wls != "" {
-		wls = strings.Split(*g.wls, ",")
-	}
-	return p, wls, nil
+	return p, nil
 }
 
 // foldCheckpoint trades the detailed warmup for a (shared, checkpointed)

@@ -1,18 +1,20 @@
 // Command svrsim runs the Scalar Vector Runahead evaluation: any table or
-// figure of the paper, a full sweep, or a single workload on a single
-// machine with detailed statistics.
+// figure of the paper, a full sweep, or a single workload on one or more
+// machines with detailed statistics.
 //
 // Usage:
 //
 //	svrsim list                      # experiments and workloads
 //	svrsim run <experiment> [flags]  # regenerate one table/figure
 //	svrsim all [flags]               # regenerate everything
-//	svrsim workload <name> [flags]   # one workload, one machine, details
+//	svrsim cell <workload> [flags]   # one workload, some machines, details
+//	svrsim timeline <workload> [fl.] # one traced window: Perfetto, JSONL or text
 //	svrsim disasm <workload>         # kernel disassembly
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -21,12 +23,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/grid"
-	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -60,18 +58,12 @@ func dispatch(w io.Writer, cmd string, args []string) error {
 		return cmdRun(w, args)
 	case "all":
 		return cmdAll(w, args)
-	case "workload":
-		return cmdWorkload(w, args)
-	case "metrics":
-		return cmdMetrics(w, args)
+	case "cell":
+		return cmdCell(w, args)
 	case "disasm":
 		return cmdDisasm(w, args)
-	case "trace":
-		return cmdTrace(w, args)
 	case "timeline":
 		return cmdTimeline(w, args)
-	case "compare":
-		return cmdCompare(w, args)
 	case "journal":
 		return cmdJournal(w, args)
 	case "serve":
@@ -91,12 +83,9 @@ func usage() {
   svrsim list                      experiments and workloads
   svrsim run <experiment> [flags]  regenerate one table/figure
   svrsim all [flags]               regenerate every experiment
-  svrsim workload <name> [flags]   simulate one workload in detail
-  svrsim metrics <name> [flags]    full metric registry of one run
+  svrsim cell <workload> [flags]   simulate one workload on one or more machines
   svrsim disasm <workload>         print a kernel's assembly
-  svrsim trace <workload> [flags]  dump pipeline + runahead events
-  svrsim timeline <workload> [fl.] export a traced window as a Perfetto timeline
-  svrsim compare <workload>        one workload on every machine, side by side
+  svrsim timeline <workload> [fl.] export a traced window: Perfetto, JSONL or text
   svrsim journal <file> [flags]    validate a lifecycle journal, render its grid trace
   svrsim serve [flags]             multi-tenant grid service over HTTP/JSON
   svrsim version                   module version and build metadata
@@ -121,19 +110,21 @@ run/all flags:
   -gridtrace F       export the whole run as a Chrome/Perfetto trace of the
                      scheduler itself (workers, cells, phases, artifact flows)
 
+cell flags:
+  -config a,b,c      machines: inorder, imp, ooo, svrN (default svr16)
+  -format F          summary (default); compare (table, speedup over the
+                     first config); metrics (registry table); prom
+                     (Prometheus text, one config); json (each Result)
+  -quick, -scale, -measure, -warmup, -ff, -regions, -ckpt as for run/all
+
 timeline flags:
   -o F               output path, - for stdout (default trace.json)
-  -format F          chrome (Perfetto-loadable JSON) or jsonl
+  -format F          chrome (Perfetto-loadable JSON), jsonl, or text
+                     (the last -events N events, default 120, and a summary)
   -skip / -window    position the traced window; -n sets SVR vector length
 
 journal flags:
   -trace F           also render the journal as a Chrome/Perfetto grid trace at F
-
-metrics flags:
-  -core K            machine: inorder, imp, ooo, svr (default svr)
-  -n N               SVR vector length (default 16)
-  -format F          output: table, prom (Prometheus text), json
-  -quick / -warmup / -measure as above
 
 serve flags:
   -addr A            listen address (default :8080)
@@ -155,30 +146,34 @@ serve endpoints:
 `)
 }
 
-func expFlags(args []string) (sim.ExpParams, []string, error) {
+func expFlags(args []string) (sim.ExpParams, error) {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	csvF := fs.Bool("csv", false, "emit tables as CSV")
 	jsonF := fs.Bool("json", false, "emit reports as JSON")
 	metricsF := fs.Bool("metrics", false, "emit reports as JSON with per-cell metric snapshots")
 	coldF := fs.Bool("cold", false, "disable the memoized run cache")
 	g := addGridFlags(fs)
+	wlsF := fs.String("workloads", "", "comma-separated workload filter")
 	tsF := fs.String("timeseries", "", "write per-interval counter samples of every cell to this CSV")
 	sampleF := fs.Uint64("sample", 100_000, "sampling interval in instructions (with -timeseries)")
 	journalF := fs.String("journal", "", "stream the scheduler lifecycle journal (JSONL) to this file")
 	gridtraceF := fs.String("gridtrace", "", "write a Chrome/Perfetto trace of the scheduler run to this file")
 	if err := fs.Parse(args); err != nil {
-		return sim.ExpParams{}, nil, err
+		return sim.ExpParams{}, err
 	}
-	pp, wls, err := g.params()
+	pp, err := g.params()
 	if err != nil {
-		return sim.ExpParams{}, nil, err
+		return sim.ExpParams{}, err
 	}
-	for _, name := range wls {
+	p := sim.ExpParams{Params: pp}
+	if *wlsF != "" {
+		p.Workloads = strings.Split(*wlsF, ",")
+	}
+	for _, name := range p.Workloads {
 		if _, err := lookupWorkload(name); err != nil {
-			return sim.ExpParams{}, nil, err
+			return sim.ExpParams{}, err
 		}
 	}
-	p := sim.ExpParams{Params: pp, Workloads: wls}
 	csvMode = *csvF
 	jsonMode = *jsonF || *metricsF // -metrics is JSON output with snapshots
 	metricsMode = *metricsF
@@ -189,7 +184,8 @@ func expFlags(args []string) (sim.ExpParams, []string, error) {
 	if timeseriesPath != "" {
 		p.SampleEvery = *sampleF
 	}
-	return p, fs.Args(), nil
+	// A served job with this window would be refused; so is the command.
+	return p, p.Validate()
 }
 
 // csvMode / jsonMode switch run/all output format; metricsMode adds
@@ -303,10 +299,31 @@ func startProgressTicker(curExp *string) func() {
 	return func() { close(stop) }
 }
 
-// applyRunFlags activates -cold, -timeseries, the journal and progress
-// reporting for run/all, and routes the matrices through the shared
-// scheduler core; the returned cleanup restores the process-wide state.
-func applyRunFlags(curExp *string) func() {
+// runOutput is what applyRunFlags set up for one run or all command.
+type runOutput struct {
+	series *os.File // the -timeseries CSV, nil without the flag
+	stop   func() error
+}
+
+// applyRunFlags creates the -journal, -gridtrace and -timeseries files,
+// so that a path that cannot be written fails before any cell runs,
+// then activates -cold, the journal and progress reporting for run/all
+// and routes the matrices through the shared scheduler core. The
+// returned stop writes the grid trace, closes every file and restores
+// the process-wide state.
+func applyRunFlags(curExp *string) (*runOutput, error) {
+	var files [3]*os.File // journal, grid trace, time series
+	for i, path := range []string{journalPath, gridtracePath, timeseriesPath} {
+		if path == "" {
+			continue
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			closeAll(files[:])
+			return nil, err
+		}
+		files[i] = f
+	}
 	scheduler()
 	prevCache := true
 	if coldMode {
@@ -314,83 +331,72 @@ func applyRunFlags(curExp *string) func() {
 	}
 	stopProgress := sim.Subscribe(progressLine(curExp))
 	stopTicker := startProgressTicker(curExp)
-	stopJournal := startRunJournal()
-	return func() {
-		stopJournal()
+	stopJournal := startRunJournal(files[0], files[1])
+	return &runOutput{series: files[2], stop: func() error {
+		err := stopJournal()
 		stopTicker()
 		stopProgress()
 		if coldMode {
 			sim.SetRunCacheEnabled(prevCache)
 		}
+		return errors.Join(err, closeAll(files[:]))
+	}}, nil
+}
+
+// closeAll closes every open file of files.
+func closeAll(files []*os.File) error {
+	var errs []error
+	for _, f := range files {
+		if f != nil {
+			errs = append(errs, f.Close())
+		}
 	}
+	return errors.Join(errs...)
 }
 
 // startRunJournal installs the scheduler lifecycle journal for -journal
-// and -gridtrace: streaming JSONL to the journal file, capturing events
-// in memory when a trace will be rendered. The returned stop uninstalls
-// the journal, writes the trace, and flushes everything. With neither
-// flag set it installs nothing — the observability-off default, whose
-// stdout is byte-identical to a run without these flags.
-func startRunJournal() func() {
-	if journalPath == "" && gridtracePath == "" {
-		return func() {}
+// and -gridtrace: streaming JSONL to jf, capturing events in memory when
+// a trace will be rendered to tf. The returned stop uninstalls the
+// journal, writes the trace and flushes the stream. With neither file it
+// installs nothing — the observability-off default, whose stdout is
+// byte-identical to a run without these flags.
+func startRunJournal(jf, tf *os.File) func() error {
+	if jf == nil && tf == nil {
+		return func() error { return nil }
 	}
 	cfg := grid.JournalConfig{}
-	if gridtracePath != "" {
+	if jf != nil {
+		cfg.Writer = jf
+	}
+	if tf != nil {
 		cfg.Capture = -1 // the trace needs the whole stream
-	}
-	var jf *os.File
-	if journalPath != "" {
-		f, err := os.Create(journalPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "svrsim: journal: %v\n", err)
-		} else {
-			jf = f
-			cfg.Writer = f
-		}
-	}
-	if cfg.Writer == nil && cfg.Capture == 0 {
-		return func() {} // journal file failed and no trace wanted
 	}
 	jn := grid.NewJournal(cfg)
 	grid.SetJournal(jn)
-	return func() {
+	return func() error {
 		grid.SetJournal(nil)
-		if gridtracePath != "" {
-			if f, err := os.Create(gridtracePath); err != nil {
-				fmt.Fprintf(os.Stderr, "svrsim: gridtrace: %v\n", err)
-			} else {
-				if err := grid.WriteTrace(f, jn.Events()); err != nil {
-					fmt.Fprintf(os.Stderr, "svrsim: gridtrace: %v\n", err)
-				}
-				f.Close()
-			}
+		var err error
+		if tf != nil {
+			err = grid.WriteTrace(tf, jn.Events())
 		}
-		if err := jn.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "svrsim: journal: %v\n", err)
-		}
-		if jf != nil {
-			jf.Close()
-		}
+		return errors.Join(err, jn.Close())
 	}
 }
 
-// writeSeriesCSV renders collected per-cell time series as one CSV with
-// label/workload prefix columns, for -timeseries.
-func writeSeriesCSV(path string, cells []sim.CellSeries) error {
+// writeSeries renders collected per-cell time series as one CSV with
+// label/workload prefix columns into the -timeseries file, if any.
+func (o *runOutput) writeSeries(cells []sim.CellSeries) error {
+	if o.series == nil {
+		return nil
+	}
 	if len(cells) == 0 {
 		return fmt.Errorf("timeseries: no cells produced a series (did every cell come from the cache?)")
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := cells[0].Series.WriteCSVHeader(f, "label", "workload"); err != nil {
+	if err := cells[0].Series.WriteCSVHeader(o.series, "label", "workload"); err != nil {
 		return err
 	}
 	for _, c := range cells {
-		if err := c.Series.WriteCSVRows(f, c.Label, c.Workload); err != nil {
+		if err := c.Series.WriteCSVRows(o.series, c.Label, c.Workload); err != nil {
 			return err
 		}
 	}
@@ -411,12 +417,12 @@ func cmdList(w io.Writer) error {
 	return nil
 }
 
-func cmdRun(w io.Writer, args []string) error {
+func cmdRun(w io.Writer, args []string) (err error) {
 	if len(args) < 1 {
 		return fmt.Errorf("run: missing experiment id")
 	}
 	id := args[0]
-	p, _, err := expFlags(args[1:])
+	p, err := expFlags(args[1:])
 	if err != nil {
 		return err
 	}
@@ -424,26 +430,29 @@ func cmdRun(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	cleanup := applyRunFlags(&id)
-	defer cleanup()
+	out, err := applyRunFlags(&id)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, out.stop()) }()
 	r := e.Run(p)
 	if err := printReport(w, r); err != nil {
 		return err
 	}
-	if timeseriesPath != "" {
-		return writeSeriesCSV(timeseriesPath, r.CellSeries)
-	}
-	return nil
+	return out.writeSeries(r.CellSeries)
 }
 
-func cmdAll(w io.Writer, args []string) error {
-	p, _, err := expFlags(args)
+func cmdAll(w io.Writer, args []string) (err error) {
+	p, err := expFlags(args)
 	if err != nil {
 		return err
 	}
 	var curExp string
-	cleanup := applyRunFlags(&curExp)
-	defer cleanup()
+	out, err := applyRunFlags(&curExp)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, out.stop()) }()
 	var seriesCells []sim.CellSeries
 	if jsonMode {
 		var blobs []json.RawMessage
@@ -457,11 +466,11 @@ func cmdAll(w io.Writer, args []string) error {
 			blobs = append(blobs, blob)
 			seriesCells = append(seriesCells, r.CellSeries...)
 		}
-		out, err := json.MarshalIndent(blobs, "", "  ")
+		all, err := json.MarshalIndent(blobs, "", "  ")
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%s\n", out)
+		fmt.Fprintf(w, "%s\n", all)
 	} else {
 		for _, e := range sim.Experiments() {
 			curExp = e.ID
@@ -473,246 +482,14 @@ func cmdAll(w io.Writer, args []string) error {
 			seriesCells = append(seriesCells, r.CellSeries...)
 		}
 	}
-	if timeseriesPath != "" {
-		if err := writeSeriesCSV(timeseriesPath, seriesCells); err != nil {
-			return err
-		}
+	if err := out.writeSeries(seriesCells); err != nil {
+		return err
 	}
 	hits, misses := sim.RunCacheStats()
 	if total := hits + misses; total > 0 {
 		fmt.Fprintf(os.Stderr, "run cache: %d of %d cells served from cache (%.0f%%)\n",
 			hits, total, 100*float64(hits)/float64(total))
 	}
-	return nil
-}
-
-func cmdWorkload(w io.Writer, args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("workload: missing workload name")
-	}
-	name := args[0]
-	fs := flag.NewFlagSet("workload", flag.ContinueOnError)
-	coreF := fs.String("core", "svr", "core: inorder, imp, ooo, svr")
-	n := fs.Int("n", 16, "SVR vector length")
-	quickF := fs.Bool("quick", false, "small inputs")
-	jsonF := fs.Bool("json", false, "emit the full result record as JSON")
-	measure := fs.Uint64("measure", 0, "measured instructions")
-	if err := fs.Parse(args[1:]); err != nil {
-		return err
-	}
-	p := sim.DefaultParams()
-	if *quickF {
-		p = sim.QuickParams()
-	}
-	if *measure > 0 {
-		p.Measure = *measure
-	}
-
-	cfg, err := parseCore(*coreF, *n)
-	if err != nil {
-		return err
-	}
-
-	res, err := sim.RunByName(name, cfg, p)
-	if err != nil {
-		return err
-	}
-	if *jsonF {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
-	}
-	fmt.Fprintf(w, "workload   %s on %s\n", res.Workload, res.Label)
-	fmt.Fprintf(w, "instrs     %d\n", res.Instrs)
-	fmt.Fprintf(w, "cycles     %d\n", res.Cycles)
-	fmt.Fprintf(w, "IPC        %.3f   CPI %.3f\n", res.IPC, res.CPI)
-	fmt.Fprintf(w, "CPI stack  %s\n", res.Stack.String())
-	fmt.Fprintf(w, "energy     %.2f nJ/instr, core power %.3f W\n",
-		res.Energy.NJPerInstr, res.Energy.CorePowerW)
-	fmt.Fprintf(w, "DRAM loads demand=%d stride=%d imp=%d svr=%d (writebacks %d)\n",
-		res.DRAMLoads[cache.OriginDemand], res.DRAMLoads[cache.OriginStride],
-		res.DRAMLoads[cache.OriginIMP], res.DRAMLoads[cache.OriginSVR], res.Writebacks)
-	if cfg.Core == sim.SVR {
-		s := res.SVRStats
-		fmt.Fprintf(w, "SVR        rounds=%d svis=%d scalars=%d timeouts=%d nested=%d retargets=%d chains=%d masked=%d bans=%d\n",
-			s.Rounds, s.SVIs, s.Scalars, s.Timeouts, s.NestedAborts, s.Retargets, s.ChainStarts, s.MaskedLanes, s.Bans)
-		pf := res.PFStats[cache.OriginSVR]
-		fmt.Fprintf(w, "prefetch   issued=%d used=%d evicted-unused=%d accuracy=%.1f%%\n",
-			pf.Issued, pf.Used, pf.EvictedUnused, pf.Accuracy()*100)
-	}
-	if cfg.Core == sim.IMP {
-		pf := res.PFStats[cache.OriginIMP]
-		fmt.Fprintf(w, "prefetch   issued=%d used=%d evicted-unused=%d accuracy=%.1f%%\n",
-			pf.Issued, pf.Used, pf.EvictedUnused, pf.Accuracy()*100)
-	}
-	return nil
-}
-
-// parseCore resolves the -core/-n flag pair of the workload, metrics,
-// trace and timeline subcommands with the checks a served job gets:
-// grid.ParseConfig names the machine ("svr" takes its vector length
-// from -n) and sim.Config.Validate refuses one that cannot be built.
-func parseCore(core string, n int) (sim.Config, error) {
-	if core == "svr" {
-		core = fmt.Sprintf("svr%d", n)
-	}
-	cfg, err := grid.ParseConfig(core)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	return cfg, cfg.Validate()
-}
-
-// cmdMetrics runs one workload on one machine and dumps the machine's
-// full metric registry — every counter and latency histogram — in the
-// requested format.
-func cmdMetrics(w io.Writer, args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("metrics: missing workload name")
-	}
-	name := args[0]
-	fs := flag.NewFlagSet("metrics", flag.ContinueOnError)
-	coreF := fs.String("core", "svr", "core: inorder, imp, ooo, svr")
-	n := fs.Int("n", 16, "SVR vector length")
-	quickF := fs.Bool("quick", false, "small inputs")
-	formatF := fs.String("format", "table", "output format: table, prom, json")
-	measure := fs.Uint64("measure", 0, "measured instructions")
-	warmup := fs.Uint64("warmup", 0, "warmup instructions")
-	if err := fs.Parse(args[1:]); err != nil {
-		return err
-	}
-	p := sim.DefaultParams()
-	if *quickF {
-		p = sim.QuickParams()
-	}
-	if *measure > 0 {
-		p.Measure = *measure
-	}
-	if *warmup > 0 {
-		p.Warmup = *warmup
-	}
-	cfg, err := parseCore(*coreF, *n)
-	if err != nil {
-		return err
-	}
-	res, err := sim.RunByName(name, cfg, p)
-	if err != nil {
-		return err
-	}
-	switch *formatF {
-	case "table":
-		fmt.Fprintf(w, "metrics for %s on %s (%d instrs, %d cycles)\n",
-			res.Workload, res.Label, res.Instrs, res.Cycles)
-		if lat, ok := res.Metrics.Histograms["lat.demand.mem"]; ok && lat.Count > 0 {
-			fmt.Fprintf(w, "demand-load latency (DRAM-served): p50~%.0f p99~%.0f cycles over %d loads\n",
-				lat.QuantileEst(0.50), lat.QuantileEst(0.99), lat.Count)
-		}
-		res.Metrics.WriteTable(w)
-	case "prom":
-		res.Metrics.WritePrometheus(w)
-	case "json":
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(struct {
-			Workload string
-			Label    string
-			Metrics  metrics.Snapshot
-		}{res.Workload, res.Label, res.Metrics})
-	default:
-		return fmt.Errorf("unknown format %q (want table, prom, json)", *formatF)
-	}
-	return nil
-}
-
-func cmdCompare(w io.Writer, args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("compare: missing workload name")
-	}
-	name := args[0]
-	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
-	quickF := fs.Bool("quick", false, "small inputs")
-	if err := fs.Parse(args[1:]); err != nil {
-		return err
-	}
-	p := sim.DefaultParams()
-	if *quickF {
-		p = sim.QuickParams()
-	}
-	spec, err := workloads.Get(name)
-	if err != nil {
-		return err
-	}
-	cfgs := []sim.Config{
-		sim.MachineConfig(sim.InO), sim.MachineConfig(sim.IMP),
-		sim.MachineConfig(sim.OoO), sim.SVRConfig(16), sim.SVRConfig(64),
-	}
-	// One grid job on the shared scheduler core: the five machines run
-	// in parallel and memoize into the artifact store like any other
-	// tenant's cells.
-	rs := scheduler().RunMatrix(cfgs, []workloads.Spec{spec}, p)
-	t := stats.NewTable("machine", "CPI", "speedup", "nJ/instr", "core W", "DRAM loads")
-	chart := stats.NewBarChart("speedup over in-order", "x")
-	var base sim.Result
-	for i, cfg := range cfgs {
-		res, ok := rs.Get(cfg.Label, name)
-		if !ok {
-			return fmt.Errorf("compare: missing cell %s/%s", cfg.Label, name)
-		}
-		if i == 0 {
-			base = res
-		}
-		var dram int64
-		for _, v := range res.DRAMLoads {
-			dram += v
-		}
-		sp := base.CPI / res.CPI
-		t.AddRow(cfg.Label,
-			fmt.Sprintf("%.2f", res.CPI),
-			fmt.Sprintf("%.2fx", sp),
-			fmt.Sprintf("%.2f", res.Energy.NJPerInstr),
-			fmt.Sprintf("%.3f", res.Energy.CorePowerW),
-			fmt.Sprintf("%d", dram))
-		chart.Add(cfg.Label, sp)
-	}
-	fmt.Fprintf(w, "%s on every machine:\n%s\n%s", name, t, chart)
-	return nil
-}
-
-func cmdTrace(w io.Writer, args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("trace: missing workload name")
-	}
-	name := args[0]
-	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
-	events := fs.Int("events", 120, "events to retain")
-	skip := fs.Uint64("skip", 20_000, "instructions to run before tracing")
-	window := fs.Uint64("window", 2_000, "instructions to trace")
-	n := fs.Int("n", 16, "SVR vector length")
-	if err := fs.Parse(args[1:]); err != nil {
-		return err
-	}
-	if *events < 1 {
-		return fmt.Errorf("trace: -events %d, want at least 1", *events)
-	}
-	spec, err := lookupWorkload(name)
-	if err != nil {
-		return err
-	}
-	cfg, err := parseCore("svr", *n)
-	if err != nil {
-		return err
-	}
-	ring := trace.NewRing(*events)
-	traced, err := traceWindow(spec, cfg, *skip, *window, ring)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "trace of %s (SVR-%d), %d instructions after skipping %d:\n\n",
-		name, *n, traced, *skip)
-	if err := ring.Dump(w); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\nwindow summary: %s (%d events total)\n", ring.Summary(), ring.Total())
 	return nil
 }
 

@@ -2,11 +2,14 @@ package main
 
 import (
 	"encoding/json"
-	"reflect"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -73,8 +76,9 @@ func TestDisasm(t *testing.T) {
 	}
 }
 
+// TestWorkloadCommand: cell's default summary of one workload on SVR.
 func TestWorkloadCommand(t *testing.T) {
-	out := runCmd(t, "workload", "NAS-IS", "-core", "svr", "-quick", "-measure", "50000")
+	out := runCmd(t, "cell", "NAS-IS", "-config", "svr16", "-quick", "-measure", "50000")
 	for _, want := range []string{"CPI", "SVR", "prefetch", "rounds="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("workload output missing %q:\n%s", want, out)
@@ -84,13 +88,14 @@ func TestWorkloadCommand(t *testing.T) {
 
 func TestWorkloadBadCore(t *testing.T) {
 	var b strings.Builder
-	if err := dispatch(&b, "workload", []string{"NAS-IS", "-core", "zzz"}); err == nil {
+	if err := dispatch(&b, "cell", []string{"NAS-IS", "-config", "zzz"}); err == nil {
 		t.Fatal("expected error for unknown core")
 	}
 }
 
+// TestTraceCommand: timeline's text format dumps the ring of events.
 func TestTraceCommand(t *testing.T) {
-	out := runCmd(t, "trace", "NAS-IS", "-events", "16", "-skip", "20000", "-window", "200")
+	out := runCmd(t, "timeline", "NAS-IS", "-format", "text", "-o", "-", "-events", "16", "-skip", "20000", "-window", "200")
 	if !strings.Contains(out, "window summary") || !strings.Contains(out, "issue") {
 		t.Errorf("trace output:\n%s", out)
 	}
@@ -103,19 +108,37 @@ func TestUnknownCommand(t *testing.T) {
 	}
 }
 
-// TestBadInputIsAnError: each invalid flag value is refused with an
-// error before anything runs, instead of a panic or a simulation of a
-// machine no served job could submit.
+// TestBadInputIsAnError: each invalid flag value or unwritable output
+// path is refused with an error before any cell runs, instead of a
+// panic, a simulation of a machine or window no served job could
+// submit, or a whole run whose output is then lost.
 func TestBadInputIsAnError(t *testing.T) {
+	var started atomic.Int64
+	defer sim.Subscribe(func(ev sim.Event) {
+		if ev.Kind == sim.EvCellStart {
+			started.Add(1)
+		}
+	})()
+	dir := t.TempDir()
+	unwritable := filepath.Join(dir, "missing", "out")
 	for _, args := range [][]string{
 		{"run", "fig1", "-quick", "-workloads", "NOPE"},
 		{"all", "-quick", "-workloads", "BFS_KR,NOPE"},
-		{"trace", "NAS-IS", "-events", "0"},
-		{"trace", "NAS-IS", "-events", "-1"},
-		{"metrics", "NAS-IS", "-n", "-3"},
-		{"workload", "NAS-IS", "-n", "0"},
-		{"workload", "NAS-IS", "-n", "100000"},
-		{"trace", "NAS-IS", "-n", "0"},
+		{"run", "fig3", "-quick", "-workloads", "NAS-IS", "-timeseries", filepath.Join(dir, "ts.csv"), "-sample", "1"},
+		{"run", "table2", "-journal", unwritable},
+		{"run", "fig3", "-quick", "-workloads", "NAS-IS", "-gridtrace", unwritable},
+		{"run", "fig3", "-quick", "-workloads", "NAS-IS", "-timeseries", unwritable},
+		{"cell", "NOPE"},
+		{"cell", "NAS-IS", "-config", "svr-3"},
+		{"cell", "NAS-IS", "-config", "svr0"},
+		{"cell", "NAS-IS", "-config", "svr100000"},
+		{"cell", "NAS-IS", "-quick", "-config", "svr16,imp", "-format", "prom"},
+		{"cell", "NAS-IS", "-quick", "-format", "table"},
+		{"cell", "NAS-IS", "-quick", "-config", "svr16,SVR16"},
+		{"cell", "NAS-IS", "-quick", "-measure", "2000000000"},
+		{"timeline", "NAS-IS", "-format", "text", "-o", "-", "-events", "0"},
+		{"timeline", "NAS-IS", "-format", "text", "-o", "-", "-events", "-1"},
+		{"timeline", "NAS-IS", "-format", "text", "-o", "-", "-n", "0"},
 		{"timeline", "NAS-IS", "-n", "-1", "-o", "-"},
 	} {
 		var b strings.Builder
@@ -123,9 +146,18 @@ func TestBadInputIsAnError(t *testing.T) {
 			t.Errorf("%v: no error\n%.300s", args, b.String())
 		}
 	}
-	var b strings.Builder
-	if err := dispatch(&b, "bench", nil); err != errUnknownCommand {
-		t.Errorf("bench: err = %v, want errUnknownCommand", err)
+	if n := started.Load(); n != 0 {
+		t.Errorf("%d cells started before their command was refused", n)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ts.csv")); !os.IsNotExist(err) {
+		t.Errorf("a refused -timeseries run left its CSV behind (stat: %v)", err)
+	}
+	// The commands cell and timeline -format text replaced.
+	for _, cmd := range []string{"bench", "workload", "metrics", "compare", "trace"} {
+		var b strings.Builder
+		if err := dispatch(&b, cmd, []string{"NAS-IS"}); err != errUnknownCommand {
+			t.Errorf("%s: err = %v, want errUnknownCommand", cmd, err)
+		}
 	}
 }
 
@@ -160,8 +192,9 @@ func TestRunColdMode(t *testing.T) {
 	}
 }
 
+// TestWorkloadJSON: cell -format json prints the whole Result.
 func TestWorkloadJSON(t *testing.T) {
-	out := runCmd(t, "workload", "NAS-IS", "-quick", "-json", "-measure", "50000")
+	out := runCmd(t, "cell", "NAS-IS", "-quick", "-format", "json", "-measure", "50000")
 	var res map[string]any
 	if err := json.Unmarshal([]byte(out), &res); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
@@ -172,58 +205,67 @@ func TestWorkloadJSON(t *testing.T) {
 }
 
 // TestMetricsCommandJSONRoundTrip is the acceptance check for the
-// machine-readable export path: `svrsim metrics -format json` must
-// round-trip the cache miss counters, the per-origin DRAM load counters,
-// and the demand-load latency histogram exactly as an in-process run
-// reports them — for one GAP and one HPC-DB workload.
+// machine-readable export path: `svrsim cell -format json`, run through
+// the scheduler, must print for each config exactly the indented JSON of
+// the Result an in-process sim.RunByName reports (deterministic timing
+// means every counter matches bit for bit), with per-origin DRAM load
+// counters equal to Result.DRAMLoads and, on every machine but IMP,
+// non-zero cache miss counters and a DRAM-class demand-load latency
+// histogram, for one GAP and one HPC-DB workload.
 func TestMetricsCommandJSONRoundTrip(t *testing.T) {
+	p := sim.QuickParams()
+	p.Measure = 100_000
+	configs := []string{"inorder", "imp", "ooo", "svr16"}
 	for _, wl := range []string{"BFS_KR", "NAS-IS"} {
-		out := runCmd(t, "metrics", wl, "-quick", "-measure", "100000", "-format", "json")
-		var got struct {
-			Workload string
-			Label    string
-			Metrics  metrics.Snapshot
-		}
-		if err := json.Unmarshal([]byte(out), &got); err != nil {
-			t.Fatalf("%s: invalid JSON: %v\n%s", wl, err, out)
-		}
-		if got.Workload != wl {
-			t.Fatalf("workload = %q, want %q", got.Workload, wl)
-		}
-		// Same machine, same window, run in-process: deterministic timing
-		// means every counter must match bit-for-bit.
-		p := sim.QuickParams()
-		p.Measure = 100_000
-		res, err := sim.RunByName(wl, sim.SVRConfig(16), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range []string{"l1d.accesses", "l1d.misses", "l2.accesses", "l2.misses"} {
-			if got.Metrics.Counters[name] == 0 {
-				t.Errorf("%s: counter %s = 0", wl, name)
+		out := runCmd(t, "cell", wl, "-quick", "-measure", "100000",
+			"-config", strings.Join(configs, ","), "-format", "json")
+		var want strings.Builder
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		dec := json.NewDecoder(strings.NewReader(out))
+		for _, name := range configs {
+			cfg, err := grid.ParseConfig(name)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if g, w := got.Metrics.Counters[name], res.Metrics.Counters[name]; g != w {
-				t.Errorf("%s: %s = %d over JSON, %d in-process", wl, name, g, w)
+			res, err := sim.RunByName(wl, cfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := enc.Encode(res); err != nil {
+				t.Fatal(err)
+			}
+			var got sim.Result
+			if err := dec.Decode(&got); err != nil {
+				t.Fatalf("%s: invalid JSON for %s: %v\n%.400s", wl, name, err, out)
+			}
+			if got.Workload != wl || got.Label != cfg.Label {
+				t.Fatalf("%s/%s: object is %s on %s", wl, name, got.Workload, got.Label)
+			}
+			for o := cache.Origin(0); o < cache.NumOrigins; o++ {
+				c := "dram.loads." + o.String()
+				if g, w := got.Metrics.Counters[c], got.DRAMLoads[o]; g != w {
+					t.Errorf("%s/%s: %s = %d, Result.DRAMLoads = %d", wl, name, c, g, w)
+				}
+			}
+			if cfg.Core == sim.IMP {
+				continue // IMP can cover every demand miss of a short window
+			}
+			for _, c := range []string{"l1d.accesses", "l1d.misses", "l2.accesses", "l2.misses"} {
+				if got.Metrics.Counters[c] == 0 {
+					t.Errorf("%s/%s: counter %s = 0", wl, name, c)
+				}
+			}
+			hist, ok := got.Metrics.Histograms["lat.demand.mem"]
+			if !ok || hist.Count == 0 {
+				t.Fatalf("%s/%s: lat.demand.mem histogram missing or empty", wl, name)
+			}
+			if hist.Mean() < 50 {
+				t.Errorf("%s/%s: mean DRAM-serviced demand latency = %.1f, want DRAM-class", wl, name, hist.Mean())
 			}
 		}
-		for o := cache.Origin(0); o < cache.NumOrigins; o++ {
-			name := "dram.loads." + o.String()
-			if g, w := got.Metrics.Counters[name], res.DRAMLoads[o]; g != w {
-				t.Errorf("%s: %s = %d over JSON, Result.DRAMLoads = %d", wl, name, g, w)
-			}
-		}
-		hist, ok := got.Metrics.Histograms["lat.demand.mem"]
-		if !ok || hist.Count == 0 {
-			t.Fatalf("%s: lat.demand.mem histogram missing or empty", wl)
-		}
-		want := res.Metrics.Histograms["lat.demand.mem"]
-		if hist.Count != want.Count || hist.Sum != want.Sum ||
-			!reflect.DeepEqual(hist.Buckets, want.Buckets) {
-			t.Errorf("%s: lat.demand.mem mismatch: JSON {n=%d sum=%d}, in-process {n=%d sum=%d}",
-				wl, hist.Count, hist.Sum, want.Count, want.Sum)
-		}
-		if hist.Mean() < 50 {
-			t.Errorf("%s: mean DRAM-serviced demand latency = %.1f, want DRAM-class", wl, hist.Mean())
+		if out != want.String() {
+			t.Errorf("%s: cell -format json differs from sim.RunByName's Results as indented JSON", wl)
 		}
 	}
 }

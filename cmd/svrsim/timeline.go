@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/grid"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -23,11 +24,11 @@ func lookupWorkload(name string) (workloads.Spec, error) {
 	return spec, nil
 }
 
-// traceWindow is the set-up trace and timeline share: it builds cfg's
-// machine over spec's BenchScale image, times the first skip
-// instructions untraced, then the next window with sink attached, and
-// returns how many instructions sink saw (fewer than window if the
-// program ended inside it). A program that ends inside skip is an error.
+// traceWindow builds cfg's machine over spec's BenchScale image, times
+// the first skip instructions untraced, then the next window with sink
+// attached, and returns how many instructions sink saw (fewer than
+// window if the program ended inside it). A program that ends inside
+// skip is an error.
 func traceWindow(spec workloads.Spec, cfg sim.Config, skip, window uint64, sink trace.Tracer) (uint64, error) {
 	m, err := sim.NewMachine(cfg, spec.Build(workloads.BenchScale()))
 	if err != nil {
@@ -42,9 +43,10 @@ func traceWindow(spec workloads.Spec, cfg sim.Config, skip, window uint64, sink 
 }
 
 // cmdTimeline runs a traced window of one workload on the SVR machine and
-// exports it as a timeline: Chrome Trace Event JSON for Perfetto
-// (per-lane pipeline slices, PRM rounds as async spans, miss→fill flow
-// arrows) or raw JSONL for custom tooling.
+// exports it: Chrome Trace Event JSON for Perfetto (per-lane pipeline
+// slices, PRM rounds as async spans, miss→fill flow arrows), raw JSONL
+// for custom tooling, or text, a dump of the window's last -events
+// events and a per-kind summary.
 func cmdTimeline(w io.Writer, args []string) (err error) {
 	if len(args) < 1 {
 		return fmt.Errorf("timeline: missing workload name")
@@ -52,7 +54,8 @@ func cmdTimeline(w io.Writer, args []string) (err error) {
 	name := args[0]
 	fs := flag.NewFlagSet("timeline", flag.ContinueOnError)
 	out := fs.String("o", "trace.json", "output path (- for stdout)")
-	format := fs.String("format", "chrome", "output format: chrome (Perfetto-loadable), jsonl")
+	format := fs.String("format", "chrome", "output format: chrome (Perfetto-loadable), jsonl, text")
+	events := fs.Int("events", 120, "events the text format retains")
 	skip := fs.Uint64("skip", 20_000, "instructions to run before tracing")
 	window := fs.Uint64("window", 2_000, "instructions to trace")
 	n := fs.Int("n", 16, "SVR vector length")
@@ -63,11 +66,17 @@ func cmdTimeline(w io.Writer, args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	if *format != "chrome" && *format != "jsonl" {
-		return fmt.Errorf("unknown format %q (want chrome, jsonl)", *format)
+	if *format != "chrome" && *format != "jsonl" && *format != "text" {
+		return fmt.Errorf("unknown format %q (want chrome, jsonl, text)", *format)
 	}
-	cfg, err := parseCore("svr", *n)
+	if *events < 1 {
+		return fmt.Errorf("timeline: -events %d, want at least 1", *events)
+	}
+	cfg, err := grid.ParseConfig(fmt.Sprintf("svr%d", *n))
 	if err != nil {
+		return err
+	}
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
 
@@ -94,15 +103,25 @@ func cmdTimeline(w io.Writer, args []string) (err error) {
 		sink = &trace.Capture{}
 	case "jsonl":
 		sink = trace.NewJSONL(dst)
+	case "text":
+		sink = trace.NewRing(*events)
 	}
 	traced, err := traceWindow(spec, cfg, *skip, *window, sink)
 	if err != nil {
 		return err
 	}
-	if cap, ok := sink.(*trace.Capture); ok {
-		if err := trace.WriteChromeTrace(dst, cap.Events, cfg.InO.Width); err != nil {
-			return err
+	switch sink := sink.(type) {
+	case *trace.Capture:
+		err = trace.WriteChromeTrace(dst, sink.Events, cfg.InO.Width)
+	case *trace.Ring:
+		fmt.Fprintf(dst, "trace of %s (SVR-%d), %d instructions after skipping %d:\n\n",
+			name, *n, traced, *skip)
+		if err = sink.Dump(dst); err == nil {
+			_, err = fmt.Fprintf(dst, "\nwindow summary: %s (%d events total)\n", sink.Summary(), sink.Total())
 		}
+	}
+	if err != nil {
+		return err
 	}
 	if err := sink.Close(); err != nil {
 		return err

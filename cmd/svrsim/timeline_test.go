@@ -160,7 +160,7 @@ func TestTraceWindowPastProgramEnd(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("failed timeline left %s behind (stat: %v)", path, err)
 	}
-	out := runCmd(t, "trace", "leela", "-skip", fmt.Sprint(end-50), "-window", "200")
+	out := runCmd(t, "timeline", "leela", "-format", "text", "-o", "-", "-skip", fmt.Sprint(end-50), "-window", "200")
 	if want := fmt.Sprintf("50 instructions after skipping %d", end-50); !strings.Contains(out, want) {
 		t.Errorf("trace header does not say %q:\n%.300s", want, out)
 	}
@@ -180,7 +180,7 @@ func TestTimelineUnknownWorkload(t *testing.T) {
 
 func TestTraceUnknownWorkload(t *testing.T) {
 	var b strings.Builder
-	err := dispatch(&b, "trace", []string{"nosuchwl"})
+	err := dispatch(&b, "timeline", []string{"nosuchwl", "-format", "text", "-o", "-"})
 	if err == nil {
 		t.Fatal("expected error")
 	}

@@ -49,16 +49,15 @@ func (r SubmitRequest) resolve() (JobRequest, error) {
 			req.Workloads = append(req.Workloads, sp.Name)
 		}
 	}
-	switch r.Preset {
-	case "", "quick":
-		req.Params = sim.QuickParams()
-	case "default":
-		req.Params = sim.DefaultParams()
-	case "paper":
-		req.Params = sim.PaperParams()
-	default:
+	preset := r.Preset
+	if preset == "" {
+		preset = "quick"
+	}
+	p, ok := sim.Preset(preset)
+	if !ok {
 		return JobRequest{}, fmt.Errorf("grid: unknown preset %q (want quick, default, or paper)", r.Preset)
 	}
+	req.Params = p
 	if r.Params != nil {
 		req.Params = *r.Params
 	}

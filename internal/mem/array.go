@@ -17,6 +17,13 @@ func (m *Memory) NewArray(n uint64, elem uint8) Array {
 	return Array{m: m, Base: base, Elem: elem, N: n}
 }
 
+// On returns the same array in image m: a clone of the image it was
+// allocated in, or the image a run of the program left behind.
+func (a Array) On(m *Memory) Array {
+	a.m = m
+	return a
+}
+
 // Addr returns the address of element i.
 func (a Array) Addr(i uint64) uint64 { return a.Base + i*uint64(a.Elem) }
 

@@ -156,6 +156,21 @@ func PaperParams() Params {
 	}
 }
 
+// Preset returns the named window preset: "quick", "default" or
+// "paper". ok is false for any other name; each caller picks its own
+// default for an empty one.
+func Preset(name string) (p Params, ok bool) {
+	switch name {
+	case "quick":
+		return QuickParams(), true
+	case "default":
+		return DefaultParams(), true
+	case "paper":
+		return PaperParams(), true
+	}
+	return Params{}, false
+}
+
 // chained reports whether p's regions start at checkpoints: after a
 // fast-forward, or after an earlier region.
 func (p Params) chained() bool { return p.FastForward > 0 || p.Regions > 1 }

@@ -70,18 +70,20 @@ func loadGraph(g *graphs.CSR) graphImage {
 	return graphImage{m: m, off: off, neigh: neigh}
 }
 
-// csr reads the graph back out of the image. Each Check rebuilds its
-// reference from it rather than keep the generator's CSR, so a stored
-// image retains only its pages, which is what the artifact store charges
-// it; the CSR is an artifact of its own, evicted on its own.
-func (gi graphImage) csr() *graphs.CSR {
-	g := &graphs.CSR{NumNodes: int(gi.off.N) - 1,
-		Offsets: make([]uint32, gi.off.N), Neighbors: make([]uint32, gi.neigh.N)}
+// csr reads the graph back out of m, a copy of the image. Each Check
+// rebuilds its reference from it rather than keep the generator's CSR,
+// so a stored image retains only its pages, which is what the artifact
+// store charges it; the CSR is an artifact of its own, evicted on its
+// own.
+func (gi graphImage) csr(m *mem.Memory) *graphs.CSR {
+	off, neigh := gi.off.On(m), gi.neigh.On(m)
+	g := &graphs.CSR{NumNodes: int(off.N) - 1,
+		Offsets: make([]uint32, off.N), Neighbors: make([]uint32, neigh.N)}
 	for i := range g.Offsets {
-		g.Offsets[i] = uint32(gi.off.Get(uint64(i)))
+		g.Offsets[i] = uint32(off.Get(uint64(i)))
 	}
 	for i := range g.Neighbors {
-		g.Neighbors[i] = uint32(gi.neigh.Get(uint64(i)))
+		g.Neighbors[i] = uint32(neigh.Get(uint64(i)))
 	}
 	return g
 }
@@ -178,7 +180,7 @@ func buildPR(g *graphs.CSR, name string) *Instance {
 	b.Halt()
 
 	check := func(m *mem.Memory) error {
-		g := gi.csr()
+		g, contrib, out := gi.csr(m), contrib.On(m), out.On(m)
 		for u := 0; u < n; u++ {
 			want := 0.0
 			for _, v := range g.Neigh(u) {
@@ -282,8 +284,7 @@ func buildBFSNamed(g *graphs.CSR, name string) *Instance {
 	b.Halt()
 
 	check := func(m *mem.Memory) error {
-		g := gi.csr()
-		want := refBFS(g, src)
+		want, parent := refBFS(gi.csr(m), src), parent.On(m)
 		for u := 0; u < n; u++ {
 			if got := parent.GetI(uint64(u)); got != want[u] {
 				return fmt.Errorf("BFS: parent[%d] = %d, want %d", u, got, want[u])
@@ -374,8 +375,7 @@ func buildCC(g *graphs.CSR, name string) *Instance {
 	b.Halt()
 
 	check := func(m *mem.Memory) error {
-		g := gi.csr()
-		want := refCC(g)
+		want, comp := refCC(gi.csr(m)), comp.On(m)
 		for u := 0; u < n; u++ {
 			if got := uint32(comp.Get(uint64(u))); got != want[u] {
 				return fmt.Errorf("CC: comp[%d] = %d, want %d", u, got, want[u])
@@ -532,8 +532,7 @@ func buildSSSP(g *graphs.CSR, name string, seed int64) *Instance {
 	b.Halt()
 
 	check := func(memImg *mem.Memory) error {
-		g := gi.csr()
-		want := refSSSP(g, src, w)
+		want, dist := refSSSP(gi.csr(memImg), src, w.On(memImg)), dist.On(memImg)
 		for u := 0; u < n; u++ {
 			if got := dist.GetI(uint64(u)); got != want[u] {
 				return fmt.Errorf("SSSP: dist[%d] = %d, want %d", u, got, want[u])
@@ -732,8 +731,8 @@ func buildBC(g *graphs.CSR, name string) *Instance {
 	b.Halt()
 
 	check := func(memImg *mem.Memory) error {
-		g := gi.csr()
-		wantLevel, wantSigma, wantDelta := refBC(g, src)
+		wantLevel, wantSigma, wantDelta := refBC(gi.csr(memImg), src)
+		level, sigma, delta := level.On(memImg), sigma.On(memImg), delta.On(memImg)
 		for u := 0; u < n; u++ {
 			if got := level.GetI(uint64(u)); got != wantLevel[u] {
 				return fmt.Errorf("BC: level[%d] = %d, want %d", u, got, wantLevel[u])

@@ -108,6 +108,7 @@ func buildCamel(sc Scale) *Instance {
 	b.Halt()
 
 	check := func(img *mem.Memory) error {
+		data, idxA, idxB, out := data.On(img), idxA.On(img), idxB.On(img), out.On(img)
 		want := 0.0
 		for i := uint64(0); i < n; i++ {
 			want += data.GetF(idxA.Get(i)) * 0.5
@@ -256,6 +257,7 @@ func buildHashJoin(sc Scale, bucketSize int) *Instance {
 	b.Halt()
 
 	check := func(img *mem.Memory) error {
+		probes, keys, payload, out := probes.On(img), keys.On(img), payload.On(img), out.On(img)
 		want := uint64(0)
 		for i := uint64(0); i < probes.N; i++ {
 			k := probes.Get(i)
@@ -329,6 +331,7 @@ func buildKangaroo(sc Scale) *Instance {
 	b.Halt()
 
 	check := func(img *mem.Memory) error {
+		k1, k2, hist := k1.On(img), k2.On(img), hist.On(img)
 		want := make(map[uint64]int64)
 		for i := uint64(0); i < n; i++ {
 			want[uint64(k2.Get(uint64(k1.Get(i))))]++
@@ -424,6 +427,7 @@ func buildNASCG(sc Scale) *Instance {
 	b.Halt()
 
 	check := func(img *mem.Memory) error {
+		vals, x, colIdx, y := vals.On(img), x.On(img), colIdx.On(img), y.On(img)
 		for r := uint64(0); r < rows; r++ {
 			want := 0.0
 			for k := r * nnzPerRow; k < (r+1)*nnzPerRow; k++ {
@@ -479,6 +483,7 @@ func buildNASIS(sc Scale) *Instance {
 	b.Halt()
 
 	check := func(img *mem.Memory) error {
+		keys, hist := keys.On(img), hist.On(img)
 		want := make(map[uint64]int64)
 		for i := uint64(0); i < n; i++ {
 			want[keys.Get(i)]++
@@ -538,6 +543,7 @@ func buildRandacc(sc Scale) *Instance {
 	b.Halt()
 
 	check := func(img *mem.Memory) error {
+		rans, table := rans.On(img), table.On(img)
 		want := make([]uint64, n)
 		for i := uint64(0); i < n; i++ {
 			want[i] = i

@@ -44,8 +44,9 @@ type Instance struct {
 	Name string
 	Prog *isa.Program
 	Mem  *mem.Memory
-	// Check validates the architectural result after the program ran to
-	// completion (tests run it at TinyScale). Nil when not applicable.
+	// Check validates the architectural result in m, the memory the
+	// program ran to completion in: Mem itself or a clone of it (tests
+	// run it at TinyScale). Nil when not applicable.
 	Check func(m *mem.Memory) error
 }
 

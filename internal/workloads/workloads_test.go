@@ -10,13 +10,17 @@ import (
 
 // TestFunctionalCorrectness runs every evaluation workload to completion
 // at tiny scale on the functional emulator and validates the
-// architectural result against its Go reference.
+// architectural result against its Go reference. The program runs on a
+// clone of the image, as every simulated cell does, so the check must
+// read the memory it is given, not the untouched image it was built
+// with.
 func TestFunctionalCorrectness(t *testing.T) {
 	for _, spec := range Evaluation() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			inst := spec.Build(TinyScale())
-			cpu := emu.New(inst.Prog, inst.Mem)
+			img := inst.Mem.Clone()
+			cpu := emu.New(inst.Prog, img)
 			n := cpu.Run(200_000_000)
 			if !cpu.Halted() {
 				t.Fatalf("did not halt after %d instructions", n)
@@ -24,7 +28,7 @@ func TestFunctionalCorrectness(t *testing.T) {
 			if inst.Check == nil {
 				t.Fatal("evaluation workload without a Check")
 			}
-			if err := inst.Check(inst.Mem); err != nil {
+			if err := inst.Check(img); err != nil {
 				t.Fatal(err)
 			}
 		})
