@@ -25,7 +25,7 @@ type Class string
 
 // The artifact classes the simulator stores.
 const (
-	Graph      Class = "graph"      // generated graph inputs (CSR)
+	Graph      Class = "graph"      // graph inputs laid out in simulator memory
 	Image      Class = "image"      // built workload memory images
 	Checkpoint Class = "checkpoint" // post-fast-forward machine checkpoints
 	Stream     Class = "stream"     // recorded instruction streams

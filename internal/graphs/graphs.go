@@ -3,15 +3,14 @@
 // paper, plus scaled-down synthetic stand-ins for the real-world inputs
 // (LiveJournal, Twitter, Orkut) with matched degree-distribution shape —
 // power-law graphs with per-input skew and density (see DESIGN.md,
-// substitution 3).
+// substitution 3). Every generator is a pure function of its
+// arguments; internal/workloads lays each input out in simulator memory
+// and keeps that copy in the artifact store.
 package graphs
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
-
-	"repro/internal/artifact"
 )
 
 // CSR is a graph in compressed sparse row format (Fig 2): Offsets[u] is
@@ -22,10 +21,6 @@ type CSR struct {
 	Offsets   []uint32 // len NumNodes+1
 	Neighbors []uint32
 }
-
-// Bytes is what the CSR's two arrays hold, the graph's charge in the
-// artifact store.
-func (g *CSR) Bytes() int64 { return 4 * int64(len(g.Offsets)+len(g.Neighbors)) }
 
 // NumEdges returns the (directed) edge count.
 func (g *CSR) NumEdges() int { return len(g.Neighbors) }
@@ -182,25 +177,9 @@ var Inputs = []Input{KR, LJN, ORK, TW, UR}
 // Build constructs the named input at the given scale (vertex count
 // target; generators round to their natural sizes). Each input keeps its
 // characteristic shape: KR and the real-world stand-ins are skewed, UR is
-// flat, TW has the heaviest hubs, ORK the highest density. The five GAP
-// kernels share each input, so a graph is an artifact of the
-// process-wide store, keyed by (input, n, seed) and charged its CSR
-// bytes: built once however many callers ask at a time, with different
-// graphs building in parallel, and evicted under the store's budget.
-// Callers must not mutate the result.
-func Build(in Input, n int, seed int64) *CSR {
-	v, _ := artifact.Shared().GetOrProduce(key(in, n, seed), func() (any, int64) {
-		g := build(in, n, seed)
-		return g, g.Bytes()
-	})
-	return v.(*CSR)
-}
-
-// key addresses a graph in the store: generators are pure functions of
-// (input, n, seed).
-func key(in Input, n int, seed int64) artifact.Key {
-	return artifact.Key{Class: artifact.Graph, ID: fmt.Sprintf("%s|n%d|s%d", in, n, seed)}
-}
+// flat, TW has the heaviest hubs, ORK the highest density. Each call
+// generates the graph afresh from (in, n, seed).
+func Build(in Input, n int, seed int64) *CSR { return build(in, n, seed) }
 
 func build(in Input, n int, seed int64) *CSR {
 	switch in {

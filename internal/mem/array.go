@@ -1,5 +1,7 @@
 package mem
 
+import "encoding/binary"
+
 // Array is a typed view over a region of the memory image. Workload
 // builders use it to lay out CSR graphs, hash tables and matrices, and
 // tests use it to check results the kernels computed.
@@ -49,8 +51,35 @@ func (a Array) SetF(i uint64, v float64) { a.m.WriteF64(a.Addr(i), v) }
 func (a Array) Bytes() uint64 { return a.N * uint64(a.Elem) }
 
 // Fill sets every element to v.
-func (a Array) Fill(v uint64) {
-	for i := uint64(0); i < a.N; i++ {
-		a.Set(i, v)
+func (a Array) Fill(v uint64) { a.SetEach(func(uint64) uint64 { return v }) }
+
+// SetEach sets every element i to f(i), in index order, a page at a time:
+// one page lookup per page the array spans, not one per element. It
+// writes the same bytes and touches the same pages as Set on each
+// element, which is what it falls back to for an element that straddles
+// a page or is neither 4 nor 8 bytes wide.
+func (a Array) SetEach(f func(i uint64) uint64) {
+	size := uint64(a.Elem)
+	for i := uint64(0); i < a.N; {
+		addr := a.Addr(i)
+		off := addr & pageMask
+		n := min(a.N-i, (PageSize-off)/size) // elements wholly on this page
+		if n == 0 || (size != 4 && size != 8) {
+			a.Set(i, f(i))
+			i++
+			continue
+		}
+		b := a.m.writePage(addr).data[off : off+n*size]
+		if size == 4 {
+			for j := 0; j < len(b); j += 4 {
+				binary.LittleEndian.PutUint32(b[j:], uint32(f(i)))
+				i++
+			}
+		} else {
+			for j := 0; j < len(b); j += 8 {
+				binary.LittleEndian.PutUint64(b[j:], f(i))
+				i++
+			}
+		}
 	}
 }

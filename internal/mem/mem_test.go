@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -144,6 +145,44 @@ func TestArrayFill(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		if a.Get(i) != 7 {
 			t.Fatalf("a[%d]=%d after Fill(7)", i, a.Get(i))
+		}
+	}
+}
+
+// TestSetEachMatchesSet: the bulk write leaves the same bytes and the
+// same pages, owned the same way, as Set on each element, for every
+// element width, for arrays that span pages, start mid-page or straddle
+// a page boundary with a misaligned base, and over pages a clone shares.
+func TestSetEachMatchesSet(t *testing.T) {
+	f := func(i uint64) uint64 { return i*0x9E3779B97F4A7C15 + 1 }
+	for _, elem := range []uint8{1, 2, 4, 8} {
+		for _, base := range []uint64{0, 3*PageSize - 64, 5*PageSize - 2} {
+			for _, shared := range []bool{false, true} {
+				n := uint64(2*PageSize/uint64(elem) + 7)
+				parent := New()
+				if shared {
+					for a := uint64(0); a < 8*PageSize; a += PageSize {
+						parent.Write(a, a, 8)
+					}
+				}
+				want, got := parent.Clone(), parent.Clone()
+				arr := Array{Base: 0x10000 + base, Elem: elem, N: n}
+				for i := uint64(0); i < n; i++ {
+					arr.On(want).Set(i, f(i))
+				}
+				arr.On(got).SetEach(f)
+				if got.Pages() != want.Pages() || got.OwnedPages() != want.OwnedPages() {
+					t.Fatalf("elem %d base %#x shared %v: %d pages (%d owned), want %d (%d)",
+						elem, base, shared, got.Pages(), got.OwnedPages(), want.Pages(), want.OwnedPages())
+				}
+				end := arr.Addr(n) + PageSize
+				wb, gb := make([]byte, end), make([]byte, end)
+				want.ReadBytes(0, wb)
+				got.ReadBytes(0, gb)
+				if !bytes.Equal(gb, wb) {
+					t.Fatalf("elem %d base %#x shared %v: bytes differ from Set's", elem, base, shared)
+				}
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/artifact"
-	"repro/internal/graphs"
 	"repro/internal/workloads"
 )
 
@@ -19,9 +18,11 @@ func liveHeap() int64 {
 
 // TestGraphClassBounded: a served job may vary the seed freely, and each
 // new seed is a new graph. Graphs are charged in the store beside the
-// images built from them, so over many seeds the store evicts old ones:
-// its bytes stay within the limit, and the live heap does not grow past
-// the limit plus one image's worth (an image retains no CSR of its own).
+// images built from them, each image for all its pages, the ones it
+// shares with its graph included, so over many seeds the store evicts
+// old ones: its bytes stay within the limit, and the live heap does not
+// grow past the limit plus one image's worth (an image retains no CSR of
+// its own).
 func TestGraphClassBounded(t *testing.T) {
 	spec := mustSpec(t, "PR_ORK")
 	scale := func(seed int64) workloads.Scale {
@@ -34,7 +35,8 @@ func TestGraphClassBounded(t *testing.T) {
 	base := liveHeap()
 	first := cachedBuild(spec, scale(0), nil)
 	one := liveHeap() - base // one image and its graph, as the heap holds them
-	charge := instanceBytes(first) + graphs.Build(graphs.ORK, 1<<14, 5000).Bytes()
+	// The graph class holds only the graph first was cloned from.
+	charge := instanceBytes(first) + artifacts.Stats()[artifact.Graph].Bytes
 	first = nil
 	limit := 3 * charge
 	artifacts.SetLimit(limit)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/artifact"
 	"repro/internal/graphs"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -35,46 +36,78 @@ func init() {
 }
 
 func buildGAP(kernel string, in graphs.Input, sc Scale) *Instance {
-	g := graphs.Build(in, sc.GraphNodes, sc.Seed)
+	gi := cachedGraph(in, sc.GraphNodes, sc.Seed).clone()
 	switch kernel {
 	case "PR":
-		return buildPR(g, fmt.Sprintf("PR_%s", in))
+		return buildPR(gi, fmt.Sprintf("PR_%s", in))
 	case "BFS":
-		return buildBFS(g, fmt.Sprintf("BFS_%s", in))
+		return buildBFS(gi, fmt.Sprintf("BFS_%s", in))
 	case "CC":
-		return buildCC(g, fmt.Sprintf("CC_%s", in))
+		return buildCC(gi, fmt.Sprintf("CC_%s", in))
 	case "SSSP":
-		return buildSSSP(g, fmt.Sprintf("SSSP_%s", in), sc.Seed)
+		return buildSSSP(gi, fmt.Sprintf("SSSP_%s", in), sc.Seed)
 	case "BC":
-		return buildBC(g, fmt.Sprintf("BC_%s", in))
+		return buildBC(gi, fmt.Sprintf("BC_%s", in))
 	}
 	panic("unknown GAP kernel " + kernel)
 }
 
-// graphImage is a CSR graph laid out in simulator memory.
+// graphImage is a CSR graph laid out in simulator memory: its offsets
+// and neighbors arrays are the first two arrays of m.
 type graphImage struct {
 	m          *mem.Memory
 	off, neigh mem.Array // uint32
+}
+
+// cachedGraph returns input in at n vertices and seed laid out in
+// memory, the graph class of the process-wide artifact store: produced
+// at most once however many callers ask at a time, with different
+// graphs producing in parallel, charged its pages and evicted under the
+// store's budget. Its memory holds the CSR alone and is never written
+// after loadGraph: images take a clone.
+func cachedGraph(in graphs.Input, n int, seed int64) graphImage {
+	v, _ := artifact.Shared().GetOrProduce(graphKey(in, n, seed), func() (any, int64) {
+		gi := loadGraph(graphs.Build(in, n, seed))
+		return gi, int64(gi.m.Pages()) * mem.PageSize
+	})
+	return v.(graphImage)
+}
+
+// graphKey addresses a graph in the store: generators are pure functions
+// of (input, n, seed).
+func graphKey(in graphs.Input, n int, seed int64) artifact.Key {
+	return artifact.Key{Class: artifact.Graph, ID: fmt.Sprintf("%s|n%d|s%d", in, n, seed)}
 }
 
 func loadGraph(g *graphs.CSR) graphImage {
 	m := mem.New()
 	off := m.NewArray(uint64(g.NumNodes+1), 4)
 	neigh := m.NewArray(uint64(len(g.Neighbors)), 4)
-	for i, o := range g.Offsets {
-		off.Set(uint64(i), uint64(o))
-	}
-	for i, v := range g.Neighbors {
-		neigh.Set(uint64(i), uint64(v))
-	}
+	off.SetEach(func(i uint64) uint64 { return uint64(g.Offsets[i]) })
+	neigh.SetEach(func(i uint64) uint64 { return uint64(g.Neighbors[i]) })
 	return graphImage{m: m, off: off, neigh: neigh}
+}
+
+// clone returns a copy-on-write clone of the graph for one kernel's
+// image, which allocates its own arrays after the CSR. The CSR's pages
+// stay shared with the stored graph and every other image of the input
+// until someone writes them; no kernel does.
+func (gi graphImage) clone() graphImage {
+	m := gi.m.Clone()
+	return graphImage{m: m, off: gi.off.On(m), neigh: gi.neigh.On(m)}
+}
+
+// nodes returns the vertex count.
+func (gi graphImage) nodes() int { return int(gi.off.N) - 1 }
+
+// degree returns the out-degree of u, read from gi's own memory.
+func (gi graphImage) degree(u int) int {
+	return int(gi.off.Get(uint64(u+1)) - gi.off.Get(uint64(u)))
 }
 
 // csr reads the graph back out of m, a copy of the image. Each Check
 // rebuilds its reference from it rather than keep the generator's CSR,
-// so a stored image retains only its pages, which is what the artifact
-// store charges it; the CSR is an artifact of its own, evicted on its
-// own.
+// which lives only while its graph is produced.
 func (gi graphImage) csr(m *mem.Memory) *graphs.CSR {
 	off, neigh := gi.off.On(m), gi.neigh.On(m)
 	g := &graphs.CSR{NumNodes: int(off.N) - 1,
@@ -147,13 +180,12 @@ func emitEdgeLoop(b *isa.Builder, gi graphImage, n int,
 
 // ---- PageRank (pull; Listing 1) -------------------------------------
 
-func buildPR(g *graphs.CSR, name string) *Instance {
-	gi := loadGraph(g)
-	n := g.NumNodes
+func buildPR(gi graphImage, name string) *Instance {
+	n := gi.nodes()
 	contrib := gi.m.NewArray(uint64(n), 8)
 	out := gi.m.NewArray(uint64(n), 8)
 	for u := 0; u < n; u++ {
-		contrib.SetF(uint64(u), 1.0/float64(g.Degree(u)+1))
+		contrib.SetF(uint64(u), 1.0/float64(gi.degree(u)+1))
 	}
 
 	b := isa.NewBuilder(name)
@@ -197,20 +229,15 @@ func buildPR(g *graphs.CSR, name string) *Instance {
 
 // ---- BFS (top-down, queue-based) ------------------------------------
 
-func buildBFS(g *graphs.CSR, name string) *Instance {
-	return buildBFSNamed(g, name)
-}
-
-func buildBFSNamed(g *graphs.CSR, name string) *Instance {
-	gi := loadGraph(g)
-	n := g.NumNodes
+func buildBFS(gi graphImage, name string) *Instance {
+	n := gi.nodes()
 	parent := gi.m.NewArray(uint64(n), 8) // int64 parents, -1 = unvisited
 	qa := gi.m.NewArray(uint64(n), 4)
 	qb := gi.m.NewArray(uint64(n), 4)
 	for u := 0; u < n; u++ {
 		parent.SetI(uint64(u), -1)
 	}
-	src := pickSource(g)
+	src := pickSource(gi)
 	parent.SetI(uint64(src), int64(src))
 	qa.Set(0, uint64(src))
 
@@ -319,9 +346,9 @@ func refBFS(g *graphs.CSR, src int) []int64 {
 }
 
 // pickSource returns the first vertex with nonzero degree.
-func pickSource(g *graphs.CSR) int {
-	for u := 0; u < g.NumNodes; u++ {
-		if g.Degree(u) > 0 {
+func pickSource(gi graphImage) int {
+	for u := 0; u < gi.nodes(); u++ {
+		if gi.degree(u) > 0 {
 			return u
 		}
 	}
@@ -330,9 +357,8 @@ func pickSource(g *graphs.CSR) int {
 
 // ---- Connected Components (label propagation) -----------------------
 
-func buildCC(g *graphs.CSR, name string) *Instance {
-	gi := loadGraph(g)
-	n := g.NumNodes
+func buildCC(gi graphImage, name string) *Instance {
+	n := gi.nodes()
 	comp := gi.m.NewArray(uint64(n), 4)
 	for u := 0; u < n; u++ {
 		comp.Set(uint64(u), uint64(u))
@@ -420,10 +446,9 @@ const infDist = int64(1) << 40
 // not already queued are pushed. The critical misses (dist[u], neigh[k],
 // dist[v], inq[v]) sit two to three indirection levels deep, which is why
 // IMP cannot capture SSSP (§VI-A) while SVR's transitive taint chain can.
-func buildSSSP(g *graphs.CSR, name string, seed int64) *Instance {
-	gi := loadGraph(g)
-	n := g.NumNodes
-	m := g.NumEdges()
+func buildSSSP(gi graphImage, name string, seed int64) *Instance {
+	n := gi.nodes()
+	m := int(gi.neigh.N)
 	w := gi.m.NewArray(uint64(m), 4)
 	dist := gi.m.NewArray(uint64(n), 8)
 	inq := gi.m.NewArray(uint64(n), 4)
@@ -441,7 +466,7 @@ func buildSSSP(g *graphs.CSR, name string, seed int64) *Instance {
 	for u := 0; u < n; u++ {
 		dist.SetI(uint64(u), infDist)
 	}
-	src := pickSource(g)
+	src := pickSource(gi)
 	dist.SetI(uint64(src), 0)
 	inq.Set(uint64(src), 1)
 	queue.Set(0, uint64(src))
@@ -573,9 +598,8 @@ func refSSSP(g *graphs.CSR, src int, w mem.Array) []int64 {
 
 // ---- Betweenness Centrality (Brandes, single source) -----------------
 
-func buildBC(g *graphs.CSR, name string) *Instance {
-	gi := loadGraph(g)
-	n := g.NumNodes
+func buildBC(gi graphImage, name string) *Instance {
+	n := gi.nodes()
 	level := gi.m.NewArray(uint64(n), 8) // int64 level, -1
 	sigma := gi.m.NewArray(uint64(n), 8) // float64 path counts
 	delta := gi.m.NewArray(uint64(n), 8) // float64 dependencies
@@ -583,7 +607,7 @@ func buildBC(g *graphs.CSR, name string) *Instance {
 	for u := 0; u < n; u++ {
 		level.SetI(uint64(u), -1)
 	}
-	src := pickSource(g)
+	src := pickSource(gi)
 	level.SetI(uint64(src), 0)
 	sigma.SetF(uint64(src), 1)
 	visit.Set(0, uint64(src))

@@ -124,15 +124,10 @@ func buildCamel(sc Scale) *Instance {
 
 // ---- Graph500 seq-CSR --------------------------------------------------
 //
-// The Graph500 sequential reference: BFS over a Kronecker graph in CSR.
+// The Graph500 sequential reference: BFS over a Kronecker graph in CSR,
+// the KR input at the next seed.
 func buildG500(sc Scale) *Instance {
-	scale := 0
-	for 1<<scale < sc.GraphNodes {
-		scale++
-	}
-	g := graphs.Kronecker("g500", scale, 16, sc.Seed+1)
-	inst := buildBFSNamed(g, "G500")
-	return inst
+	return buildBFS(cachedGraph(graphs.KR, sc.GraphNodes, sc.Seed+1).clone(), "G500")
 }
 
 // ---- Hash join (Blanas et al.) ------------------------------------------
@@ -155,27 +150,33 @@ func buildHashJoin(sc Scale, bucketSize int) *Instance {
 
 	var hashMul = uint64(0x9E3779B97F4A7C15)
 	rng := lcg(sc.Seed + 7)
-	// Fill ~50% of slots with build-side tuples (packed from slot 0).
+	// Build the table on the host, then write each array a page at a
+	// time. Fill ~50% of slots with build-side tuples (packed from slot 0).
+	table, pay := make([]uint64, slots), make([]uint64, slots)
 	for i := uint64(0); i < slots/2; i++ {
 		k := rng.next()*2 + 2 // nonzero even keys
 		h := (k * hashMul) >> 40 % numBuckets
 		for s := uint64(0); s < uint64(bucketSize); s++ {
 			idx := h*uint64(bucketSize) + s
-			if keys.Get(idx) == 0 {
-				keys.Set(idx, k)
-				payload.Set(idx, k/2)
+			if table[idx] == 0 {
+				table[idx] = k
+				pay[idx] = k / 2
 				break
 			}
 		}
 	}
 	// Probe keys: half hits, half misses (odd keys never built).
-	for i := uint64(0); i < probes.N; i++ {
+	probe := make([]uint64, probes.N)
+	for i := range probe {
 		if rng.next()&1 == 0 {
-			probes.Set(i, rng.next()*2+2)
+			probe[i] = rng.next()*2 + 2
 		} else {
-			probes.Set(i, rng.next()*2+1)
+			probe[i] = rng.next()*2 + 1
 		}
 	}
+	keys.SetEach(func(i uint64) uint64 { return table[i] })
+	payload.SetEach(func(i uint64) uint64 { return pay[i] })
+	probes.SetEach(func(i uint64) uint64 { return probe[i] })
 
 	name := fmt.Sprintf("HJ%d", bucketSize)
 	b := isa.NewBuilder(name)
